@@ -27,7 +27,7 @@ from .matching import (WeightedSubproblem, degree_halving_subgraph, greedy_match
 from .model import (Edge, General, Hypergraph, Instance, KnowledgeState, ManyToOne,
                     RoundSelection, SampleGraph, Status, Trace, Vertex,
                     enumerate_samples, feasible, sample, weighted_reward)
-from .montecarlo import ExperimentConfig, RewardStats, monte_carlo
+from .montecarlo import RewardStats, monte_carlo
 from .policies import (DpValueTable, PolicyId, build_dp, offline_max_matching,
                        opt_value, run_alternating_scan, run_greedy_commit, run_opt,
                        run_opt_follower, run_sm)

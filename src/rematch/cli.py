@@ -17,9 +17,9 @@ import json
 import sys
 import time
 
-from .errors import LimitExceededError, RematchError, ValidationError
+from .errors import DomainError, LimitExceededError, RematchError, ValidationError
 from .model import Instance
-from .montecarlo import default_threads, monte_carlo
+from .montecarlo import monte_carlo
 from .policies import PolicyId, opt_value
 from .rng import sub_seed
 from . import coupling, factorlp, generators, suites
@@ -59,7 +59,11 @@ def _add_family_args(p: _Parser) -> None:
 def _load_instance(args) -> Instance:
     if args.instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
-            return Instance.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # bad encoding or JSON
+                raise UsageError(f"instance {args.instance} is not JSON: {exc}") from exc
+        return Instance.from_json(data)
     if args.family == "double-star":
         return generators.gen_double_star(args.n, args.eps)
     if args.family == "separation":
@@ -87,7 +91,7 @@ def build_parser() -> _Parser:
                    choices=[pid.value.replace("_", "-") for pid in PolicyId])
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--out")
 
@@ -183,19 +187,11 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "simulate":
-            from .montecarlo import ExperimentConfig
-
-            cfg = ExperimentConfig(
-                instance=_load_instance(args),
-                policy=PolicyId(args.policy.replace("-", "_")),
-                trials=args.trials, seed=args.seed,
-                threads=args.threads if args.threads is not None else default_threads(),
-                output=args.out, fmt=args.format)
-            stats = monte_carlo(cfg.instance, cfg.policy, cfg.trials, cfg.seed,
-                                threads=cfg.threads)
-            text = stats.to_csv() if cfg.fmt == "csv" else stats.dumps() + "\n"
-            if cfg.output:
-                with open(cfg.output, "w", encoding="utf-8") as fh:
+            stats = monte_carlo(_load_instance(args), PolicyId(args.policy.replace("-", "_")),
+                                args.trials, args.seed, threads=args.threads)
+            text = stats.to_csv() if args.format == "csv" else stats.dumps() + "\n"
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
             else:
                 out.write(text)
@@ -256,7 +252,7 @@ def main(argv=None) -> int:
     except LimitExceededError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
+    except (ValidationError, DomainError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -30,7 +30,7 @@ from . import kernels
 from .errors import ValidationError
 from .model import (Hypergraph, Instance, ManyToOne, Trace,
                     build_tables, enumerate_samples, mask_to_set)
-from .policies import build_dp, run_opt
+from .policies import build_dp, follower_masks, run_opt
 from .rng import sub_seed
 from .model import sample as draw_sample
 
@@ -177,6 +177,41 @@ def _decompose_cap_masks(tables, structure, ref_sels, opt_sels, real, t):
     return overlap, occupied, remainder, o_mask
 
 
+def _commits(sels, real: int) -> bool:
+    """True iff every success is reselected in all later rounds."""
+    prev = 0
+    for sel in sels:
+        if prev & ~sel:
+            return False
+        prev |= sel & real
+    return True
+
+
+def _charge(worst: dict, t: int, factor: float, ref_sels, real: int,
+            adj: dict | None = None, occ: int = 0) -> None:
+    """Fold one sample's horizon-t charging pairs (lhs, rhs) into ``worst``.
+
+    With ``adj`` (unit capacities) the opt edges adjacent to the
+    reference's round-j new successes are charged against ``factor``
+    times those, keyed (t, j); otherwise the occupied class ``occ`` is
+    charged against ``factor`` times all reference successes, keyed t.
+    ``worst`` keeps the pair with the largest lhs - rhs per key.
+    """
+    if adj is None:
+        pairs = [(t, float(occ.bit_count()), factor * (ref_sels[t - 1] & real).bit_count())]
+    else:
+        per_donor: dict[int, int] = {}
+        for (_, j), mask in adj.items():
+            per_donor[j] = per_donor.get(j, 0) | mask
+        new = _ref_new_masks(ref_sels, real, t)
+        pairs = [((t, j), float(per_donor.get(j, 0).bit_count()),
+                  factor * new[j - 1].bit_count()) for j in range(1, t + 1)]
+    for key, lhs, rhs in pairs:
+        prev = worst.get(key)
+        if prev is None or lhs - rhs > prev[0] - prev[1]:
+            worst[key] = (lhs, rhs)
+
+
 def _check_coupled(ref_trace: Trace, opt_trace: Trace, t: int) -> None:
     if ref_trace.instance != opt_trace.instance:
         raise ValidationError("traces come from different instances")
@@ -184,11 +219,8 @@ def _check_coupled(ref_trace: Trace, opt_trace: Trace, t: int) -> None:
         raise ValidationError("traces come from different sample graphs")
     if not (1 <= t <= ref_trace.rounds):
         raise ValidationError(f"horizon {t} outside 1..{ref_trace.rounds}")
-    prev: frozenset[int] = frozenset()
-    for succ in ref_trace.successful:
-        if not prev <= succ:
-            raise ValidationError("reference trace does not commit to its successes")
-        prev = succ
+    if not _commits(ref_trace.selection_masks(), ref_trace.sample_mask):
+        raise ValidationError("reference trace does not commit to its successes")
 
 
 def decompose(ref_trace: Trace, opt_trace: Trace, t: int) -> Decomposition:
@@ -306,19 +338,10 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     charging_factor = _unit_charging_factor(instance)
     occ_factor = (3.0 if isinstance(instance.structure, ManyToOne) else 4.0) if with_cap else None
 
-    m = instance.num_edges
     weights = instance.weights
 
     def reward(sels, real):
         return sum(w * (sel & real).bit_count() for w, sel in zip(weights, sels))
-
-    def commits(sels, real):
-        prev = 0
-        for sel in sels:
-            if prev & ~sel:
-                return False
-            prev |= sel & real
-        return True
 
     for smp, prob in enumerate_samples(instance):
         if prob == 0.0:
@@ -330,7 +353,7 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
         opt_sels = run_opt(instance, smp, table).selection_masks()
         optc_sels = run_opt(instance, smp, table_c).selection_masks()
         if with_follower:
-            runs["opt_follower"] = _follower_masks(tables, opt_sels, real, T)
+            runs["opt_follower"] = follower_masks(tables, opt_sels, real)
 
         e_reward["sm"] += prob * reward(runs["sm"], real)
         e_reward["opt"] += prob * reward(opt_sels, real)
@@ -340,8 +363,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
         if with_follower:
             e_reward["opt_follower"] += prob * reward(runs["opt_follower"], real)
 
-        commit_ok &= all(commits(sels, real) for sels in runs.values())
-        commit_ok &= commits(optc_sels, real)
+        commit_ok &= all(_commits(sels, real) for sels in runs.values())
+        commit_ok &= _commits(optc_sels, real)
 
         for name, sels in runs.items():
             new = _ref_new_masks(sels, real, T)
@@ -365,18 +388,10 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 for i, mask in aug.items():
                     key = (t, i)
                     e_aug[name][key] = e_aug[name].get(key, 0.0) + prob * mask.bit_count()
-                per_donor: dict[int, int] = {}
                 for (i, j), mask in adj.items():
                     key3 = (t, i, j)
                     e_adj[name][key3] = e_adj[name].get(key3, 0.0) + prob * mask.bit_count()
-                    per_donor[j] = per_donor.get(j, 0) | mask
-                new = _ref_new_masks(runs[name], real, t)
-                for j in range(1, t + 1):
-                    lhs = float(per_donor.get(j, 0).bit_count())
-                    rhs = charging_factor * new[j - 1].bit_count()
-                    prev_worst = charging_worst[name].get((t, j))
-                    if prev_worst is None or lhs - rhs > prev_worst[0] - prev_worst[1]:
-                        charging_worst[name][(t, j)] = (lhs, rhs)
+                _charge(charging_worst[name], t, charging_factor, runs[name], real, adj=adj)
             if with_cap:
                 overlap, occ, rem, o_mask = _decompose_cap_masks(
                     tables, instance.structure, runs["sm"], opt_sels, real, t)
@@ -392,11 +407,7 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 for i, mask in rem.items():
                     key = (t, i)
                     e_remainder[key] = e_remainder.get(key, 0.0) + prob * mask.bit_count()
-                lhs = float(occ.bit_count())
-                rhs = occ_factor * (runs["sm"][t - 1] & real).bit_count()
-                prev_worst = occ_charging_worst.get(t)
-                if prev_worst is None or lhs - rhs > prev_worst[0] - prev_worst[1]:
-                    occ_charging_worst[t] = (lhs, rhs)
+                _charge(occ_charging_worst, t, occ_factor, runs["sm"], real, occ=occ)
 
     return CouplingSummary(
         instance=instance, horizons=horizons, references=refs,
@@ -407,32 +418,6 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
         charging_worst=charging_worst, occ_charging_worst=occ_charging_worst,
         partition_ok=partition_ok, commit_ok=commit_ok,
         charging_factor=charging_factor, occ_charging_factor=occ_factor)
-
-
-def _follower_masks(tables, opt_sels, real, T):
-    committed = 0
-    committed_verts = 0
-    seen = 0
-    sels = []
-    for t in range(T):
-        fresh = opt_sels[t] & ~seen
-        seen |= opt_sels[t]
-        add = 0
-        x = fresh
-        while x:
-            low = x & -x
-            if not (tables.vmask[low.bit_length() - 1] & committed_verts):
-                add |= low
-            x ^= low
-        sels.append(committed | add)
-        won = add & real
-        committed |= won
-        y = won
-        while y:
-            low = y & -y
-            committed_verts |= tables.vmask[low.bit_length() - 1]
-            y ^= low
-    return sels
 
 
 # ---------------------------------------------------------------------
@@ -528,6 +513,8 @@ def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exa
         return LemmaReport(lemma, "exact", indices, lhs, rhs, verdict)
     if mode != "monte_carlo":
         raise ValidationError(f"unknown mode {mode!r}")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     sums: dict = {}
     sq: dict = {}
     indices = None
@@ -607,59 +594,40 @@ def verify_charging(instance: Instance, t: int, mode: str = "exact",
                  else "charging_capacitated")
     if mode == "exact":
         summary = coupling_expectations(instance)
-        if unit:
-            worst = summary.charging_worst[reference]
-            indices = [{"t": t, "j": j} for j in range(1, t + 1)]
-            pairs = [worst.get((t, j), (0.0, 0.0)) for j in range(1, t + 1)]
-        else:
-            indices = [{"t": t}]
-            pairs = [summary.occ_charging_worst.get(t, (0.0, 0.0))]
-        lhs = [p[0] for p in pairs]
-        rhs = [p[1] for p in pairs]
-        return LemmaReport(lemma, "exact", indices, lhs, rhs,
-                           all(a <= b for a, b in zip(lhs, rhs)))
-    if mode != "monte_carlo":
+        worst = summary.charging_worst[reference] if unit else summary.occ_charging_worst
+    elif mode == "monte_carlo":
+        if trials < 1:
+            raise ValidationError("trials must be >= 1")
+        tables = build_tables(instance)
+        tables.build_enumeration()
+        table = _cached_dp(instance)
+        worst = {}
+        for trial in range(trials):
+            smp = draw_sample(instance, sub_seed(seed, trial))
+            real = smp.mask
+            ref_sels = (kernels.sm_trace(tables, real) if reference == "sm"
+                        else kernels.gc_trace(tables, real))
+            opt_sels = run_opt(instance, smp, table).selection_masks()
+            if unit:
+                _, adj, _ = _decompose_unit_masks(tables, ref_sels, opt_sels, real, t)
+                _charge(worst, t, factor, ref_sels, real, adj=adj)
+            else:
+                _, occ, _, _ = _decompose_cap_masks(
+                    tables, instance.structure, ref_sels, opt_sels, real, t)
+                _charge(worst, t, factor, ref_sels, real, occ=occ)
+    else:
         raise ValidationError(f"unknown mode {mode!r}")
-    tables = build_tables(instance)
-    tables.build_enumeration()
-    table = _cached_dp(instance)
-    worst_pairs: dict[int, tuple[float, float]] = {}
-    ok = True
-    for trial in range(trials):
-        smp = draw_sample(instance, sub_seed(seed, trial))
-        real = smp.mask
-        ref_sels = (kernels.sm_trace(tables, real) if reference == "sm"
-                    else kernels.gc_trace(tables, real))
-        opt_sels = run_opt(instance, smp, table).selection_masks()
-        if unit:
-            _, adj, _ = _decompose_unit_masks(tables, ref_sels, opt_sels, real, t)
-            new = _ref_new_masks(ref_sels, real, t)
-            per_donor: dict[int, int] = {}
-            for (_, j), mask in adj.items():
-                per_donor[j] = per_donor.get(j, 0) | mask
-            for j in range(1, t + 1):
-                lhs = float(per_donor.get(j, 0).bit_count())
-                rhs = factor * new[j - 1].bit_count()
-                ok &= lhs <= rhs
-                prev = worst_pairs.get(j)
-                if prev is None or lhs - rhs > prev[0] - prev[1]:
-                    worst_pairs[j] = (lhs, rhs)
-        else:
-            _, occ, _, _ = _decompose_cap_masks(
-                tables, instance.structure, ref_sels, opt_sels, real, t)
-            lhs = float(occ.bit_count())
-            rhs = factor * (ref_sels[t - 1] & real).bit_count()
-            ok &= lhs <= rhs
-            prev = worst_pairs.get(0)
-            if prev is None or lhs - rhs > prev[0] - prev[1]:
-                worst_pairs[0] = (lhs, rhs)
     if unit:
         indices = [{"t": t, "j": j} for j in range(1, t + 1)]
-        pairs = [worst_pairs.get(j, (0.0, 0.0)) for j in range(1, t + 1)]
+        pairs = [worst.get((t, j), (0.0, 0.0)) for j in range(1, t + 1)]
     else:
         indices = [{"t": t}]
-        pairs = [worst_pairs.get(0, (0.0, 0.0))]
-    return LemmaReport(lemma, "monte_carlo", indices,
-                       [p[0] for p in pairs], [p[1] for p in pairs], ok,
+        pairs = [worst.get(t, (0.0, 0.0))]
+    lhs = [p[0] for p in pairs]
+    rhs = [p[1] for p in pairs]
+    verdict = all(a <= b for a, b in zip(lhs, rhs))
+    if mode == "exact":
+        return LemmaReport(lemma, "exact", indices, lhs, rhs, verdict)
+    return LemmaReport(lemma, "monte_carlo", indices, lhs, rhs, verdict,
                        stderr=[0.0] * len(pairs), confidence=MC_CONFIDENCE,
                        trials=trials)

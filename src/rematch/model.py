@@ -8,9 +8,10 @@ edge); what a policy has learned so far is a :class:`KnowledgeState`
 :class:`Trace`.
 
 Instances and sample graphs are immutable and safe to share across
-threads.  Edge sets are manipulated as bitmasks internally (edge ids are
-dense 0..m-1 by construction) and exposed as frozensets at the API
-boundary.
+threads.  Edge ids are dense 0..m-1 by construction, so an edge set is
+stored as an integer bitmask (bit e set iff edge e is in the set): sample
+graphs and traces keep only masks, and their frozenset or tuple
+attributes are views built on access for the API boundary.
 """
 
 from __future__ import annotations
@@ -197,18 +198,22 @@ class Instance:
             raw_edges = sorted(data["edges"], key=lambda e: int(e["id"]))
             edges = [Edge(int(e["id"]), [int(u) for u in e["endpoints"]], float(e["p"])) for e in raw_edges]
             rounds = int(data["rounds"])
-        except (KeyError, TypeError) as exc:
+            weights = data.get("weights")
+            if weights is not None:
+                weights = [float(w) for w in weights]
+            name = data.get("structure", "general")
+            if name == "general":
+                structure: Structure = General()
+            elif name == "many_to_one":
+                structure = ManyToOne(data.get("left", []))
+            elif name == "hypergraph":
+                structure = Hypergraph(int(data.get("k", 2)))
+            else:
+                raise ValidationError(f"unknown structure {name!r}")
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed instance JSON: {exc}") from exc
-        weights = data.get("weights")
-        name = data.get("structure", "general")
-        if name == "general":
-            structure: Structure = General()
-        elif name == "many_to_one":
-            structure = ManyToOne(data.get("left", []))
-        elif name == "hypergraph":
-            structure = Hypergraph(int(data.get("k", 2)))
-        else:
-            raise ValidationError(f"unknown structure {name!r}")
         return cls(vertices, edges, rounds, weights, structure)
 
     def dumps(self, **kw) -> str:
@@ -225,21 +230,23 @@ class Instance:
 
 @dataclass(frozen=True)
 class SampleGraph:
-    """One realization of every edge; nature's hidden draw."""
+    """One realization of every edge; nature's hidden draw.
 
-    realized: tuple[bool, ...]
+    ``mask`` is the stored form (bit e set iff edge e is realized);
+    ``realized`` is a per-edge tuple-of-bools view built on access.
+    """
+
+    num_edges: int
+    mask: int
 
     @property
-    def mask(self) -> int:
-        m = 0
-        for i, r in enumerate(self.realized):
-            if r:
-                m |= 1 << i
-        return m
+    def realized(self) -> tuple[bool, ...]:
+        return tuple(bool(self.mask >> i & 1) for i in range(self.num_edges))
 
     @classmethod
     def from_mask(cls, num_edges: int, mask: int) -> "SampleGraph":
-        return cls(tuple(bool(mask >> i & 1) for i in range(num_edges)))
+        """The sample realizing the edges in ``mask``; bits above ``num_edges`` are dropped."""
+        return cls(num_edges, mask & ((1 << num_edges) - 1))
 
 
 class Status(IntEnum):
@@ -287,12 +294,7 @@ class KnowledgeState:
         return sum(1 << i for i, s in enumerate(self.statuses) if s is Status.FAIL)
 
     def consistent_with(self, sample: SampleGraph) -> bool:
-        for s, r in zip(self.statuses, sample.realized):
-            if s is Status.SUCCESS and not r:
-                return False
-            if s is Status.FAIL and r:
-                return False
-        return True
+        return not (self.success_mask & ~sample.mask or self.fail_mask & sample.mask)
 
 
 @dataclass(frozen=True)
@@ -325,29 +327,23 @@ def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def set_to_mask(edges: Iterable[int]) -> int:
-    m = 0
-    for e in edges:
-        m |= 1 << e
-    return m
-
-
 @dataclass(frozen=True)
 class Trace:
     """Per-round record of one policy execution on one sample graph.
 
-    ``successful[t]`` is the set of successful edges inside the round-t
-    selection; ``newly_successful[t]`` restricts that to edges the policy
-    selected for the first time in round t.  For committing policies the
-    newly-successful sets are disjoint and their union up to t equals
-    ``successful[t]``.
+    The stored form is one selection mask per round (``round_masks``) plus
+    the sample mask, the per-round success counts and the weighted reward.
+    ``selections``, ``successful`` and ``newly_successful`` are frozenset
+    views built on access: ``successful[t]`` is the set of successful
+    edges inside the round-t selection; ``newly_successful[t]`` restricts
+    that to edges the policy selected for the first time in round t.  For
+    committing policies the newly-successful sets are disjoint and their
+    union up to t equals ``successful[t]``.
     """
 
     instance: Instance
     policy: str
-    selections: tuple[frozenset[int], ...]
-    successful: tuple[frozenset[int], ...]
-    newly_successful: tuple[frozenset[int], ...]
+    round_masks: tuple[int, ...]
     round_rewards: tuple[int, ...]
     total_weighted_reward: float
     sample_mask: int
@@ -355,30 +351,37 @@ class Trace:
     @classmethod
     def from_selection_masks(cls, instance: Instance, policy: str,
                              selection_masks: Sequence[int], real_mask: int) -> "Trace":
-        selections = []
-        successful = []
-        newly = []
         rewards = []
-        seen = 0
         total = 0.0
         for t, sel in enumerate(selection_masks):
-            succ = sel & real_mask
-            new = succ & ~seen
-            seen |= sel
-            selections.append(mask_to_set(sel))
-            successful.append(mask_to_set(succ))
-            newly.append(mask_to_set(new))
-            rewards.append(succ.bit_count())
-            total += instance.weights[t] * succ.bit_count()
-        return cls(instance, policy, tuple(selections), tuple(successful),
-                   tuple(newly), tuple(rewards), total, real_mask)
+            count = (sel & real_mask).bit_count()
+            rewards.append(count)
+            total += instance.weights[t] * count
+        return cls(instance, policy, tuple(selection_masks), tuple(rewards), total, real_mask)
 
     @property
     def rounds(self) -> int:
-        return len(self.selections)
+        return len(self.round_masks)
 
-    def selection_masks(self) -> list[int]:
-        return [set_to_mask(s) for s in self.selections]
+    def selection_masks(self) -> tuple[int, ...]:
+        return self.round_masks
+
+    @property
+    def selections(self) -> tuple[frozenset[int], ...]:
+        return tuple(mask_to_set(sel) for sel in self.round_masks)
+
+    @property
+    def successful(self) -> tuple[frozenset[int], ...]:
+        return tuple(mask_to_set(sel & self.sample_mask) for sel in self.round_masks)
+
+    @property
+    def newly_successful(self) -> tuple[frozenset[int], ...]:
+        out = []
+        seen = 0
+        for sel in self.round_masks:
+            out.append(mask_to_set(sel & self.sample_mask & ~seen))
+            seen |= sel
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {
@@ -398,7 +401,11 @@ class Trace:
 
 def sample(instance: Instance, seed: int) -> SampleGraph:
     """Realize each edge independently with probability p_e; deterministic in (instance, seed)."""
-    return SampleGraph(tuple(uniform01(seed, e.id) < e.p for e in instance.edges))
+    mask = 0
+    for e in instance.edges:
+        if uniform01(seed, e.id) < e.p:
+            mask |= 1 << e.id
+    return SampleGraph(instance.num_edges, mask)
 
 
 def enumerate_samples(instance: Instance, limit: int = ENUMERATION_LIMIT
@@ -417,7 +424,7 @@ def enumerate_samples(instance: Instance, limit: int = ENUMERATION_LIMIT
         prob = 1.0
         for i, p in enumerate(ps):
             prob *= p if mask >> i & 1 else 1.0 - p
-        yield SampleGraph.from_mask(m, mask), prob
+        yield SampleGraph(m, mask), prob
 
 
 def feasible(instance: Instance, selection) -> bool:

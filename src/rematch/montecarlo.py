@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import ENUMERATION_LIMIT, Instance, sample
+from .model import Instance, sample
 from .policies import (PolicyId, build_dp, offline_max_matching,
                        run_alternating_scan, run_greedy_commit, run_opt,
                        run_opt_follower, run_sm)
 from .rng import sub_seed
-
-THREADS_ENV = "REMATCH_THREADS"
 
 
 @dataclass
@@ -48,29 +45,6 @@ class RewardStats:
         for r, (mu, se) in enumerate(zip(self.per_round_mean, self.per_round_stderr), 1):
             lines.append(f"{r},{mu!r},{se!r}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class ExperimentConfig:
-    """What to run: instance source, policy, trials, seed, mode."""
-
-    instance: Instance
-    policy: PolicyId
-    trials: int
-    seed: int
-    mode: str = "monte_carlo"    # "exact" needs the edge count within the limit
-    horizon: int | None = None
-    threads: int = 1
-    output: str | None = None
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if self.mode not in ("exact", "monte_carlo"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode == "exact" and self.instance.num_edges > ENUMERATION_LIMIT:
-            raise ValidationError("exact mode needs edge count within the enumeration limit")
 
 
 def make_runner(instance: Instance, policy: PolicyId):
@@ -100,21 +74,13 @@ def make_runner(instance: Instance, policy: PolicyId):
     return run_plain
 
 
-def default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
-                threads: int | None = None) -> RewardStats:
+                threads: int = 1) -> RewardStats:
     """Mean weighted reward with standard error, plus per-round success means."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     policy = PolicyId(policy)
-    threads = default_threads() if threads is None else max(1, threads)
+    threads = max(1, threads)
     runner = make_runner(instance, policy)
 
     def one(trial: int):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -204,22 +205,27 @@ def run_opt_follower(instance: Instance, sample: SampleGraph, opt_trace: Trace) 
         raise ValidationError("companion trace belongs to a different instance")
     if opt_trace.sample_mask != sample.mask:
         raise ValidationError("companion trace was run on a different sample graph")
-    tables = build_tables(instance)
-    real = sample.mask
-    opt_sels = opt_trace.selection_masks()
+    sels = follower_masks(build_tables(instance), opt_trace.selection_masks(), sample.mask)
+    return Trace.from_selection_masks(
+        instance, PolicyId.OPT_FOLLOWER.value, sels, sample.mask)
+
+
+def follower_masks(tables: Tables, opt_sels: Sequence[int], real: int) -> list[int]:
+    """Opt-follower selections on masks: each round the own successes so far
+    plus the companion's newly selected edges vertex-disjoint from them."""
+    vmask = tables.vmask
     committed = 0
     committed_verts = 0
     seen = 0
     sels = []
-    for t in range(instance.rounds):
-        fresh = opt_sels[t] & ~seen
-        seen |= opt_sels[t]
+    for opt_sel in opt_sels:
+        fresh = opt_sel & ~seen
+        seen |= opt_sel
         add = 0
         x = fresh
         while x:
             low = x & -x
-            e = low.bit_length() - 1
-            if not (tables.vmask[e] & committed_verts):
+            if not (vmask[low.bit_length() - 1] & committed_verts):
                 add |= low
             x ^= low
         sels.append(committed | add)
@@ -228,10 +234,9 @@ def run_opt_follower(instance: Instance, sample: SampleGraph, opt_trace: Trace) 
         y = won
         while y:
             low = y & -y
-            committed_verts |= tables.vmask[low.bit_length() - 1]
+            committed_verts |= vmask[low.bit_length() - 1]
             y ^= low
-    return Trace.from_selection_masks(
-        instance, PolicyId.OPT_FOLLOWER.value, sels, real)
+    return sels
 
 
 # ---------------------------------------------------------------------
@@ -280,7 +285,8 @@ def offline_max_matching(instance: Instance, sample: SampleGraph) -> int:
     """Maximum-cardinality feasible selection among realized edges."""
     if isinstance(instance.structure, Hypergraph):
         raise ValidationError("offline benchmark covers general/many-to-one structures")
-    realized = [e.id for e in instance.edges if sample.realized[e.id]]
+    real = sample.mask
+    realized = [e for e in range(instance.num_edges) if real >> e & 1]
     if not realized:
         return 0
     sides = _bipartite_unit_sides(instance)

@@ -9,7 +9,7 @@ from rematch.errors import ValidationError
 from rematch.generators import (PROFILES, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
 from rematch.model import Hypergraph, Instance, ManyToOne
-from rematch.montecarlo import ExperimentConfig, monte_carlo
+from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId
 from rematch.rng import sub_seed
 from conftest import make_instance
@@ -102,12 +102,12 @@ def test_monte_carlo_offline_policy():
     assert 0.0 < stats.mean <= 4.0
 
 
-def test_experiment_config_validation():
-    inst = gen_complete_bipartite(5, 0.1)  # 25 edges
+def test_monte_carlo_rejects_zero_trials():
     with pytest.raises(ValidationError):
-        ExperimentConfig(inst, PolicyId.SM, trials=10, seed=0, mode="exact")
-    cfg = ExperimentConfig(inst, PolicyId.SM, trials=10, seed=0)
-    assert cfg.mode == "monte_carlo"
+        monte_carlo(gen_separation(), PolicyId.SM, 0, 0)
+    code, out = run_cli(["simulate", "--family", "separation", "--policy", "sm",
+                         "--trials", "0"])
+    assert (code, out) == (1, "")
 
 
 def run_cli(argv):
@@ -175,11 +175,31 @@ def test_cli_verify_profile_batch():
     assert all(json.loads(line)["verdict"] for line in out.strip().splitlines())
 
 
-def test_cli_exit_codes(monkeypatch, tmp_path):
+def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     code, _ = run_cli(["bogus"])
     assert code == 1
     code, _ = run_cli(["gen"])  # neither --instance nor --family
     assert code == 1
+    # unreadable or malformed instances, unwritable output, LP horizons
+    # outside the formula's domain
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    bad_id = tmp_path / "bad_id.json"
+    bad_id.write_text('{"vertices": [{"id": "x"}], "edges": [], "rounds": 1}')
+    capsys.readouterr()
+    for argv in (["opt", "--instance", str(bad)],
+                 ["opt", "--instance", str(tmp_path / "missing.json")],
+                 ["opt", "--instance", str(bad_id)],
+                 ["gen", "--family", "separation", "-o", str(tmp_path / "no" / "x.json")],
+                 ["lp", "--t", "1", "--variant", "gc"],
+                 ["lp", "--t", "1"],
+                 ["verify", "--family", "separation", "--lemma", "domination-sm",
+                  "--mode", "monte-carlo", "--trials", "0"],
+                 ["verify", "--family", "separation", "--lemma", "charging",
+                  "--mode", "monte-carlo", "--trials", "0"]):
+        code, out = run_cli(argv)
+        assert (code, out) == (1, ""), argv
+        assert capsys.readouterr().err.startswith("usage error:"), argv
     # resource limit: exact verification on a 25-edge instance
     path = tmp_path / "k55.json"
     run_cli(["gen", "--family", "complete-bipartite", "--n", "5", "--p", "0.1",
@@ -210,14 +230,3 @@ def test_cli_verify_exact_on_200_unit_instances_exits_zero():
                          "--count", "200", "--gen-seed", "101", "--mode", "exact"])
     assert code == 0
     assert all(json.loads(line)["verdict"] for line in out.strip().splitlines())
-
-
-def test_threads_env_fallback(monkeypatch):
-    from rematch.montecarlo import default_threads
-
-    monkeypatch.delenv("REMATCH_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("REMATCH_THREADS", "6")
-    assert default_threads() == 6
-    monkeypatch.setenv("REMATCH_THREADS", "junk")
-    assert default_threads() == 1
