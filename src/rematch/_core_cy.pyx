@@ -4,7 +4,8 @@
 Function-for-function mirror of the pure-Python kernels, including the
 order of floating-point accumulation; both backends must produce
 bit-identical traces and value tables.  See ``_core_py`` for the shared
-conventions.
+conventions, including the early exit of the committing kernels once a
+round tries no new edge.
 """
 
 from cython.operator cimport dereference as deref, preincrement as princ
@@ -87,6 +88,9 @@ def sm_trace(tables, real):
             if fits:
                 new |= (<u64> 1) << e
         sels.append(committed | new)
+        if new == 0:
+            sels += sels[-1:] * (rounds - len(sels))
+            break
         committed |= new & rl
         failed |= new & ~rl
     return sels
@@ -135,6 +139,9 @@ def gc_trace(tables, real):
                 best_w = w
                 best_new = new
         sels.append(committed | best_new)
+        if best_new == 0:
+            sels += sels[-1:] * (rounds - len(sels))
+            break
         committed |= best_new & rl
         failed |= best_new & ~rl
     return sels

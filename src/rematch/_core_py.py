@@ -11,7 +11,11 @@ Conventions shared by both backends:
 * a DP state is packed as ``(round << 2m) | (success_mask << m) | fail_mask``;
 * bit scans run from the lowest set bit upward;
 * outcome submasks of a selection are enumerated descending via
-  ``r = (r - 1) & u``.
+  ``r = (r - 1) & u``;
+* a committing kernel (``sm_trace``, ``gc_trace``) whose round tries no
+  new edge leaves the committed and failed masks unchanged, so every
+  later round would repeat it: the kernel fills the remaining rounds
+  with that selection and stops.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ def sm_trace(tables, real: int) -> list[int]:
             if fits:
                 new |= 1 << e
         sels.append(committed | new)
+        if not new:
+            sels += sels[-1:] * (rounds - len(sels))
+            break
         committed |= new & real
         failed |= new & ~real
     return sels
@@ -92,6 +99,9 @@ def gc_trace(tables, real: int) -> list[int]:
                 best_w = w
                 best_new = new
         sels.append(committed | best_new)
+        if not best_new:
+            sels += sels[-1:] * (rounds - len(sels))
+            break
         committed |= best_new & real
         failed |= best_new & ~real
     return sels

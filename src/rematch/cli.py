@@ -142,6 +142,8 @@ def _default_lemmas(inst: Instance) -> list[str]:
 def _run_verify(args, out) -> int:
     mode = args.mode.replace("-", "_")
     if args.profile and not args.instance:
+        if args.count < 1:
+            raise UsageError("--count must be >= 1")
         instances = [generators.gen_random(args.profile, sub_seed(args.gen_seed, i))
                      for i in range(args.count)]
     else:

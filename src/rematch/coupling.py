@@ -292,6 +292,16 @@ class CouplingSummary:
             all(lhs <= rhs for lhs, rhs in self.occ_charging_worst.values()))
 
 
+def _charges_unit(instance: Instance) -> bool:
+    """Whether the unit-capacity decomposition and charging apply.
+
+    Hypergraph selections are vertex-disjoint whatever the declared
+    capacities (``Tables.cap`` collapses them to 1), so a hypergraph
+    always counts as unit.
+    """
+    return isinstance(instance.structure, Hypergraph) or instance.unit_capacities()
+
+
 def _unit_charging_factor(instance: Instance) -> float:
     if isinstance(instance.structure, Hypergraph):
         return float(instance.structure.k)
@@ -307,7 +317,7 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     T = instance.rounds
     horizons = list(range(1, T + 1))
     hyper = isinstance(instance.structure, Hypergraph)
-    unit = instance.unit_capacities()
+    unit = _charges_unit(instance)
     with_gc = not hyper
     with_cap = not hyper
     with_follower = unit and not hyper
@@ -583,7 +593,7 @@ def verify_charging(instance: Instance, t: int, mode: str = "exact",
     """
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
-    unit = instance.unit_capacities()
+    unit = _charges_unit(instance)
     hyper = isinstance(instance.structure, Hypergraph)
     if unit:
         factor = _unit_charging_factor(instance)

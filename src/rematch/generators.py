@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ValidationError
 from .model import Edge, General, Hypergraph, Instance, ManyToOne, Vertex
@@ -31,13 +32,15 @@ def gen_double_star(n: int, eps: float) -> Instance:
     return Instance(vertices, edges, n * n)
 
 
+@lru_cache(maxsize=256)
 def double_star_layout(instance: Instance):
     """(n, hub edge id, left spoke ids, right spoke ids) or None.
 
     Detection is structural so instances round-tripped through JSON are
     still recognized: one certain edge between two hubs, every other
     edge a spoke of equal probability in (0, 0.5) at exactly one hub,
-    unit capacities, spokes pairwise distinct.
+    unit capacities, spokes pairwise distinct.  Memoized per instance, so
+    the spoke ids come as sorted tuples.
     """
     m = instance.num_edges
     if m < 3 or m % 2 == 0 or not instance.unit_capacities():
@@ -70,7 +73,7 @@ def double_star_layout(instance: Instance):
         (left_ids if at_a else right_ids).append(e.id)
     if len(left_ids) != n - 1 or len(right_ids) != n - 1:
         return None
-    return n, hub.id, sorted(left_ids), sorted(right_ids)
+    return n, hub.id, tuple(sorted(left_ids)), tuple(sorted(right_ids))
 
 
 def gen_separation() -> Instance:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import LimitExceededError, UnknownEdgeError, ValidationError
 from .model import Hypergraph, Instance, ManyToOne, RoundSelection
 
@@ -183,6 +181,93 @@ def _branch_and_bound(inst: Instance, avail: list[int], weights: Mapping[int, fl
     return best_w, best
 
 
+def linear_sum_assignment(cost: list[list[float]], maximize: bool = False
+                          ) -> tuple[list[int], list[int]]:
+    """Rectangular linear sum assignment on a list-of-rows cost matrix.
+
+    A pure-Python port of the shortest augmenting path solver behind
+    SciPy's ``linear_sum_assignment`` (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), kept step for step
+    so that it returns the same ``(rows, cols)``, ties included: a tall matrix is transposed, ``maximize`` negates the costs,
+    the column scan runs over ``remaining`` filled in reverse, a tied
+    minimum prefers an unassigned column, and the duals are updated in the
+    same order.  The updates only add and subtract, so the float values are
+    those of the compiled solver.  ``rows`` comes out ascending.
+    """
+    nr = len(cost)
+    nc = len(cost[0]) if nr else 0
+    if nr == 0 or nc == 0:
+        return [], []
+    transpose = nc < nr
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+        nr, nc = nc, nr
+    if maximize:
+        cost = [[-c for c in row] for row in cost]
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur_row in range(nr):
+        # shortest augmenting path from cur_row
+        min_val = 0.0
+        remaining = list(range(nc - 1, -1, -1))
+        num_remaining = nc
+        shortest = [inf] * nc
+        sr = [False] * nr
+        sc = [False] * nc
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = inf
+            sr[i] = True
+            row = cost[i]
+            ui = u[i]
+            for it in range(num_remaining):
+                j = remaining[it]
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValidationError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            sc[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+        # update the duals
+        u[cur_row] += min_val
+        for i in range(nr):
+            if sr[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(nc):
+            if sc[j]:
+                v[j] -= min_val - shortest[j]
+        # augment the previous solution along the path
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[c] for c in cols], cols
+    return list(range(nr)), col4row
+
+
 def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, float],
                 residual: dict[int, int], sides: tuple[set[int], set[int]]
                 ) -> list[int]:
@@ -192,8 +277,6 @@ def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, float],
     (otherwise the same edge could be assigned twice), which covers the
     unit and many-to-one cases this path is used for.
     """
-    from scipy.optimize import linear_sum_assignment
-
     left, right = sides
     for e in avail:
         u, w = inst.edges[e].endpoints
@@ -208,7 +291,7 @@ def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, float],
     rpos = {}
     for idx, (v, _) in enumerate(rcopies):
         rpos.setdefault(v, []).append(idx)
-    cost = np.zeros((len(lcopies), len(rcopies)))
+    cost = [[0.0] * len(rcopies) for _ in lcopies]
     edge_at = {}
     for e in avail:
         u, w = inst.edges[e].endpoints
@@ -216,15 +299,13 @@ def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, float],
             u, w = w, u
         for i in lpos.get(u, []):
             for j in rpos.get(w, []):
-                if weights[e] > cost[i, j]:
-                    cost[i, j] = weights[e]
+                if weights[e] > cost[i][j]:
+                    cost[i][j] = weights[e]
                     edge_at[i, j] = e
-    if cost.size == 0:
-        return []
     rows, cols = linear_sum_assignment(cost, maximize=True)
     chosen = set()
     for i, j in zip(rows, cols):
-        if cost[i, j] > 0:
+        if cost[i][j] > 0:
             chosen.add(edge_at[i, j])
     return sorted(chosen)
 
@@ -236,7 +317,8 @@ def max_weight_matching(sub: WeightedSubproblem, exact_limit: int = EXACT_SEARCH
     Small problems (and all non-bipartite ones up to the exact-search
     limit) are solved exactly by branch and bound with a deterministic
     lexicographic tie-break; larger bipartite problems fall back to the
-    augmenting-path assignment solver.
+    augmenting-path assignment solver, :func:`linear_sum_assignment` (a
+    port of SciPy's rectangular LSAP, so its ties break as SciPy's do).
     """
     inst = sub.instance
     if isinstance(inst.structure, Hypergraph):

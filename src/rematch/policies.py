@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from . import kernels
 from .errors import LimitExceededError, ValidationError
-from .matching import WeightedSubproblem, max_weight_matching
+from .generators import double_star_layout
+from .matching import WeightedSubproblem, _bipartite_sides, max_weight_matching
 from .model import (ENUMERATION_LIMIT, Hypergraph, Instance, KnowledgeState,
                     SampleGraph, Tables, Trace, build_tables, mask_to_set)
 
@@ -88,6 +88,10 @@ def _gc_trace_large(instance: Instance, real: int) -> list[int]:
             instance, weights, residual, frozenset(failed))).chosen
         sel = committed | set(picked)
         sels.append(sum(1 << e for e in sel))
+        if not picked:
+            # nothing new tried: every later round repeats this one
+            sels += sels[-1:] * (instance.rounds - len(sels))
+            break
         for e in picked:
             if real >> e & 1:
                 committed.add(e)
@@ -247,32 +251,23 @@ def run_alternating_scan(instance: Instance, sample: SampleGraph) -> Trace:
     """Scan the spoke pairs of a double-star instance, then hold the best
     discovered fully-successful cross pair (falling back to cyclic
     re-scanning while none exists)."""
-    from .generators import double_star_layout
-
     layout = double_star_layout(instance)
     if layout is None:
         raise ValidationError("instance is not a double-star family member")
     n, _, left_ids, right_ids = layout
     real = sample.mask
-    success = 0
-    tried = 0
-    sels = []
-    pairs = list(zip(left_ids, right_ids))
-    for r in range(instance.rounds):
-        if r < n - 1:
-            pair = pairs[r]
-            sel = (1 << pair[0]) | (1 << pair[1])
+    pairs = [(1 << a) | (1 << b) for a, b in zip(left_ids, right_ids)]
+    scan = n - 1
+    sels = pairs[:instance.rounds]
+    if instance.rounds > scan:
+        # every spoke has been tried, so the successes, and with them the
+        # held pair or the cyclic fallback, stay fixed from here on
+        ls = next((e for e in left_ids if real >> e & 1), None)
+        rs = next((e for e in right_ids if real >> e & 1), None)
+        if ls is not None and rs is not None:
+            sels += [(1 << ls) | (1 << rs)] * (instance.rounds - scan)
         else:
-            ls = next((e for e in left_ids if success >> e & 1), None)
-            rs = next((e for e in right_ids if success >> e & 1), None)
-            if ls is not None and rs is not None:
-                sel = (1 << ls) | (1 << rs)
-            else:
-                pair = pairs[r % (n - 1)]
-                sel = (1 << pair[0]) | (1 << pair[1])
-        sels.append(sel)
-        tried |= sel
-        success |= sel & real
+            sels += [pairs[r % scan] for r in range(scan, instance.rounds)]
     return Trace.from_selection_masks(
         instance, PolicyId.ALTERNATING_SCAN.value, sels, real)
 
@@ -282,44 +277,74 @@ def run_alternating_scan(instance: Instance, sample: SampleGraph) -> Trace:
 
 
 def offline_max_matching(instance: Instance, sample: SampleGraph) -> int:
-    """Maximum-cardinality feasible selection among realized edges."""
+    """Maximum-cardinality feasible selection among realized edges.
+
+    Unit-capacity bipartite instances take Kuhn's augmenting paths (only
+    the cardinality is returned, and it is unique); all others take the
+    exact matcher with unit weights.
+    """
     if isinstance(instance.structure, Hypergraph):
         raise ValidationError("offline benchmark covers general/many-to-one structures")
     real = sample.mask
-    realized = [e for e in range(instance.num_edges) if real >> e & 1]
-    if not realized:
+    if not real:
         return 0
-    sides = _bipartite_unit_sides(instance)
-    if sides is not None and len(realized) > 12:
-        return _hopcroft_karp_size(instance, realized, sides)
+    ends = _unit_bipartite_ends(instance)
+    if ends is not None:
+        return _kuhn_size(ends, real)
+    realized = [e for e in range(instance.num_edges) if real >> e & 1]
     sel = max_weight_matching(WeightedSubproblem(
         instance, {e: 1.0 for e in realized}))
     return len(sel.chosen)
 
 
-def _bipartite_unit_sides(instance: Instance):
+@lru_cache(maxsize=256)
+def _unit_bipartite_ends(instance: Instance) -> tuple[tuple[int, int], ...] | None:
+    """(left index, right index) per edge of a unit-capacity bipartite
+    instance, or None for any other instance."""
     if not instance.unit_capacities():
         return None
-    from .matching import _bipartite_sides
-
-    return _bipartite_sides(instance)
-
-
-def _hopcroft_karp_size(instance: Instance, realized: list[int], sides) -> int:
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
+    sides = _bipartite_sides(instance)
+    if sides is None:
+        return None
     left, right = sides
     li = {v: i for i, v in enumerate(sorted(left))}
     ri = {v: i for i, v in enumerate(sorted(right))}
-    rows, cols = [], []
-    for e in realized:
-        u, w = instance.edges[e].endpoints
-        if u not in left:
-            u, w = w, u
-        rows.append(li[u])
-        cols.append(ri[w])
-    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                       shape=(len(li), len(ri)))
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return int((match >= 0).sum())
+    out = []
+    for e in instance.edges:
+        u, w = e.endpoints
+        out.append((li[u], ri[w]) if u in left else (li[w], ri[u]))
+    return tuple(out)
+
+
+def _kuhn_size(ends: Sequence[tuple[int, int]], real: int) -> int:
+    """Maximum matching size among the realized edges, by augmenting paths
+    (Kuhn's algorithm) over right-side bitmasks."""
+    adj: dict[int, int] = {}
+    x = real
+    while x:
+        low = x & -x
+        u, w = ends[low.bit_length() - 1]
+        adj[u] = adj.get(u, 0) | (1 << w)
+        x ^= low
+    owner: dict[int, int] = {}
+    seen = 0
+
+    def augment(u: int) -> bool:
+        nonlocal seen
+        free = adj[u] & ~seen
+        while free:
+            low = free & -free
+            seen |= low
+            j = low.bit_length() - 1
+            holder = owner.get(j)
+            if holder is None or augment(holder):
+                owner[j] = u
+                return True
+            free &= ~seen
+        return False
+
+    size = 0
+    for u in adj:
+        seen = 0
+        size += augment(u)
+    return size

@@ -5,10 +5,17 @@ from the package internals: subsets are enumerated through itertools,
 feasibility goes through the public checker, and the policy-value
 oracle recurses over raw histories with no memoization, no action
 pruning and no bitmask machinery.
+
+The round loops at the end are the exception: they are the committing
+kernels and the alternating scan as first written, recomputing every
+round from scratch, and serve as references for the versions that stop
+once a round can no longer change anything.
 """
 
 from itertools import combinations
 
+from rematch.kernels import lex_less
+from rematch.matching import WeightedSubproblem, max_weight_matching
 from rematch.model import Instance, enumerate_samples, feasible
 
 
@@ -80,3 +87,87 @@ def expectation(inst: Instance, statistic) -> float:
         if prob > 0.0:
             total += prob * statistic(smp)
     return total
+
+
+# ---------------------------------------------------------------------
+# reference round loops: every round recomputed, no early exit
+
+
+def sm_trace_loop(tables, real: int) -> list[int]:
+    committed = failed = 0
+    sels = []
+    for _ in range(len(tables.weights)):
+        new = 0
+        tried = committed | failed
+        for e in tables.order:
+            if (tried >> e) & 1 or tables.p[e] <= 0.0:
+                continue
+            base = committed | new
+            if all((base & tables.inc[v]).bit_count() < tables.cap[v] for v in tables.ev[e]):
+                new |= 1 << e
+        sels.append(committed | new)
+        committed |= new & real
+        failed |= new & ~real
+    return sels
+
+
+def gc_trace_loop(tables, real: int) -> list[int]:
+    committed = failed = 0
+    sels = []
+    for _ in range(len(tables.weights)):
+        pool = tables.all_mask & ~(committed | failed) & tables.posp_mask
+        best_w, best_new = -1.0, 0
+        for mask in tables.feas:
+            if (mask & committed) != committed:
+                continue
+            new = mask & ~committed
+            if new & ~pool:
+                continue
+            w = 0.0
+            for e in range(tables.m):
+                if new >> e & 1:
+                    w += tables.p[e]
+            if w > best_w or (w == best_w and lex_less(new, best_new)):
+                best_w, best_new = w, new
+        sels.append(committed | best_new)
+        committed |= best_new & real
+        failed |= best_new & ~real
+    return sels
+
+
+def gc_trace_large_loop(instance: Instance, real: int) -> list[int]:
+    committed: set[int] = set()
+    failed: set[int] = set()
+    caps = {v.id: v.capacity for v in instance.vertices}
+    sels = []
+    for _ in range(instance.rounds):
+        residual = dict(caps)
+        for e in committed:
+            for v in instance.edges[e].endpoints:
+                residual[v] -= 1
+        weights = {e.id: e.p for e in instance.edges
+                   if e.id not in committed and e.id not in failed and e.p > 0.0}
+        picked = max_weight_matching(WeightedSubproblem(
+            instance, weights, residual, frozenset(failed))).chosen
+        sels.append(sum(1 << e for e in committed | set(picked)))
+        for e in picked:
+            (committed if real >> e & 1 else failed).add(e)
+    return sels
+
+
+def alternating_scan_loop(layout, rounds: int, real: int) -> list[int]:
+    n, _, left_ids, right_ids = layout
+    pairs = list(zip(left_ids, right_ids))
+    success = 0
+    sels = []
+    for r in range(rounds):
+        pair = pairs[r % (n - 1)]
+        sel = (1 << pair[0]) | (1 << pair[1])
+        if r >= n - 1:
+            ls = next((e for e in left_ids if success >> e & 1), None)
+            rs = next((e for e in right_ids if success >> e & 1), None)
+            if ls is not None and rs is not None:
+                sel = (1 << ls) | (1 << rs)
+        sels.append(sel)
+        success |= sel & real
+    return sels

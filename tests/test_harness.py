@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,52 @@ def test_cli_verify_profile_batch():
     assert all(json.loads(line)["verdict"] for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+def test_cli_verify_hypergraph_with_capacity_above_one(tmp_path, mode):
+    # hypergraph selections are vertex-disjoint, so a declared capacity of 2
+    # must give the verdicts of the same instance at capacity 1
+    verdicts = []
+    for cap in (2, 1):
+        inst = make_instance([(0, 1, 0.5), (0, 2, 0.6), (0, 1, 2, 0.4)], rounds=2,
+                             caps={0: cap}, structure=Hypergraph(3))
+        path = tmp_path / f"hyper{cap}.json"
+        path.write_text(inst.dumps())
+        code, out = run_cli(["verify", "--instance", str(path), "--mode", mode,
+                             "--trials", "300"])
+        assert code in (0, 2)
+        verdicts.append([(r["lemma"], r["verdict"])
+                         for r in map(json.loads, out.strip().splitlines())])
+    assert verdicts[0] == verdicts[1]
+    assert [lemma for lemma, _ in verdicts[0]] == ["charging_hypergraph",
+                                                   "domination_hypergraph"]
+
+
+def test_monte_carlo_imports_no_scipy():
+    # every policy, including the assignment path of greedy-commit on K_{5,5}
+    # (more than 20 edges) and the offline benchmark on K_{10,10}
+    script = """
+import sys
+from rematch.generators import gen_complete_bipartite, gen_double_star, gen_separation
+from rematch.montecarlo import monte_carlo
+from rematch.policies import PolicyId as P
+runs = [(gen_double_star(3, 0.1), P.SM), (gen_double_star(3, 0.1), P.ALTERNATING_SCAN),
+        (gen_complete_bipartite(5, 0.3, rounds=4), P.GREEDY_COMMIT),
+        (gen_complete_bipartite(10, 0.1), P.OFFLINE_MAX),
+        (gen_separation(), P.OPT), (gen_separation(), P.OPT_COMMIT),
+        (gen_separation(), P.OPT_FOLLOWER)]
+for inst, policy in runs:
+    monte_carlo(inst, policy, 20, seed=3)
+assert {run[1] for run in runs} == set(P)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     code, _ = run_cli(["bogus"])
     assert code == 1
@@ -196,7 +246,9 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
                  ["verify", "--family", "separation", "--lemma", "domination-sm",
                   "--mode", "monte-carlo", "--trials", "0"],
                  ["verify", "--family", "separation", "--lemma", "charging",
-                  "--mode", "monte-carlo", "--trials", "0"]):
+                  "--mode", "monte-carlo", "--trials", "0"],
+                 ["verify", "--profile", "unit-small", "--count", "0"],
+                 ["verify", "--profile", "unit-small", "--count", "-1"]):
         code, out = run_cli(argv)
         assert (code, out) == (1, ""), argv
         assert capsys.readouterr().err.startswith("usage error:"), argv

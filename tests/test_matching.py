@@ -8,7 +8,7 @@ from rematch.errors import ValidationError
 from rematch.kernels import lex_less
 from rematch.matching import (WeightedSubproblem, degree_halving_subgraph,
                               greedy_matching, greedy_hypergraph_matching,
-                              max_weight_matching)
+                              linear_sum_assignment, max_weight_matching)
 from rematch.model import Hypergraph, ManyToOne, mask_to_set
 from rematch.rng import CounterRng
 
@@ -110,6 +110,26 @@ def test_assignment_path_matches_enumeration():
         sub = WeightedSubproblem(inst, weights)
         fast = max_weight_matching(sub, exact_limit=0).total_weight(weights)
         assert fast == pytest.approx(brute_max_weight(inst, weights), abs=1e-9)
+
+
+def test_linear_sum_assignment_matches_scipy():
+    # SciPy is the oracle here only; the package itself never imports it
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    import numpy as np
+
+    rng = CounterRng(2016)
+    value_sets = ((0.0, 0.3), (0.0, 0.1, 0.2, 0.3, 1.0), (0.0, 1.0, 2.0), None)
+    for k in range(20000):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        values = value_sets[k % len(value_sets)]
+        cost = [[rng.choice(values) if values else rng.uniform() for _ in range(nc)]
+                for _ in range(nr)]
+        for maximize in (False, True):
+            rows, cols = scipy_optimize.linear_sum_assignment(
+                np.array(cost), maximize=maximize)
+            assert linear_sum_assignment(cost, maximize) == (rows.tolist(), cols.tolist())
+    assert linear_sum_assignment([]) == ([], [])
+    assert linear_sum_assignment([[], []]) == ([], [])
 
 
 def test_hypergraph_greedy():

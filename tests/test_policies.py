@@ -1,14 +1,19 @@
 import pytest
 
 from conftest import make_instance
-from oracles import brute_max_weight, brute_policy_value, expectation
+from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value,
+                     expectation, gc_trace_large_loop, gc_trace_loop, sm_trace_loop)
+from rematch import kernels
 from rematch.errors import LimitExceededError, ValidationError
-from rematch.generators import gen_double_star, gen_random, gen_separation
-from rematch.model import SampleGraph, sample
-from rematch.policies import (DP_LIMIT, build_dp, offline_max_matching,
+from rematch.generators import (double_star_layout, gen_complete_bipartite,
+                                gen_double_star, gen_random, gen_separation)
+from rematch.model import (Edge, Hypergraph, Instance, ManyToOne, SampleGraph, Vertex,
+                           build_tables, enumerate_samples, sample)
+from rematch.policies import (DP_LIMIT, _gc_trace_large, _kuhn_size,
+                              _unit_bipartite_ends, build_dp, offline_max_matching,
                               opt_value, run_alternating_scan, run_greedy_commit,
                               run_opt, run_opt_follower, run_sm)
-from rematch.rng import sub_seed
+from rematch.rng import CounterRng, sub_seed
 
 ONE_EDGE = make_instance([(0, 1, 1.0)], rounds=3)
 
@@ -273,8 +278,82 @@ def test_offline_max_matching():
 
 
 def test_offline_uses_matching_path_on_large_bipartite():
-    from rematch.generators import gen_complete_bipartite
-
     inst = gen_complete_bipartite(6, 0.9)
     smp = SampleGraph.from_mask(36, (1 << 36) - 1)  # everything realized
     assert offline_max_matching(inst, smp) == 6
+
+
+def test_offline_kuhn_size_matches_enumeration():
+    # unit-capacity bipartite instances, some with more than 12 realized edges
+    rng = CounterRng(77)
+    checked_large = 0
+    for k in range(60):
+        if k % 4 == 0:
+            inst = gen_complete_bipartite(rng.randint(2, 4), 0.8)
+        else:
+            n_left, n_right = rng.randint(1, 5), rng.randint(1, 5)
+            pairs = [(u, n_left + j) for u in range(n_left) for j in range(n_right)]
+            rng.shuffle(pairs)
+            m = rng.randint(1, min(16, len(pairs)))
+            inst = Instance([Vertex(i) for i in range(n_left + n_right)],
+                            [Edge(i, pairs[i], 0.7) for i in range(m)], 1,
+                            structure=ManyToOne(range(n_left)) if k % 2 else None)
+        ends = _unit_bipartite_ends(inst)
+        assert ends is not None
+        smp = sample(inst, sub_seed(78, k))
+        realized = {e.id: 1.0 for e in inst.edges if smp.realized[e.id]}
+        checked_large += len(realized) > 12
+        want = int(brute_max_weight(inst, realized))
+        assert _kuhn_size(ends, smp.mask) == want
+        assert offline_max_matching(inst, smp) == want
+    assert checked_large >= 3
+
+
+def _samples(inst, seed, count=120):
+    if inst.num_edges <= 8:
+        return [smp for smp, prob in enumerate_samples(inst) if prob > 0.0]
+    return [sample(inst, sub_seed(seed, i)) for i in range(count)]
+
+
+def test_committing_kernels_match_reference_loops():
+    # the kernels stop once a round tries nothing new; the loops never stop
+    instances = [gen_double_star(n, 0.1) for n in range(2, 7)]
+    instances += [gen_random(profile, sub_seed(900 + i, i))
+                  for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small")
+                  for i in range(8)]
+    instances.append(gen_complete_bipartite(3, 0.5, rounds=4))
+    for k, inst in enumerate(instances):
+        tables = build_tables(inst)
+        tables.build_enumeration()
+        hyper = isinstance(inst.structure, Hypergraph)
+        for smp in _samples(inst, k):
+            real = smp.mask
+            want_sm = sm_trace_loop(tables, real)
+            want_gc = None if hyper else gc_trace_loop(tables, real)
+            for backend in map(kernels.get_backend, kernels.available_backends()):
+                assert backend.sm_trace(tables, real) == want_sm
+                if not hyper:
+                    assert backend.gc_trace(tables, real) == want_gc
+            if not hyper and inst.num_edges <= 8:
+                assert _gc_trace_large(inst, real) == gc_trace_large_loop(inst, real)
+
+
+def test_gc_trace_large_matches_reference_loop_on_k55():
+    # 25 edges: beyond enumeration, so the first round solves an assignment problem
+    for p in (0.3, 0.5):
+        inst = gen_complete_bipartite(5, p, rounds=4)
+        for i in range(15):
+            smp = sample(inst, sub_seed(31, i))
+            want = gc_trace_large_loop(inst, smp.mask)
+            assert run_greedy_commit(inst, smp).selection_masks() == tuple(want)
+
+
+def test_alternating_scan_matches_reference_loop():
+    for n in range(2, 7):
+        for rounds in (1, n - 1, n, n * n):
+            base = gen_double_star(n, 0.1)
+            inst = Instance(base.vertices, base.edges, rounds)
+            layout = double_star_layout(inst)
+            for smp in _samples(inst, n, count=200):
+                want = alternating_scan_loop(layout, rounds, smp.mask)
+                assert run_alternating_scan(inst, smp).selection_masks() == tuple(want)
