@@ -8,9 +8,8 @@ programming, the edge decompositions coupling them, the
 factor-revealing LPs certifying per-round approximation factors, and a
 seeded Monte Carlo harness with a CLI.
 
-Hot kernels (the expectimax DP and per-sample policy simulation) run in
-a compiled extension when available; ``rematch.kernels.active_backend()``
-tells which implementation is live.
+Hot kernels (the expectimax DP and per-sample policy simulation) live
+in ``rematch.kernels``, in pure Python on integer bitmasks.
 """
 
 from .coupling import (Decomposition, LemmaReport, coupling_expectations, decompose,

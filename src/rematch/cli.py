@@ -178,6 +178,8 @@ def main(argv=None) -> int:
         return 1
     out = sys.stdout
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise UsageError("--threads must be >= 1")
         if args.command == "gen":
             inst = _load_instance(args)
             text = json.dumps(inst.to_json(), sort_keys=True)
@@ -212,7 +214,11 @@ def main(argv=None) -> int:
                 row["primal_opt"] = factorlp.solve_lp(
                     factorlp.build_primal(args.t, args.variant))
             if do_dual:
-                cert = factorlp.dual_certificate(args.t, args.variant)
+                try:
+                    cert = factorlp.dual_certificate(args.t, args.variant)
+                except OverflowError as exc:  # u(t) leaves the float range
+                    raise LimitExceededError(
+                        f"dual certificate for t={args.t} overflows a float: {exc}") from exc
                 row["dual_u"] = cert.u
                 row["factor"] = 1.0 / cert.u
                 row["feasible"] = bool(factorlp.verify_dual_feasible(cert))

@@ -460,8 +460,8 @@ def weighted_reward(trace: Trace, weights: Sequence[float]) -> float:
 class Tables:
     """Dense-index mask tables for one instance (internal).
 
-    Kernel code sees only plain ints, floats and lists, so the compiled
-    and pure-Python backends can share this object.  ``cap`` holds the
+    Kernel code sees only plain ints, floats and lists, built once per
+    instance and shared by every trace and DP solve.  ``cap`` holds the
     effective capacity: hypergraph selections are vertex-disjoint, so
     capacities collapse to 1 there.
     """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,18 +80,21 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
     """Mean weighted reward with standard error, plus per-round success means."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     policy = PolicyId(policy)
-    threads = max(1, threads)
     runner = make_runner(instance, policy)
 
     def one(trial: int):
         return runner(sample(instance, sub_seed(seed, trial)))
 
-    if threads == 1:
+    # every trial is its own task, so more workers than cores only add threads
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         results = [one(i) for i in range(trials)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(trials), chunksize=256))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(trials)))
 
     # reduce in trial order for thread-count independence
     width = max(len(r[1]) for r in results)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rematch import cli
+from rematch import cli, montecarlo
 from rematch.errors import ValidationError
 from rematch.generators import (PROFILES, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
@@ -112,6 +112,37 @@ def test_monte_carlo_rejects_zero_trials():
     code, out = run_cli(["simulate", "--family", "separation", "--policy", "sm",
                          "--trials", "0"])
     assert (code, out) == (1, "")
+
+
+def test_monte_carlo_caps_workers_at_cpu_count(monkeypatch):
+    # a fake pool records its size and maps serially: no real threads start
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
+    inst = gen_double_star(3, 0.1)
+    serial = monte_carlo(inst, PolicyId.SM, 200, seed=3).dumps()
+    for cpus, threads, want in ((4, 10_000, [4]), (4, 3, [3]), (None, 10_000, []),
+                                (8, 1, [])):
+        sizes.clear()
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        stats = monte_carlo(inst, PolicyId.SM, 200, seed=3, threads=threads)
+        assert sizes == want, (cpus, threads)
+        assert stats.dumps() == serial
+    with pytest.raises(ValidationError):
+        monte_carlo(inst, PolicyId.SM, 200, seed=3, threads=0)
 
 
 def run_cli(argv):
@@ -248,10 +279,20 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
                  ["verify", "--family", "separation", "--lemma", "charging",
                   "--mode", "monte-carlo", "--trials", "0"],
                  ["verify", "--profile", "unit-small", "--count", "0"],
-                 ["verify", "--profile", "unit-small", "--count", "-1"]):
+                 ["verify", "--profile", "unit-small", "--count", "-1"],
+                 ["simulate", "--family", "separation", "--policy", "sm", "--threads", "0"],
+                 ["simulate", "--family", "separation", "--policy", "sm", "--threads", "-3"],
+                 ["reproduce", "--bundle", "kernel-properties", "--threads", "0"],
+                 ["reproduce", "--bundle", "kernel-properties", "--threads", "-1"]):
         code, out = run_cli(argv)
         assert (code, out) == (1, ""), argv
         assert capsys.readouterr().err.startswith("usage error:"), argv
+    # resource limit: dual certificates whose u(t) overflows a float
+    for argv in (["lp", "--t", "200", "--check-dual"],
+                 ["lp", "--t", "144", "--variant", "gc", "--check-dual"]):
+        code, out = run_cli(argv)
+        assert (code, out) == (3, ""), argv
+        assert capsys.readouterr().err.startswith("resource limit:"), argv
     # resource limit: exact verification on a 25-edge instance
     path = tmp_path / "k55.json"
     run_cli(["gen", "--family", "complete-bipartite", "--n", "5", "--p", "0.1",
