@@ -1,17 +1,14 @@
 """Seeded Monte Carlo engine over policy runs.
 
 Trial i draws its sample graph from sub_seed(seed, i), so the aggregate
-is a pure function of (instance, policy, trials, seed) no matter how
-trials are spread over worker threads; partial sums are always reduced
-in trial-index order.
+is a pure function of (instance, policy, trials, seed).  Trials run in
+this thread in index order, and partial sums are reduced in that order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -77,7 +74,12 @@ def make_runner(instance: Instance, policy: PolicyId):
 
 def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
                 threads: int = 1) -> RewardStats:
-    """Mean weighted reward with standard error, plus per-round success means."""
+    """Mean weighted reward with standard error, plus per-round success means.
+
+    ``threads`` must be at least 1 and does not change the result; trials
+    always run serially, because a thread pool was measured slower under
+    the GIL.
+    """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     if threads < 1:
@@ -85,18 +87,8 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
     policy = PolicyId(policy)
     runner = make_runner(instance, policy)
 
-    def one(trial: int):
-        return runner(sample(instance, sub_seed(seed, trial)))
+    results = [runner(sample(instance, sub_seed(seed, i))) for i in range(trials)]
 
-    # every trial is its own task, so more workers than cores only add threads
-    workers = min(threads, os.cpu_count() or 1)
-    if workers == 1:
-        results = [one(i) for i in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(trials)))
-
-    # reduce in trial order for thread-count independence
     width = max(len(r[1]) for r in results)
     total = 0.0
     total_sq = 0.0
