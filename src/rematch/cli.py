@@ -91,7 +91,6 @@ def build_parser() -> _Parser:
                    choices=[pid.value.replace("_", "-") for pid in PolicyId])
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--out")
 
@@ -122,21 +121,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce", help="rerun acceptance bundles")
     p.add_argument("--bundle", default="all",
                    choices=sorted(suites.BUNDLES) + ["all"])
-    p.add_argument("--threads", type=int, default=1)
     return parser
-
-
-def _default_lemmas(inst: Instance) -> list[str]:
-    from .model import Hypergraph, ManyToOne
-
-    if isinstance(inst.structure, Hypergraph):
-        return ["charging", "domination-hypergraph"]
-    if not inst.unit_capacities():
-        if isinstance(inst.structure, ManyToOne):
-            return ["charging", "domination-many-to-one"]
-        return ["charging", "domination-capacitated"]
-    return ["charging", "domination-sm", "domination-sm-refined",
-            "domination-gc", "domination-gc-refined"]
 
 
 def _run_verify(args, out) -> int:
@@ -155,14 +140,14 @@ def _run_verify(args, out) -> int:
                 f"exact verification over {inst.num_edges} edges exceeds "
                 f"--enum-limit {args.enum_limit}")
         t = args.t if args.t else inst.rounds
-        lemmas = _default_lemmas(inst) if args.lemma == "all" else [args.lemma]
+        lemmas = (coupling.default_lemmas(inst) if args.lemma == "all" else
+                  [args.lemma.removeprefix("domination-").replace("-", "_")])
         for lemma in lemmas:
             if lemma == "charging":
                 report = coupling.verify_charging(inst, t, mode, trials=args.trials,
                                                   seed=args.seed)
             else:
-                variant = lemma.removeprefix("domination-").replace("-", "_")
-                report = coupling.verify_domination(inst, t, variant, mode,
+                report = coupling.verify_domination(inst, t, lemma, mode,
                                                     trials=args.trials, seed=args.seed)
             all_ok &= report.verdict
             _dump(report.to_json(), out)
@@ -178,8 +163,6 @@ def main(argv=None) -> int:
         return 1
     out = sys.stdout
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("--threads must be >= 1")
         if args.command == "gen":
             inst = _load_instance(args)
             text = json.dumps(inst.to_json(), sort_keys=True)
@@ -192,7 +175,7 @@ def main(argv=None) -> int:
 
         if args.command == "simulate":
             stats = monte_carlo(_load_instance(args), PolicyId(args.policy.replace("-", "_")),
-                                args.trials, args.seed, threads=args.threads)
+                                args.trials, args.seed)
             text = stats.to_csv() if args.format == "csv" else stats.dumps() + "\n"
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
@@ -239,13 +222,13 @@ def main(argv=None) -> int:
             names = sorted(suites.BUNDLES) if args.bundle == "all" else [args.bundle]
             if args.bundle == "all":
                 t0 = time.perf_counter()
-                results = suites.run_all(threads=args.threads)
+                results = suites.run_all()
                 print(f"# run_all took {time.perf_counter() - t0:.1f}s", file=sys.stderr)
             else:
                 results = []
                 for name in names:
                     t0 = time.perf_counter()
-                    results.append(suites.BUNDLES[name](threads=args.threads))
+                    results.append(suites.BUNDLES[name]())
                     print(f"# {name} took {time.perf_counter() - t0:.1f}s",
                           file=sys.stderr)
             all_ok = True

@@ -16,7 +16,11 @@ the committing reference run:
 Charging bounds are combinatorial and checked per sample with zero
 tolerance; domination bounds are expectation-level claims and are only
 ever checked in expectation (exactly via enumeration, or by Monte Carlo
-with a stated confidence multiplier).
+with a stated confidence multiplier).  This module is the one owner of
+the lemma rules: which checks apply to an instance (``default_lemmas``),
+the charging lemma and factor (``charging_rule``) and the domination
+rows (``_DOMINATION_VARIANTS``), read by ``verify``, the CLI and the
+acceptance suites alike.
 """
 
 from __future__ import annotations
@@ -81,45 +85,47 @@ class Decomposition:
         return union == set(self.opt_successes) and total == len(self.opt_successes)
 
 
-def _first_selection(sel_masks: list[int], horizon: int) -> dict[int, int]:
+def _first_selection(sel_masks) -> dict[int, int]:
+    """Edge -> the 1-based round in which the run first selected it."""
     first: dict[int, int] = {}
     seen = 0
-    for r in range(horizon):
-        fresh = sel_masks[r] & ~seen
-        seen |= sel_masks[r]
-        x = fresh
+    for r, sel in enumerate(sel_masks, 1):
+        x = sel & ~seen
+        seen |= sel
         while x:
             low = x & -x
-            first[low.bit_length() - 1] = r + 1
+            first[low.bit_length() - 1] = r
             x ^= low
     return first
 
 
-def _ref_new_masks(ref_sels: list[int], real: int, horizon: int) -> list[int]:
+def _new_masks(sels, real: int) -> list[int]:
+    """Per round, the successes the run selected for the first time."""
     new = []
     prev = 0
-    for r in range(horizon):
-        succ = ref_sels[r] & real
+    for sel in sels:
+        succ = sel & real
         new.append(succ & ~prev)
         prev |= succ
     return new
 
 
-def _decompose_unit_masks(tables, ref_sels, opt_sels, real, t):
-    """(aug: {i: mask}, adj: {(i, j): mask}, opt success mask) at horizon t."""
+def _vertex_masks(tables, edge_masks: list[int]) -> list[int]:
     vmask = tables.vmask
-    new = _ref_new_masks(ref_sels, real, t)
-    vnew = []
-    for mask in new:
+    out = []
+    for mask in edge_masks:
         vm = 0
-        x = mask
-        while x:
-            low = x & -x
+        while mask:
+            low = mask & -mask
             vm |= vmask[low.bit_length() - 1]
-            x ^= low
-        vnew.append(vm)
-    o_mask = opt_sels[t - 1] & real
-    first = _first_selection(opt_sels, t)
+            mask ^= low
+        out.append(vm)
+    return out
+
+
+def _unit_masks(tables, vnew: list[int], first: dict[int, int], o_mask: int, t: int):
+    """(aug: {i: mask}, adj: {(i, j): mask}) of the opt successes ``o_mask`` at horizon t."""
+    vmask = tables.vmask
     aug: dict[int, int] = {}
     adj: dict[tuple[int, int], int] = {}
     x = o_mask
@@ -134,21 +140,20 @@ def _decompose_unit_masks(tables, ref_sels, opt_sels, real, t):
         else:
             key = (i, donor)
             adj[key] = adj.get(key, 0) | low
-    return aug, adj, o_mask
+    return aug, adj
 
 
-def _decompose_cap_masks(tables, structure, ref_sels, opt_sels, real, t):
-    """(overlap, occupied, remainder {i: mask}, opt success mask) at horizon t."""
-    o_mask = opt_sels[t - 1] & real
-    s_le = ref_sels[t - 1] & real
+def _cap_masks(tables, structure, s_le: int, first: dict[int, int], o_mask: int):
+    """(overlap, occupied, remainder: {i: mask}) of the opt successes ``o_mask``
+    against the reference successes ``s_le`` at the same horizon."""
     occ_counts = [(s_le & tables.inc[v]).bit_count() for v in range(tables.n)]
     heavy = [2 * occ_counts[v] >= tables.cap[v] and occ_counts[v] > 0
              for v in range(tables.n)]
     many_to_one = isinstance(structure, ManyToOne)
-    if many_to_one:
+    left = set()
+    if many_to_one:  # a left endpoint blocks once touched at all
         vindex = {v.id: i for i, v in enumerate(tables.instance.vertices)}
         left = {vindex[u] for u in structure.left}
-    first = _first_selection(opt_sels, t)
     overlap = 0
     occupied = 0
     remainder: dict[int, int] = {}
@@ -159,22 +164,43 @@ def _decompose_cap_masks(tables, structure, ref_sels, opt_sels, real, t):
         x ^= low
         if not many_to_one and (low & s_le):
             overlap |= low
-            continue
-        blocked = False
-        for v in tables.ev[e]:
-            if many_to_one and v in left:
-                if occ_counts[v] > 0:
-                    blocked = True
-                    break
-            elif heavy[v]:
-                blocked = True
-                break
-        if blocked:
+        elif any(occ_counts[v] > 0 if v in left else heavy[v] for v in tables.ev[e]):
             occupied |= low
         else:
             i = first[e]
             remainder[i] = remainder.get(i, 0) | low
-    return overlap, occupied, remainder, o_mask
+    return overlap, occupied, remainder
+
+
+def _decompositions(tables, unit: bool, ref_sels, opt_sels, real: int, horizons):
+    """Yield (t, opt success mask, reference new-success masks, classes) per horizon.
+
+    ``classes`` is (aug, adj) when ``unit`` and (overlap, occupied,
+    remainder) otherwise.  The whole-run prefixes every horizon slices,
+    the reference's new-success masks with their vertex masks and the
+    opt run's first-selection rounds, are built once per call; a single
+    horizon is the call ``next(_decompositions(..., (t,)))``.
+    """
+    new = _new_masks(ref_sels, real)
+    vnew = _vertex_masks(tables, new) if unit else None
+    first = _first_selection(opt_sels)
+    structure = tables.instance.structure
+    for t in horizons:
+        o_mask = opt_sels[t - 1] & real
+        if unit:
+            classes = _unit_masks(tables, vnew, first, o_mask, t)
+        else:
+            classes = _cap_masks(tables, structure, ref_sels[t - 1] & real, first, o_mask)
+        yield t, o_mask, new, classes
+
+
+def _is_partition(whole: int, classes) -> bool:
+    cover = 0
+    count = 0
+    for mask in classes:
+        cover |= mask
+        count += mask.bit_count()
+    return cover == whole and count == whole.bit_count()
 
 
 def _commits(sels, real: int) -> bool:
@@ -187,23 +213,23 @@ def _commits(sels, real: int) -> bool:
     return True
 
 
-def _charge(worst: dict, t: int, factor: float, ref_sels, real: int,
-            adj: dict | None = None, occ: int = 0) -> None:
+def _charge(worst: dict, t: int, factor: float, new: list[int] | None = None,
+            adj: dict | None = None, occ: int = 0, s_le: int = 0) -> None:
     """Fold one sample's horizon-t charging pairs (lhs, rhs) into ``worst``.
 
     With ``adj`` (unit capacities) the opt edges adjacent to the
-    reference's round-j new successes are charged against ``factor``
-    times those, keyed (t, j); otherwise the occupied class ``occ`` is
-    charged against ``factor`` times all reference successes, keyed t.
-    ``worst`` keeps the pair with the largest lhs - rhs per key.
+    reference's round-j new successes ``new[j - 1]`` are charged against
+    ``factor`` times those, keyed (t, j); otherwise the occupied class
+    ``occ`` is charged against ``factor`` times the reference successes
+    ``s_le``, keyed t.  ``worst`` keeps the pair with the largest
+    lhs - rhs per key.
     """
     if adj is None:
-        pairs = [(t, float(occ.bit_count()), factor * (ref_sels[t - 1] & real).bit_count())]
+        pairs = [(t, float(occ.bit_count()), factor * s_le.bit_count())]
     else:
         per_donor: dict[int, int] = {}
         for (_, j), mask in adj.items():
             per_donor[j] = per_donor.get(j, 0) | mask
-        new = _ref_new_masks(ref_sels, real, t)
         pairs = [((t, j), float(per_donor.get(j, 0).bit_count()),
                   factor * new[j - 1].bit_count()) for j in range(1, t + 1)]
     for key, lhs, rhs in pairs:
@@ -229,10 +255,9 @@ def decompose(ref_trace: Trace, opt_trace: Trace, t: int) -> Decomposition:
     inst = ref_trace.instance
     if not inst.unit_capacities():
         raise ValidationError("unit decomposition needs unit capacities")
-    tables = build_tables(inst)
-    aug, adj, o_mask = _decompose_unit_masks(
-        tables, ref_trace.selection_masks(), opt_trace.selection_masks(),
-        ref_trace.sample_mask, t)
+    _, o_mask, _, (aug, adj) = next(_decompositions(
+        build_tables(inst), True, ref_trace.selection_masks(),
+        opt_trace.selection_masks(), ref_trace.sample_mask, (t,)))
     return Decomposition(
         kind="unit", horizon=t, opt_successes=mask_to_set(o_mask),
         augmenting={i: mask_to_set(m) for i, m in aug.items()},
@@ -245,10 +270,9 @@ def decompose_capacitated(ref_trace: Trace, opt_trace: Trace, t: int) -> Decompo
     inst = ref_trace.instance
     if isinstance(inst.structure, Hypergraph):
         raise ValidationError("capacitated decomposition covers general/many-to-one")
-    tables = build_tables(inst)
-    overlap, occ, rem, o_mask = _decompose_cap_masks(
-        tables, inst.structure, ref_trace.selection_masks(),
-        opt_trace.selection_masks(), ref_trace.sample_mask, t)
+    _, o_mask, _, (overlap, occ, rem) = next(_decompositions(
+        build_tables(inst), False, ref_trace.selection_masks(),
+        opt_trace.selection_masks(), ref_trace.sample_mask, (t,)))
     kind = "many_to_one" if isinstance(inst.structure, ManyToOne) else "capacitated"
     return Decomposition(
         kind=kind, horizon=t, opt_successes=mask_to_set(o_mask),
@@ -272,8 +296,6 @@ class CouplingSummary:
     e_opt_succ: list[float]
     e_aug: dict[str, dict[tuple[int, int], float]]
     e_adj: dict[str, dict[tuple[int, int, int], float]]
-    e_overlap: list[float] | None
-    e_occupied: list[float] | None
     e_remainder: dict[tuple[int, int], float] | None
     e_reward: dict[str, float]
     opt_value: float
@@ -282,8 +304,6 @@ class CouplingSummary:
     occ_charging_worst: dict[int, tuple[float, float]] | None
     partition_ok: bool
     commit_ok: bool
-    charging_factor: float
-    occ_charging_factor: float | None
 
     def charging_ok(self) -> bool:
         return all(lhs <= rhs for per_ref in self.charging_worst.values()
@@ -292,20 +312,57 @@ class CouplingSummary:
             all(lhs <= rhs for lhs, rhs in self.occ_charging_worst.values()))
 
 
-def _charges_unit(instance: Instance) -> bool:
-    """Whether the unit-capacity decomposition and charging apply.
+# ---------------------------------------------------------------------
+# lemma rules: which charging and domination checks apply to an instance
 
-    Hypergraph selections are vertex-disjoint whatever the declared
-    capacities (``Tables.cap`` collapses them to 1), so a hypergraph
-    always counts as unit.
+
+def _references(instance: Instance) -> list[str]:
+    """The committing runs the unit decomposition is taken against.
+
+    Empty when capacities are not all 1.  Hypergraph selections are
+    vertex-disjoint whatever the declared capacities (``Tables.cap``
+    collapses them to 1), so a hypergraph always counts as unit; it has
+    no greedy-commit run.
     """
-    return isinstance(instance.structure, Hypergraph) or instance.unit_capacities()
-
-
-def _unit_charging_factor(instance: Instance) -> float:
     if isinstance(instance.structure, Hypergraph):
-        return float(instance.structure.k)
-    return 2.0
+        return ["sm"]
+    return ["sm", "gc"] if instance.unit_capacities() else []
+
+
+def _occupancy_rule(instance: Instance) -> tuple[str, float]:
+    """(lemma, factor) charging the occupied class against all reference successes."""
+    if isinstance(instance.structure, ManyToOne):
+        return "charging_many_to_one", 3.0
+    return "charging_capacitated", 4.0
+
+
+def charging_rule(instance: Instance) -> tuple[str, float]:
+    """(lemma, factor) of the charging bound :func:`verify_charging` checks.
+
+    Unit capacities charge adjacent opt edges against each donor round
+    at factor 2 (hypergraphs: k); other instances use the occupancy rule.
+    """
+    if isinstance(instance.structure, Hypergraph):
+        return "charging_hypergraph", float(instance.structure.k)
+    if instance.unit_capacities():
+        return "charging", 2.0
+    return _occupancy_rule(instance)
+
+
+def default_lemmas(instance: Instance) -> list[str]:
+    """The checks ``rematch verify --lemma all`` runs: "charging", then
+    the domination variants that apply to the instance."""
+    if isinstance(instance.structure, Hypergraph):
+        return ["charging", "hypergraph"]
+    if not instance.unit_capacities():
+        if isinstance(instance.structure, ManyToOne):
+            return ["charging", "many_to_one"]
+        return ["charging", "capacitated"]
+    return ["charging", "sm", "sm_refined", "gc", "gc_refined"]
+
+
+# ---------------------------------------------------------------------
+# exact coupling engine
 
 
 @lru_cache(maxsize=64)
@@ -317,11 +374,10 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     T = instance.rounds
     horizons = list(range(1, T + 1))
     hyper = isinstance(instance.structure, Hypergraph)
-    unit = _charges_unit(instance)
+    refs = _references(instance)
     with_gc = not hyper
     with_cap = not hyper
-    with_follower = unit and not hyper
-    refs = (["sm", "gc"] if with_gc and unit else ["sm"] if unit else [])
+    with_follower = bool(refs) and not hyper
     run_names = ["sm"] + (["gc"] if with_gc else []) + (
         ["opt_follower"] if with_follower else [])
 
@@ -333,8 +389,6 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     e_opt_succ = [0.0] * T
     e_aug = {r: {} for r in refs}
     e_adj = {r: {} for r in refs}
-    e_overlap = [0.0] * T if with_cap else None
-    e_occupied = [0.0] * T if with_cap else None
     e_remainder: dict[tuple[int, int], float] | None = {} if with_cap else None
     e_reward = {"sm": 0.0, "opt": 0.0, "opt_commit": 0.0}
     if with_gc:
@@ -345,8 +399,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     occ_charging_worst = {} if with_cap else None
     partition_ok = True
     commit_ok = True
-    charging_factor = _unit_charging_factor(instance)
-    occ_factor = (3.0 if isinstance(instance.structure, ManyToOne) else 4.0) if with_cap else None
+    charging_factor = charging_rule(instance)[1]
+    occ_factor = _occupancy_rule(instance)[1]
 
     weights = instance.weights
 
@@ -377,57 +431,43 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
         commit_ok &= _commits(optc_sels, real)
 
         for name, sels in runs.items():
-            new = _ref_new_masks(sels, real, T)
+            new = _new_masks(sels, real)
             for t in horizons:
                 e_new[name][t - 1] += prob * new[t - 1].bit_count()
                 e_succ[name][t - 1] += prob * (sels[t - 1] & real).bit_count()
         for t in horizons:
             e_opt_succ[t - 1] += prob * (opt_sels[t - 1] & real).bit_count()
 
-        for t in horizons:
-            for name in refs:
-                aug, adj, o_mask = _decompose_unit_masks(
-                    tables, runs[name], opt_sels, real, t)
-                cover = 0
-                count = 0
-                for mask in list(aug.values()) + list(adj.values()):
-                    cover |= mask
-                    count += mask.bit_count()
-                if cover != o_mask or count != o_mask.bit_count():
-                    partition_ok = False
+        for name in refs:
+            aug_sums, adj_sums = e_aug[name], e_adj[name]
+            for t, o_mask, new, (aug, adj) in _decompositions(
+                    tables, True, runs[name], opt_sels, real, horizons):
+                partition_ok &= _is_partition(o_mask, [*aug.values(), *adj.values()])
                 for i, mask in aug.items():
                     key = (t, i)
-                    e_aug[name][key] = e_aug[name].get(key, 0.0) + prob * mask.bit_count()
+                    aug_sums[key] = aug_sums.get(key, 0.0) + prob * mask.bit_count()
                 for (i, j), mask in adj.items():
                     key3 = (t, i, j)
-                    e_adj[name][key3] = e_adj[name].get(key3, 0.0) + prob * mask.bit_count()
-                _charge(charging_worst[name], t, charging_factor, runs[name], real, adj=adj)
-            if with_cap:
-                overlap, occ, rem, o_mask = _decompose_cap_masks(
-                    tables, instance.structure, runs["sm"], opt_sels, real, t)
-                cover = overlap | occ
-                count = overlap.bit_count() + occ.bit_count()
-                for mask in rem.values():
-                    cover |= mask
-                    count += mask.bit_count()
-                if cover != o_mask or count != o_mask.bit_count():
-                    partition_ok = False
-                e_overlap[t - 1] += prob * overlap.bit_count()
-                e_occupied[t - 1] += prob * occ.bit_count()
+                    adj_sums[key3] = adj_sums.get(key3, 0.0) + prob * mask.bit_count()
+                _charge(charging_worst[name], t, charging_factor, new, adj=adj)
+        if with_cap:
+            sm_sels = runs["sm"]
+            for t, o_mask, _, (overlap, occ, rem) in _decompositions(
+                    tables, False, sm_sels, opt_sels, real, horizons):
+                partition_ok &= _is_partition(o_mask, [overlap, occ, *rem.values()])
                 for i, mask in rem.items():
                     key = (t, i)
                     e_remainder[key] = e_remainder.get(key, 0.0) + prob * mask.bit_count()
-                _charge(occ_charging_worst, t, occ_factor, runs["sm"], real, occ=occ)
+                _charge(occ_charging_worst, t, occ_factor, occ=occ,
+                        s_le=sm_sels[t - 1] & real)
 
     return CouplingSummary(
         instance=instance, horizons=horizons, references=refs,
         e_new=e_new, e_succ=e_succ, e_opt_succ=e_opt_succ,
-        e_aug=e_aug, e_adj=e_adj, e_overlap=e_overlap, e_occupied=e_occupied,
-        e_remainder=e_remainder, e_reward=e_reward,
+        e_aug=e_aug, e_adj=e_adj, e_remainder=e_remainder, e_reward=e_reward,
         opt_value=table.root_value, opt_commit_value=table_c.root_value,
         charging_worst=charging_worst, occ_charging_worst=occ_charging_worst,
-        partition_ok=partition_ok, commit_ok=commit_ok,
-        charging_factor=charging_factor, occ_charging_factor=occ_factor)
+        partition_ok=partition_ok, commit_ok=commit_ok)
 
 
 # ---------------------------------------------------------------------
@@ -499,23 +539,62 @@ def _domination_pairs(instance, t, variant, aug, adj, rem, new_sizes):
             yield {"t": t, "i": i}, lhs, factor * new_sizes[i - 1]
 
 
+def _check_variant(instance: Instance, variant: str) -> None:
+    """Reject a variant the exact pass keeps no expectation table for."""
+    if variant not in _DOMINATION_VARIANTS:
+        raise ValidationError(f"unknown domination variant {variant!r}")
+    ref, _, shape = _DOMINATION_VARIANTS[variant]
+    hyper = isinstance(instance.structure, Hypergraph)
+    if shape == "remainder":
+        applies = not hyper
+    else:
+        applies = ref in _references(instance) and (hyper or variant != "hypergraph")
+    if not applies:
+        raise ValidationError(f"domination variant {variant!r} does not apply to this instance")
+
+
+def _exact_pairs(summary: CouplingSummary, t: int, variant: str):
+    """The rows of one domination variant at horizon t, in expectation."""
+    ref, _, shape = _DOMINATION_VARIANTS[variant]
+    if shape == "remainder":
+        aug, adj, rem = {}, {}, summary.e_remainder
+    else:
+        aug, adj, rem = summary.e_aug[ref], summary.e_adj[ref], {}
+    return _domination_pairs(summary.instance, t, variant, aug, adj, rem,
+                             summary.e_new[ref])
+
+
+def domination_violations(summary: CouplingSummary, variant: str) -> int:
+    """Rows of a domination variant violated beyond ``EXACT_TOL``, over all horizons."""
+    _check_variant(summary.instance, variant)
+    return sum(lhs > rhs + EXACT_TOL for t in summary.horizons
+               for _, lhs, rhs in _exact_pairs(summary, t, variant))
+
+
+def _mc_trials(instance: Instance, reference: str, trials: int, seed: int):
+    """Yield (sample mask, reference selections, opt selections) per seeded trial."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    tables = build_tables(instance)
+    tables.build_enumeration()
+    trace = kernels.sm_trace if reference == "sm" else kernels.gc_trace
+    table = _cached_dp(instance)
+    for trial in range(trials):
+        smp = draw_sample(instance, sub_seed(seed, trial))
+        real = smp.mask
+        yield real, trace(tables, real), run_opt(instance, smp, table).selection_masks()
+
+
 def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exact",
                       trials: int = 20000, seed: int = 0) -> LemmaReport:
     """Expectation-level domination inequalities; never asserted per sample."""
-    if variant not in _DOMINATION_VARIANTS:
-        raise ValidationError(f"unknown domination variant {variant!r}")
+    _check_variant(instance, variant)
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
     ref, _, shape = _DOMINATION_VARIANTS[variant]
     lemma = f"domination_{variant}"
     if mode == "exact":
-        summary = coupling_expectations(instance)
-        if shape == "remainder":
-            aug, adj, rem = {}, {}, summary.e_remainder
-        else:
-            aug, adj, rem = summary.e_aug[ref], summary.e_adj[ref], {}
-        new_sizes = summary.e_new[ref]
-        rows = list(_domination_pairs(instance, t, variant, aug, adj, rem, new_sizes))
+        rows = list(_exact_pairs(coupling_expectations(instance), t, variant))
         indices = [r[0] for r in rows]
         lhs = [r[1] for r in rows]
         rhs = [r[2] for r in rows]
@@ -523,14 +602,22 @@ def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exa
         return LemmaReport(lemma, "exact", indices, lhs, rhs, verdict)
     if mode != "monte_carlo":
         raise ValidationError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    tables = build_tables(instance)
+    unit = shape != "remainder"
     sums: dict = {}
     sq: dict = {}
     indices = None
-    for trial in range(trials):
-        smp = draw_sample(instance, sub_seed(seed, trial))
-        aug, adj, rem, new_sizes = _per_sample_parts(instance, smp, t, ref, shape)
+    for real, ref_sels, opt_sels in _mc_trials(instance, ref, trials, seed):
+        _, _, new, classes = next(_decompositions(
+            tables, unit, ref_sels, opt_sels, real, (t,)))
+        new_sizes = [m.bit_count() for m in new[:t]]
+        if unit:
+            aug = {(t, i): float(m.bit_count()) for i, m in classes[0].items()}
+            adj = {(t, i, j): float(m.bit_count()) for (i, j), m in classes[1].items()}
+            rem = {}
+        else:
+            aug, adj = {}, {}
+            rem = {(t, i): float(m.bit_count()) for i, m in classes[2].items()}
         rows = list(_domination_pairs(instance, t, variant, aug, adj, rem, new_sizes))
         if indices is None:
             indices = [r[0] for r in rows]
@@ -556,27 +643,6 @@ def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exa
                        stderr=stderr, confidence=MC_CONFIDENCE, trials=trials)
 
 
-def _per_sample_parts(instance, smp, t, ref, shape):
-    tables = build_tables(instance)
-    tables.build_enumeration()
-    real = smp.mask
-    if ref == "sm":
-        ref_sels = kernels.sm_trace(tables, real)
-    else:
-        ref_sels = kernels.gc_trace(tables, real)
-    table = _cached_dp(instance)
-    opt_sels = run_opt(instance, smp, table).selection_masks()
-    new_sizes = [m.bit_count() for m in _ref_new_masks(ref_sels, real, t)]
-    if shape == "remainder":
-        _, _, rem, _ = _decompose_cap_masks(
-            tables, instance.structure, ref_sels, opt_sels, real, t)
-        return {}, {}, {(t, i): float(m.bit_count()) for i, m in rem.items()}, new_sizes
-    aug, adj, _ = _decompose_unit_masks(tables, ref_sels, opt_sels, real, t)
-    return ({(t, i): float(m.bit_count()) for i, m in aug.items()},
-            {(t, i, j): float(m.bit_count()) for (i, j), m in adj.items()},
-            {}, new_sizes)
-
-
 @lru_cache(maxsize=64)
 def _cached_dp(instance: Instance):
     return build_dp(instance, commit=False)
@@ -585,46 +651,28 @@ def _cached_dp(instance: Instance):
 def verify_charging(instance: Instance, t: int, mode: str = "exact",
                     reference: str = "sm", trials: int = 20000, seed: int = 0
                     ) -> LemmaReport:
-    """Per-sample charging bounds (combinatorial, zero tolerance).
-
-    Unit capacities charge adjacent opt edges against each donor round
-    at factor 2 (hypergraphs: k); capacitated and many-to-one instances
-    charge the occupied class against all successes at factor 4 / 3.
-    """
+    """Per-sample charging bounds (combinatorial, zero tolerance), by
+    :func:`charging_rule`."""
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
-    unit = _charges_unit(instance)
-    hyper = isinstance(instance.structure, Hypergraph)
-    if unit:
-        factor = _unit_charging_factor(instance)
-        lemma = "charging_hypergraph" if hyper else "charging"
-    else:
-        factor = 3.0 if isinstance(instance.structure, ManyToOne) else 4.0
-        lemma = ("charging_many_to_one" if isinstance(instance.structure, ManyToOne)
-                 else "charging_capacitated")
+    refs = _references(instance)
+    if reference not in (refs or ["sm"]):  # the occupancy rule charges against sm
+        raise ValidationError(f"no charging check against {reference!r} on this instance")
+    unit = bool(refs)
+    lemma, factor = charging_rule(instance)
     if mode == "exact":
         summary = coupling_expectations(instance)
         worst = summary.charging_worst[reference] if unit else summary.occ_charging_worst
     elif mode == "monte_carlo":
-        if trials < 1:
-            raise ValidationError("trials must be >= 1")
         tables = build_tables(instance)
-        tables.build_enumeration()
-        table = _cached_dp(instance)
         worst = {}
-        for trial in range(trials):
-            smp = draw_sample(instance, sub_seed(seed, trial))
-            real = smp.mask
-            ref_sels = (kernels.sm_trace(tables, real) if reference == "sm"
-                        else kernels.gc_trace(tables, real))
-            opt_sels = run_opt(instance, smp, table).selection_masks()
+        for real, ref_sels, opt_sels in _mc_trials(instance, reference, trials, seed):
+            _, _, new, classes = next(_decompositions(
+                tables, unit, ref_sels, opt_sels, real, (t,)))
             if unit:
-                _, adj, _ = _decompose_unit_masks(tables, ref_sels, opt_sels, real, t)
-                _charge(worst, t, factor, ref_sels, real, adj=adj)
+                _charge(worst, t, factor, new, adj=classes[1])
             else:
-                _, occ, _, _ = _decompose_cap_masks(
-                    tables, instance.structure, ref_sels, opt_sels, real, t)
-                _charge(worst, t, factor, ref_sels, real, occ=occ)
+                _charge(worst, t, factor, occ=classes[1], s_le=ref_sels[t - 1] & real)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     if unit:

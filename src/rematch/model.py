@@ -93,6 +93,16 @@ class Instance:
         object.__setattr__(self, "structure", structure if structure is not None else General())
         self._validate()
 
+    def __hash__(self) -> int:
+        # the dataclass hash, kept outside the fields on first use: lru_cache
+        # keys such as build_tables hash the instance on every lookup
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.vertices, self.edges, self.rounds, self.weights, self.structure))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     # -- validation ---------------------------------------------------
 
     def _validate(self) -> None:

@@ -12,7 +12,8 @@ import math
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 
-from .coupling import EXACT_TOL, CouplingSummary, coupling_expectations
+from .coupling import (EXACT_TOL, CouplingSummary, coupling_expectations,
+                       domination_violations)
 from .errors import ValidationError
 from .factorlp import (build_primal, dual_certificate, solve_lp, u_limit,
                        u_value, verify_dual_feasible, primal_embedding)
@@ -20,7 +21,7 @@ from .generators import gen_complete_bipartite, gen_double_star, gen_random, gen
 from .matching import (WeightedSubproblem, degree_halving_subgraph, greedy_matching,
                        greedy_hypergraph_matching, max_weight_matching)
 from .model import (Edge, Hypergraph, Instance, KnowledgeState, Vertex,
-                    enumerate_samples, feasible)
+                    build_tables, enumerate_samples)
 from .montecarlo import monte_carlo
 from .policies import PolicyId, build_dp, run_sm
 from .rng import CounterRng, sub_seed
@@ -89,28 +90,6 @@ def criterion_1_lp_certificates() -> CriterionResult:
 # criteria 2 and 3: exact lemma suites
 
 
-def _unit_lemma_violations(s: CouplingSummary) -> dict[str, int]:
-    """Count expectation-level domination violations at 1e-9 for one instance."""
-    bad = {"sm": 0, "sm_refined": 0, "gc": 0, "gc_refined": 0}
-    T = s.instance.rounds
-    for t in range(1, T + 1):
-        for i in range(1, t + 1):
-            if s.e_aug["sm"].get((t, i), 0.0) > 2.0 * s.e_new["sm"][i - 1] + EXACT_TOL:
-                bad["sm"] += 1
-            if "gc" in s.references:
-                if s.e_aug["gc"].get((t, i), 0.0) > s.e_new["gc"][i - 1] + EXACT_TOL:
-                    bad["gc"] += 1
-            for j in range(1, t + 1):
-                for ref, factor, key in (("sm", 2.0, "sm_refined"), ("gc", 1.0, "gc_refined")):
-                    if ref not in s.references:
-                        continue
-                    lhs = s.e_aug[ref].get((t, i), 0.0) + sum(
-                        s.e_adj[ref].get((t, i, q), 0.0) for q in range(j, t + 1))
-                    if lhs > factor * s.e_new[ref][j - 1] + EXACT_TOL:
-                        bad[key] += 1
-    return bad
-
-
 def _suite_instances(profile: str, count: int, seed: int) -> list[Instance]:
     return [gen_random(profile, sub_seed(seed, i)) for i in range(count)]
 
@@ -124,8 +103,8 @@ def criterion_2_unit_lemmas(count: int = UNIT_COUNT, seed: int = UNIT_SEED) -> C
     for inst in _suite_instances("unit-small", count, seed):
         s = coupling_expectations(inst)
         summaries.append(s)
-        for k, v in _unit_lemma_violations(s).items():
-            totals[k] += v
+        for variant in totals:
+            totals[variant] += domination_violations(s, variant)
         charging_bad += 0 if s.charging_ok() else 1
         partition_bad += 0 if s.partition_ok else 1
         commit_bad += 0 if s.commit_ok else 1
@@ -142,10 +121,10 @@ def criterion_3_generalized(count: int = GENERAL_COUNT) -> CriterionResult:
     data: dict[str, list[CouplingSummary]] = {}
     details: dict = {}
     ok = True
-    plans = (("cap-small", CAP_SEED, 6.0, "capacitated"),
-             ("mto-small", MTO_SEED, 4.0, "many_to_one"),
-             ("hyper3-small", HYPER_SEED, None, "hypergraph"))
-    for profile, seed, rem_factor, label in plans:
+    plans = (("cap-small", CAP_SEED, "capacitated"),
+             ("mto-small", MTO_SEED, "many_to_one"),
+             ("hyper3-small", HYPER_SEED, "hypergraph"))
+    for profile, seed, label in plans:
         summaries = []
         dom_bad = 0
         charge_bad = 0
@@ -155,19 +134,7 @@ def criterion_3_generalized(count: int = GENERAL_COUNT) -> CriterionResult:
             summaries.append(s)
             part_bad += 0 if s.partition_ok else 1
             charge_bad += 0 if s.charging_ok() else 1
-            T = inst.rounds
-            if label == "hypergraph":
-                k = float(inst.structure.k)
-                for t in range(1, T + 1):
-                    for i in range(1, t + 1):
-                        if s.e_aug["sm"].get((t, i), 0.0) > k * s.e_new["sm"][i - 1] + EXACT_TOL:
-                            dom_bad += 1
-            else:
-                for t in range(1, T + 1):
-                    for i in range(1, t + 1):
-                        lhs = s.e_remainder.get((t, i), 0.0)
-                        if lhs > rem_factor * s.e_new["sm"][i - 1] + EXACT_TOL:
-                            dom_bad += 1
+            dom_bad += domination_violations(s, label)
         ok &= dom_bad == 0 and charge_bad == 0 and part_bad == 0
         data[label] = summaries
         details[label] = {"instances": count, "seed": seed,
@@ -303,8 +270,7 @@ def criterion_5_separation(unit: list[CouplingSummary] | None = None,
 # criterion 6: the double-star gap at desk scale
 
 
-def criterion_6_upper_bound(trials: int = 100000, seed: int = UPPER_SEED,
-                            threads: int = 1) -> CriterionResult:
+def criterion_6_upper_bound(trials: int = 100000, seed: int = UPPER_SEED) -> CriterionResult:
     inst = gen_double_star(6, 0.1)
     sm_ok = True
     for smp, prob in enumerate_samples(inst, limit=11):
@@ -314,7 +280,7 @@ def criterion_6_upper_bound(trials: int = 100000, seed: int = UPPER_SEED,
         if trace.total_weighted_reward != 36.0:
             sm_ok = False
             break
-    stats = monte_carlo(inst, PolicyId.ALTERNATING_SCAN, trials, seed, threads=threads)
+    stats = monte_carlo(inst, PolicyId.ALTERNATING_SCAN, trials, seed)
     threshold = 1.2 * 36.0
     ok = sm_ok and stats.mean > threshold
     return CriterionResult(6, "upper-bound-gap", ok, {
@@ -327,10 +293,9 @@ def criterion_6_upper_bound(trials: int = 100000, seed: int = UPPER_SEED,
 # criterion 7: offline benchmark vs any online policy
 
 
-def criterion_7_offline(trials: int = 20000, seed: int = OFFLINE_SEED,
-                        threads: int = 1) -> CriterionResult:
+def criterion_7_offline(trials: int = 20000, seed: int = OFFLINE_SEED) -> CriterionResult:
     inst = gen_complete_bipartite(10, 0.1)
-    stats = monte_carlo(inst, PolicyId.OFFLINE_MAX, trials, seed, threads=threads)
+    stats = monte_carlo(inst, PolicyId.OFFLINE_MAX, trials, seed)
     online_bound = max_weight_matching(
         WeightedSubproblem.fresh(inst)).total_weight({e.id: e.p for e in inst.edges})
     ok = stats.mean >= 1.35 and online_bound <= 1.0 + 1e-9
@@ -383,16 +348,6 @@ def _random_hyper_instance(rng: CounterRng) -> Instance:
                     structure=Hypergraph(3))
 
 
-def _brute_max_weight(inst: Instance, weights: dict[int, float]) -> float:
-    best = 0.0
-    m = inst.num_edges
-    for mask in range(1 << m):
-        sel = [e for e in range(m) if mask >> e & 1]
-        if all(weights.get(e, 0.0) > 0 for e in sel) and feasible(inst, sel):
-            best = max(best, sum(weights[e] for e in sel))
-    return best
-
-
 def criterion_8_kernels(seed: int = KERNEL_SEED) -> CriterionResult:
     rng = CounterRng(seed)
     greedy_bad = 0
@@ -410,7 +365,10 @@ def criterion_8_kernels(seed: int = KERNEL_SEED) -> CriterionResult:
         weights = {e.id: rng.uniform(0.0, 1.0) for e in inst.edges}
         g = greedy_hypergraph_matching(
             WeightedSubproblem(inst, weights)).total_weight(weights)
-        opt = _brute_max_weight(inst, weights)
+        tables = build_tables(inst)
+        tables.build_enumeration()
+        opt = max(sum(weights[e] for e in range(tables.m) if mask >> e & 1)
+                  for mask in tables.feas)
         if g < opt / inst.structure.k - EXACT_TOL:
             hyper_bad += 1
     halving_bad = 0
@@ -445,10 +403,10 @@ def criterion_8_kernels(seed: int = KERNEL_SEED) -> CriterionResult:
 
 
 # ---------------------------------------------------------------------
-# criterion 9: byte-identical reproduction across runs and thread counts
+# criterion 9: byte-identical reproduction across runs
 
 
-def criterion_9_determinism(threads: int = 4) -> CriterionResult:
+def criterion_9_determinism() -> CriterionResult:
     from . import cli
 
     def run(argv) -> bytes:
@@ -462,45 +420,34 @@ def criterion_9_determinism(threads: int = 4) -> CriterionResult:
     sim = ["simulate", "--family", "double-star", "--n", "4", "--eps", "0.1",
            "--policy", "alternating-scan", "--trials", "2000", "--seed", "42"]
     rep = ["reproduce", "--bundle", "offline-vs-online"]
-    outputs = {
-        "simulate_t1_a": run(sim + ["--threads", "1"]),
-        "simulate_t1_b": run(sim + ["--threads", "1"]),
-        "simulate_tn": run(sim + ["--threads", str(threads)]),
-        "reproduce_t1_a": run(rep + ["--threads", "1"]),
-        "reproduce_t1_b": run(rep + ["--threads", "1"]),
-        "reproduce_tn": run(rep + ["--threads", str(threads)]),
-    }
-    sim_ok = outputs["simulate_t1_a"] == outputs["simulate_t1_b"] == outputs["simulate_tn"]
-    rep_ok = (outputs["reproduce_t1_a"] == outputs["reproduce_t1_b"]
-              == outputs["reproduce_tn"])
-    ok = sim_ok and rep_ok
-    return CriterionResult(9, "determinism", ok, {
-        "simulate_identical": sim_ok, "reproduce_identical": rep_ok,
-        "threads": threads})
+    sim_ok = run(sim) == run(sim)
+    rep_ok = run(rep) == run(rep)
+    return CriterionResult(9, "determinism", sim_ok and rep_ok, {
+        "simulate_identical": sim_ok, "reproduce_identical": rep_ok})
 
 
 BUNDLES = {
-    "lp-certificates": lambda threads=1: criterion_1_lp_certificates(),
-    "lemma-exact-unit": lambda threads=1: criterion_2_unit_lemmas(),
-    "lemma-exact-generalized": lambda threads=1: criterion_3_generalized(),
-    "ratio-bounds": lambda threads=1: criterion_4_ratio_bounds(),
-    "separation-commit": lambda threads=1: criterion_5_separation(),
-    "upper-bound-gap": lambda threads=1: criterion_6_upper_bound(threads=threads),
-    "offline-vs-online": lambda threads=1: criterion_7_offline(threads=threads),
-    "kernel-properties": lambda threads=1: criterion_8_kernels(),
-    "determinism": lambda threads=1: criterion_9_determinism(),
+    "lp-certificates": criterion_1_lp_certificates,
+    "lemma-exact-unit": criterion_2_unit_lemmas,
+    "lemma-exact-generalized": criterion_3_generalized,
+    "ratio-bounds": criterion_4_ratio_bounds,
+    "separation-commit": criterion_5_separation,
+    "upper-bound-gap": criterion_6_upper_bound,
+    "offline-vs-online": criterion_7_offline,
+    "kernel-properties": criterion_8_kernels,
+    "determinism": criterion_9_determinism,
 }
 
 
-def run_all(threads: int = 1) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     """All nine bundles, sharing the expensive suite data."""
     r1 = criterion_1_lp_certificates()
     r2 = criterion_2_unit_lemmas()
     r3 = criterion_3_generalized()
     r4 = criterion_4_ratio_bounds(r2.data, r3.data)
     r5 = criterion_5_separation(r2.data, r3.data)
-    r6 = criterion_6_upper_bound(threads=threads)
-    r7 = criterion_7_offline(threads=threads)
+    r6 = criterion_6_upper_bound()
+    r7 = criterion_7_offline()
     r8 = criterion_8_kernels()
     r9 = criterion_9_determinism()
     return [r1, r2, r3, r4, r5, r6, r7, r8, r9]

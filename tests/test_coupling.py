@@ -123,6 +123,13 @@ def test_verify_charging_exact_and_reports():
     assert max(l - r for l, r in zip(report.lhs, report.rhs)) == 0.0
     payload = json.loads(report.dumps())
     assert set(payload) >= {"lemma", "mode", "indices", "lhs", "rhs", "verdict"}
+    assert verify_charging(FORK, 1, mode="exact", reference="gc").verdict
+    # references the exact pass does not run: no greedy-commit on a hypergraph
+    hyper = gen_random("hyper3-small", 3)
+    for mode in ("exact", "monte_carlo"):
+        for reference in ("gc", "opt"):
+            with pytest.raises(ValidationError):
+                verify_charging(hyper, hyper.rounds, mode, reference=reference, trials=10)
 
 
 def test_verify_domination_exact_all_variants_hold():

@@ -9,10 +9,11 @@ loudly if the fast paths drift.
 import pytest
 
 from oracles import brute_policy_value
-from rematch.coupling import decompose, decompose_capacitated, verify_charging, verify_domination
+from rematch.coupling import (coupling_expectations, decompose, decompose_capacitated,
+                              verify_charging, verify_domination)
 from rematch.generators import gen_random
 from rematch.model import Hypergraph, ManyToOne, enumerate_samples
-from rematch.policies import build_dp, opt_value, run_opt, run_sm
+from rematch.policies import build_dp, opt_value, run_greedy_commit, run_opt, run_sm
 from rematch.rng import sub_seed
 
 
@@ -109,6 +110,61 @@ def test_capacitated_decomposition_matches_set_oracle():
                 assert set(d.overlap) == overlap
                 assert set(d.occupied) == occupied
                 assert {i_: set(v) for i_, v in d.remainder.items()} == remainder
+
+
+# instances of the criteria-2/3 suites: (profile, suite seed, indices); each
+# profile includes instances with augmenting or remainder edges
+_SUITE_PICKS = [("unit-small", 101, (0, 6, 25)), ("hyper3-small", 404, (0, 23, 80)),
+                ("cap-small", 202, (0, 33, 46)), ("mto-small", 303, (0, 8, 76))]
+
+
+@pytest.mark.parametrize("profile,seed,picks", _SUITE_PICKS)
+def test_exact_pass_matches_set_oracles_at_every_horizon(profile, seed, picks):
+    # the probability-weighted oracle classes, summed over every sample and
+    # horizon, against the expectations of the one exact pass
+    refs = {"sm": run_sm, "gc": run_greedy_commit}
+    found = 0
+    for k in picks:
+        inst = gen_random(profile, sub_seed(seed, k))
+        summary = coupling_expectations(inst)
+        names = [name for name in refs if name in summary.e_new]
+        assert "sm" in names and ("gc" in names) != (profile == "hyper3-small")
+        e_new = {name: [0.0] * inst.rounds for name in names}
+        e_aug = {name: {} for name in summary.references}
+        e_adj = {name: {} for name in summary.references}
+        e_rem = {}
+        table = build_dp(inst, commit=False)
+        for smp, prob in enumerate_samples(inst):
+            if prob == 0.0:
+                continue
+            opt = run_opt(inst, smp, table)
+            traces = {name: refs[name](inst, smp) for name in names}
+            for t in range(1, inst.rounds + 1):
+                for name in names:
+                    e_new[name][t - 1] += prob * len(traces[name].newly_successful[t - 1])
+                for name in summary.references:
+                    aug, adj = oracle_unit_decomposition(inst, traces[name], opt, t)
+                    for i, edges in aug.items():
+                        e_aug[name][t, i] = e_aug[name].get((t, i), 0.0) + prob * len(edges)
+                    for (i, j), edges in adj.items():
+                        e_adj[name][t, i, j] = e_adj[name].get((t, i, j), 0.0) + prob * len(edges)
+                if summary.e_remainder is not None:
+                    _, _, rem = oracle_cap_decomposition(inst, traces["sm"], opt, t)
+                    for i, edges in rem.items():
+                        e_rem[t, i] = e_rem.get((t, i), 0.0) + prob * len(edges)
+        for name in names:
+            assert summary.e_new[name] == pytest.approx(e_new[name], abs=1e-12)
+        for name in summary.references:
+            assert summary.e_aug[name] == pytest.approx(e_aug[name], abs=1e-12)
+            assert summary.e_adj[name] == pytest.approx(e_adj[name], abs=1e-12)
+        assert summary.references == (["sm"] if profile == "hyper3-small" else
+                                      ["sm", "gc"] if inst.unit_capacities() else [])
+        if profile == "hyper3-small":
+            assert summary.e_remainder is None
+        else:
+            assert summary.e_remainder == pytest.approx(e_rem, abs=1e-12)
+        found += len(e_rem) + sum(len(e_aug[name]) for name in summary.references)
+    assert found > 0
 
 
 def test_dp_matches_brute_oracle_on_all_structures():

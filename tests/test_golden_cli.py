@@ -1,0 +1,87 @@
+"""Golden stdout and exit codes of fast CLI invocations.
+
+Every case runs ``rematch`` in-process and must reproduce the stored
+stdout byte for byte, together with its exit code.  The files under
+``tests/golden/`` were written before the code they guard was last
+refactored; regenerate them only for an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from rematch import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+_DS3 = ["--family", "double-star", "--n", "3", "--eps", "0.1"]
+_POLICIES = ("sm", "greedy-commit", "opt", "opt-commit", "opt-follower",
+             "alternating-scan", "offline-max")
+_PROFILES = ("unit-small", "cap-small", "mto-small", "hyper3-small")
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for policy in _POLICIES:
+        for fmt in ("json", "csv"):
+            cases[f"simulate-{policy}-{fmt}"] = [
+                "simulate", *_DS3, "--policy", policy, "--trials", "300",
+                "--seed", "11", "--format", fmt]
+    for profile in _PROFILES:
+        batch = ["verify", "--family", "random", "--profile", profile,
+                 "--count", "3", "--gen-seed", "7"]
+        cases[f"verify-{profile}-exact"] = batch + ["--mode", "exact"]
+        cases[f"verify-{profile}-monte-carlo"] = batch + [
+            "--mode", "monte-carlo", "--trials", "150", "--seed", "5"]
+    cases["verify-ds3-exact"] = ["verify", *_DS3, "--mode", "exact"]
+    cases["verify-ds3-t4-monte-carlo"] = ["verify", *_DS3, "--t", "4", "--mode",
+                                          "monte-carlo", "--trials", "150"]
+    for flags in ([], ["--commit"], ["--exhaustive"], ["--commit", "--exhaustive"]):
+        name = "-".join(["opt"] + [f.removeprefix("--") for f in flags])
+        cases[name] = ["opt", *_DS3, *flags]
+    for variant in ("sm", "gc"):
+        cases[f"lp-{variant}"] = ["lp", "--t", "6", "--variant", variant,
+                                  "--solve", "--check-dual"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def test_golden_cases_are_all_stored():
+    assert set(json.loads(EXIT_CODES.read_text())) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    code, out = _run(CASES[name])
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def _write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in CASES.items():
+        codes[name], out = _run(argv)
+        (GOLDEN / f"{name}.txt").write_bytes(out.encode())
+    EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _write_golden()
+    sys.exit(0)

@@ -256,10 +256,15 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
                   "--mode", "monte-carlo", "--trials", "0"],
                  ["verify", "--profile", "unit-small", "--count", "0"],
                  ["verify", "--profile", "unit-small", "--count", "-1"],
-                 ["simulate", "--family", "separation", "--policy", "sm", "--threads", "0"],
-                 ["simulate", "--family", "separation", "--policy", "sm", "--threads", "-3"],
-                 ["reproduce", "--bundle", "kernel-properties", "--threads", "0"],
-                 ["reproduce", "--bundle", "kernel-properties", "--threads", "-1"]):
+                 # domination variants that do not apply to the instance
+                 ["verify", "--profile", "cap-small", "--lemma", "domination-sm"],
+                 ["verify", "--profile", "hyper3-small", "--lemma", "domination-gc-refined"],
+                 ["verify", "--profile", "hyper3-small", "--lemma", "domination-capacitated"],
+                 ["verify", "--family", "separation", "--lemma", "domination-hypergraph"],
+                 ["verify", "--family", "separation", "--lemma", "domination-hypergraph",
+                  "--mode", "monte-carlo", "--trials", "10"],
+                 ["verify", "--profile", "hyper3-small", "--lemma", "domination-gc",
+                  "--mode", "monte-carlo", "--trials", "10"]):
         code, out = run_cli(argv)
         assert (code, out) == (1, ""), argv
         assert capsys.readouterr().err.startswith("usage error:"), argv

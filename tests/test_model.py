@@ -151,6 +151,28 @@ def test_json_round_trip():
     assert Instance.from_json(json.loads(mto.dumps())) == mto
 
 
+def test_equal_instances_hash_equal_and_share_cached_tables():
+    from rematch.model import build_tables
+
+    insts = [make_instance([(0, 1, 0.25), (1, 2, 0.75)], rounds=3),
+             Instance([Vertex(0), Vertex(1), Vertex(2, 3)],
+                      [Edge(0, (0, 2), 0.5), Edge(1, (1, 2), 0.125)],
+                      2, structure=ManyToOne([0, 1])),
+             make_instance([(0, 1, 2, 0.5)], structure=Hypergraph(3))]
+    for inst in insts:
+        again = Instance.loads(inst.dumps())
+        assert again == inst and again is not inst
+        # the dataclass hash of the fields, the same before and after caching
+        fields = (inst.vertices, inst.edges, inst.rounds, inst.weights, inst.structure)
+        assert hash(again) == hash(inst) == hash(fields) == hash(inst)
+        assert repr(again) == repr(inst)
+        build_tables.cache_clear()
+        tables = build_tables(inst)
+        assert build_tables(again) is tables
+        assert build_tables.cache_info().hits == 1
+    assert hash(insts[0]) != hash(insts[1])
+
+
 def test_json_weights_default_to_ones():
     data = {"vertices": [{"id": 0}, {"id": 1}],
             "edges": [{"id": 0, "endpoints": [0, 1], "p": 0.5}], "rounds": 3}
