@@ -194,6 +194,7 @@ def main(argv=None) -> int:
                    "primal_opt": None, "dual_u": None, "factor": None,
                    "feasible": None}
             if do_solve:
+                factorlp.check_solve_limit(args.t)
                 row["primal_opt"] = factorlp.solve_lp(
                     factorlp.build_primal(args.t, args.variant))
             if do_dual:

@@ -118,11 +118,20 @@ def build_primal(t: int, variant: str = "sm") -> FactorLp:
     return FactorLp(t, variant, n, tuple(rows), tuple(rhs), tuple(objective))
 
 
+def check_solve_limit(t: int, solve_limit: int = SOLVE_LIMIT) -> None:
+    """Raise ``LimitExceededError`` for a horizon the dense simplex refuses.
+
+    Callers that build the primal only to solve it check first: the
+    primal has t^2 rows, so building it at a large t exhausts memory.
+    """
+    if t > solve_limit:
+        raise LimitExceededError(
+            f"horizon {t} exceeds the dense-simplex limit {solve_limit}")
+
+
 def solve_lp(lp: FactorLp, solve_limit: int = SOLVE_LIMIT) -> float:
     """Optimal objective by dense primal simplex with Bland's rule."""
-    if lp.horizon > solve_limit:
-        raise LimitExceededError(
-            f"horizon {lp.horizon} exceeds the dense-simplex limit {solve_limit}")
+    check_solve_limit(lp.horizon, solve_limit)
     A, b, c = lp.dense()
     value, _ = simplex.maximize(c, A, b)
     return value

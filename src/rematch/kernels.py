@@ -16,6 +16,20 @@ Conventions shared by the kernels:
   new edge leaves the committed and failed masks unchanged, so every
   later round would repeat it: the kernel fills the remaining rounds
   with that selection and stops.
+
+``dp_solve`` keeps two tables local to one call.  The feasible
+selections that fit an available set (and, with pruning, are maximal
+in it) are listed once per distinct available mask, in feasible-index
+order; only the commit filter depends on the state.  The probability
+sum of an unknown set and its nonzero outcomes, each with the product
+taken bit by bit upward, are computed once per distinct unknown mask.
+A state's value still adds its actions' outcomes in the same
+descending-submask order, and its children are solved depth first in
+that order, so the values, the argmax actions and the insertion order
+of both tables are those of a solve that recomputes everything per
+state.  Children of the last round are worth 0.0, so their outcome
+loop is skipped: adding ``pr * 0.0`` to a non-negative value changes
+nothing.
 """
 
 from __future__ import annotations
@@ -130,58 +144,81 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
     nfeas = len(feas)
     values: dict[int, float] = {}
     actions: dict[int, int] = {}
+    # Per-call tables: the actions that fit an available set, and the
+    # (success submask, failure submask, probability) outcomes of an
+    # unknown set together with its probability sum.
+    candidates: dict[int, list[int]] = {}
+    outcomes: dict[int, tuple[float, list[tuple[int, int, float]]]] = {}
 
-    def solve(s: int, f: int, t: int) -> float:
-        if t > rounds:
-            return 0.0
-        key = (t << (2 * m)) | (s << m) | f
-        hit = values.get(key)
-        if hit is not None:
-            return hit
-        avail = ((all_mask & ~(s | f)) & posp) | s
-        w_t = weights[t - 1]
-        best_v = -1.0
-        best_a = 0
-        have = False
-        for idx in range(nfeas):
-            mask = feas[idx]
-            if mask & ~avail:
-                continue
-            if commit and (mask & s) != s:
-                continue
-            if prune and (ext[idx] & avail & ~mask):
-                continue
-            unknown = mask & ~s
-            sp = 0.0
+    def outcome_table(unknown: int) -> tuple[float, list[tuple[int, int, float]]]:
+        sp = 0.0
+        x = unknown
+        while x:
+            low = x & -x
+            sp += p[low.bit_length() - 1]
+            x ^= low
+        outs = []
+        r = unknown
+        while True:
+            pr = 1.0
             x = unknown
             while x:
                 low = x & -x
-                sp += p[low.bit_length() - 1]
+                e = low.bit_length() - 1
+                pr *= p[e] if (r & low) else 1.0 - p[e]
                 x ^= low
+            if pr > 0.0:
+                outs.append((r, unknown ^ r, pr))
+            if r == 0:
+                break
+            r = (r - 1) & unknown
+        outcomes[unknown] = entry = (sp, outs)
+        return entry
+
+    def solve(s: int, f: int, t: int) -> float:
+        avail = ((all_mask & ~(s | f)) & posp) | s
+        cands = candidates.get(avail)
+        if cands is None:
+            cands = candidates[avail] = [
+                feas[idx] for idx in range(nfeas)
+                if not (feas[idx] & ~avail)
+                and not (prune and (ext[idx] & avail & ~feas[idx]))]
+        w_t = weights[t - 1]
+        last = t == rounds
+        child_round = (t + 1) << (2 * m)
+        best_v = -1.0
+        best_a = 0
+        have = False
+        for mask in cands:
+            if commit and (mask & s) != s:
+                continue
+            unknown = mask & ~s
+            entry = outcomes.get(unknown)
+            if entry is None:
+                entry = outcome_table(unknown)
+            sp, outs = entry
             v = w_t * ((mask & s).bit_count() + sp)
-            r = unknown
-            while True:
-                pr = 1.0
-                x = unknown
-                while x:
-                    low = x & -x
-                    e = low.bit_length() - 1
-                    pr *= p[e] if (r & low) else 1.0 - p[e]
-                    x ^= low
-                if pr > 0.0:
-                    v += pr * solve(s | r, f | (unknown ^ r), t + 1)
-                if r == 0:
-                    break
-                r = (r - 1) & unknown
+            if not last:
+                for r, q, pr in outs:
+                    child = values.get(child_round | ((s | r) << m) | f | q)
+                    if child is None:
+                        child = solve(s | r, f | q, t + 1)
+                    v += pr * child
             if (not have) or v > best_v or (v == best_v and lex_less(mask, best_a)):
                 best_v = v
                 best_a = mask
                 have = True
         if not have:
             raise ValueError("no feasible action; committed successes exceed capacity")
+        key = (t << (2 * m)) | (s << m) | f
         values[key] = best_v
         actions[key] = best_a
         return best_v
 
-    root = solve(0, 0, 1)
+    try:
+        root = solve(0, 0, 1)
+    finally:
+        # The closure refers to itself through its cell; break that cycle
+        # so the tables are freed by reference counting, not a GC pass.
+        solve = None
     return root, values, actions

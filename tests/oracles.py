@@ -9,7 +9,10 @@ pruning and no bitmask machinery.
 The round loops at the end are the exception: they are the committing
 kernels and the alternating scan as first written, recomputing every
 round from scratch, and serve as references for the versions that stop
-once a round can no longer change anything.
+once a round can no longer change anything.  So is the expectimax DP
+after them, as first written, which rebuilds every action's candidate
+filters and outcome products at every state; the kernel must reproduce
+its tables exactly, insertion order included.
 """
 
 from itertools import combinations
@@ -171,3 +174,84 @@ def alternating_scan_loop(layout, rounds: int, real: int) -> list[int]:
         sels.append(sel)
         success |= sel & real
     return sels
+
+
+# ---------------------------------------------------------------------
+# reference expectimax DP: no per-call candidate or outcome tables
+
+
+def reference_dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
+    """Expectimax over knowledge states.
+
+    Returns the optimal expected weighted reward from the all-unknown
+    state plus the memoized value and argmax-action tables keyed by
+    packed state.  With ``commit`` the action must contain every known
+    success; with ``prune`` only selections maximal within the available
+    edges are considered (exhaustive mode disables this).
+    """
+    m = tables.m
+    rounds = len(tables.weights)
+    weights = tables.weights
+    p = tables.p
+    posp = tables.posp_mask
+    all_mask = tables.all_mask
+    feas = tables.feas
+    ext = tables.ext
+    nfeas = len(feas)
+    values: dict[int, float] = {}
+    actions: dict[int, int] = {}
+
+    def solve(s: int, f: int, t: int) -> float:
+        if t > rounds:
+            return 0.0
+        key = (t << (2 * m)) | (s << m) | f
+        hit = values.get(key)
+        if hit is not None:
+            return hit
+        avail = ((all_mask & ~(s | f)) & posp) | s
+        w_t = weights[t - 1]
+        best_v = -1.0
+        best_a = 0
+        have = False
+        for idx in range(nfeas):
+            mask = feas[idx]
+            if mask & ~avail:
+                continue
+            if commit and (mask & s) != s:
+                continue
+            if prune and (ext[idx] & avail & ~mask):
+                continue
+            unknown = mask & ~s
+            sp = 0.0
+            x = unknown
+            while x:
+                low = x & -x
+                sp += p[low.bit_length() - 1]
+                x ^= low
+            v = w_t * ((mask & s).bit_count() + sp)
+            r = unknown
+            while True:
+                pr = 1.0
+                x = unknown
+                while x:
+                    low = x & -x
+                    e = low.bit_length() - 1
+                    pr *= p[e] if (r & low) else 1.0 - p[e]
+                    x ^= low
+                if pr > 0.0:
+                    v += pr * solve(s | r, f | (unknown ^ r), t + 1)
+                if r == 0:
+                    break
+                r = (r - 1) & unknown
+            if (not have) or v > best_v or (v == best_v and lex_less(mask, best_a)):
+                best_v = v
+                best_a = mask
+                have = True
+        if not have:
+            raise ValueError("no feasible action; committed successes exceed capacity")
+        values[key] = best_v
+        actions[key] = best_a
+        return best_v
+
+    root = solve(0, 0, 1)
+    return root, values, actions

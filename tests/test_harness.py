@@ -162,6 +162,16 @@ def test_cli_lp():
     assert row["factor"] == pytest.approx(1 / row["dual_u"], abs=1e-12)
 
 
+def test_cli_lp_solve_refuses_large_horizon_before_building(monkeypatch, capsys):
+    def unbuilt(t, variant="sm"):
+        raise AssertionError("the primal was built past the solve limit")
+
+    monkeypatch.setattr(cli.factorlp, "build_primal", unbuilt)
+    code, out = run_cli(["lp", "--t", "200", "--solve"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("resource limit:")
+
+
 def test_cli_opt():
     code, out = run_cli(["opt", "--family", "separation"])
     assert code == 0

@@ -1,8 +1,11 @@
+import gc
+
 import pytest
 
 from conftest import make_instance
 from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value,
-                     expectation, gc_trace_large_loop, gc_trace_loop, sm_trace_loop)
+                     expectation, gc_trace_large_loop, gc_trace_loop, reference_dp_solve,
+                     sm_trace_loop)
 from rematch import kernels
 from rematch.errors import LimitExceededError, ValidationError
 from rematch.generators import (double_star_layout, gen_complete_bipartite,
@@ -104,6 +107,39 @@ def test_pruned_dp_equals_exhaustive():
             assert opt_value(inst, commit, prune=True) == pytest.approx(
                 opt_value(inst, commit, prune=False), abs=1e-9)
     assert checked >= 10
+
+
+def test_dp_solve_matches_reference_tables():
+    # same root, values and actions bit for bit, in the same insertion order
+    instances = [gen_double_star(n, 0.1) for n in range(2, 5)]
+    instances.append(gen_complete_bipartite(3, 0.5, rounds=3))
+    instances += [gen_random(profile, sub_seed(4242, i))
+                  for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small")
+                  for i in range(10)]
+    for k, inst in enumerate(instances):
+        tables = build_tables(inst)
+        tables.build_enumeration()
+        for commit in (False, True):
+            for prune in (False, True):
+                root, values, actions = kernels.dp_solve(tables, commit, prune)
+                want_root, want_values, want_actions = reference_dp_solve(
+                    tables, commit, prune)
+                assert root == want_root, (k, commit, prune)
+                assert list(values.items()) == list(want_values.items()), (k, commit, prune)
+                assert list(actions.items()) == list(want_actions.items()), (k, commit, prune)
+
+
+def test_dropped_dp_table_leaves_no_cyclic_garbage():
+    inst = gen_double_star(3, 0.1)
+    gc.collect()
+    gc.disable()
+    try:
+        table = build_dp(inst, commit=False)
+        assert len(table) == 575
+        del table
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_opt_replay():
