@@ -17,7 +17,8 @@ import json
 import sys
 import time
 
-from .errors import DomainError, LimitExceededError, RematchError, ValidationError
+from .errors import (DomainError, LimitExceededError, RematchError, SolverError,
+                     ValidationError)
 from .model import Instance
 from .montecarlo import monte_carlo
 from .policies import PolicyId, opt_value
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
     except LimitExceededError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except SolverError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 2
     except (ValidationError, DomainError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

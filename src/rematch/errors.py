@@ -25,4 +25,7 @@ class DomainError(RematchError, ValueError):
 
 
 class SolverError(RematchError):
-    """The LP solver failed numerically; never silently swallowed."""
+    """An LP optimum could not be certified; never silently swallowed.
+
+    CLI maps this to exit code 2.
+    """

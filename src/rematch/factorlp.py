@@ -17,17 +17,23 @@ the greedy-commit variant ("gc").  The optimum equals
 certified by the dual solution built in :func:`dual_certificate`; 1/u
 is the per-round approximation factor, decreasing to (2 + 2/(e-1))^-1
 >= 0.316 and (2 + 2/(e^2-1))^-1 >= 0.43 respectively.
+
+:func:`solve_lp` runs no solver: it checks the closed-form primal point
+(with r = (t-a)/t, Y_j = (1-r) r^(j-1) / (1-r^t), X_{i,j} = (2/t) Y_j
+for j < t, X_{i,t} = 0, X_i = coef * Y_t) and those dual multipliers
+against the LP's own rows in exact rational arithmetic.  A feasible pair
+with equal objectives proves u optimal.  ``SOLVE_LIMIT`` stays: the
+primal has t^2 + t + 1 rows, and the limit keeps building and checking
+it fast.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import numpy as np
-
-from .errors import DomainError, LimitExceededError, ValidationError
-from . import simplex
+from .errors import DomainError, LimitExceededError, SolverError, ValidationError
 
 SOLVE_LIMIT = 12
 VARIANTS = ("sm", "gc")
@@ -60,26 +66,17 @@ class FactorLp:
     def y(self, j: int) -> int:
         return self.horizon + self.horizon * self.horizon + j
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        A = np.zeros((len(self.rows), self.num_vars))
-        for r, row in enumerate(self.rows):
-            for var, coef in row:
-                A[r, var] += coef
-        return A, np.array(self.rhs), np.array(self.objective)
-
-    def with_rows(self, extra_rows, extra_rhs) -> "FactorLp":
-        """Same LP plus extra inequality rows (test harness hook)."""
-        rows = self.rows + tuple(tuple(r) for r in extra_rows)
-        return FactorLp(self.horizon, self.variant, self.num_vars,
-                        rows, self.rhs + tuple(extra_rhs), self.objective)
-
     def check_point(self, x, tol: float = 1e-9) -> list[str]:
         """Row labels violated by x beyond tol (empty list = feasible)."""
-        x = np.asarray(x, dtype=float)
-        A, b, _ = self.dense()
-        bad = [f"row {r}" for r in range(len(b)) if A[r] @ x > b[r] + tol]
+        bad = [f"row {r}" for r, (lhs, b) in enumerate(zip(_row_sums(self.rows, x), self.rhs))
+               if lhs > b + tol]
         bad += [f"nonneg {i}" for i in range(self.num_vars) if x[i] < -tol]
         return bad
+
+
+def _row_sums(rows, x) -> list:
+    """A x for sparse rows, in row order."""
+    return [sum(coef * x[var] for var, coef in row) for row in rows]
 
 
 def build_primal(t: int, variant: str = "sm") -> FactorLp:
@@ -119,22 +116,66 @@ def build_primal(t: int, variant: str = "sm") -> FactorLp:
 
 
 def check_solve_limit(t: int, solve_limit: int = SOLVE_LIMIT) -> None:
-    """Raise ``LimitExceededError`` for a horizon the dense simplex refuses.
+    """Raise ``LimitExceededError`` for a horizon whose primal is too large.
 
     Callers that build the primal only to solve it check first: the
-    primal has t^2 rows, so building it at a large t exhausts memory.
+    primal has t^2 rows, and the limit keeps it small.
     """
     if t > solve_limit:
         raise LimitExceededError(
-            f"horizon {t} exceeds the dense-simplex limit {solve_limit}")
+            f"horizon {t} exceeds the primal-size limit {solve_limit}")
+
+
+def _exact_certificate(t: int, variant: str) -> tuple[list, list, Fraction]:
+    """Closed-form primal point x, dual row multipliers y and optimum u.
+
+    Exact rationals; y follows :func:`build_primal`'s row order.  Python's
+    0**0 == 1 makes the formulas hold at t = 1 and at gc t = 2 as well.
+    """
+    a = 1 if variant == "sm" else 2
+    coef = 2 if variant == "sm" else 1
+    r = Fraction(t - a, t)
+    Y = [(1 - r) * r ** (j - 1) / (1 - r ** t) for j in range(1, t + 1)]
+    row = [Fraction(2, t) * y for y in Y[:-1]] + [Fraction(0)]
+    x = [coef * Y[-1]] * t + row * t + Y
+    D = t ** t - (t - a) ** t
+    F = [Fraction(a * t ** j * (t - a) ** (t - 1 - j), D) for j in range(t)]
+    c = [1 - Fraction((t ** (j + 1) - (t - a) ** (j + 1)) * (t - a) ** (t - 1 - j), D)
+         for j in range(t)]
+    u = 2 + Fraction(2 * (t - a) ** t, D)
+    return x, F * t + c + [u], u
+
+
+def _certify(lp: FactorLp, x, y, u: Fraction) -> None:
+    """Raise ``SolverError`` unless x and y are an optimal pair for ``lp`` with
+    objective u, checked exactly on ``lp``'s coefficients as Fractions."""
+    if len(x) != lp.num_vars or len(lp.objective) != lp.num_vars:
+        raise SolverError("LP variables do not match the horizon")
+    if len(y) != len(lp.rows) or len(lp.rhs) != len(lp.rows):
+        raise SolverError("LP rows do not match the horizon")
+    rows = [[(var, Fraction(coef)) for var, coef in row] for row in lp.rows]
+    rhs = [Fraction(b) for b in lp.rhs]
+    objective = [Fraction(c) for c in lp.objective]
+    if min(x) < 0 or any(lhs > b for lhs, b in zip(_row_sums(rows, x), rhs)):
+        raise SolverError("closed-form primal point is infeasible")
+    reduced = [Fraction(0)] * lp.num_vars
+    for row, y_r in zip(rows, y):
+        for var, coef in row:
+            reduced[var] += coef * y_r
+    if min(y) < 0 or any(lhs < c for lhs, c in zip(reduced, objective)):
+        raise SolverError("closed-form dual multipliers are infeasible")
+    primal = sum(c * x_v for c, x_v in zip(objective, x))
+    dual = sum(b * y_r for b, y_r in zip(rhs, y))
+    if primal != u or dual != u:
+        raise SolverError(f"objectives differ: primal {primal}, dual {dual}, u {u}")
 
 
 def solve_lp(lp: FactorLp, solve_limit: int = SOLVE_LIMIT) -> float:
-    """Optimal objective by dense primal simplex with Bland's rule."""
+    """Optimal objective, proven by the exact closed-form primal-dual pair."""
     check_solve_limit(lp.horizon, solve_limit)
-    A, b, c = lp.dense()
-    value, _ = simplex.maximize(c, A, b)
-    return value
+    x, y, u = _exact_certificate(lp.horizon, lp.variant)
+    _certify(lp, x, y, u)
+    return float(u)
 
 
 def u_value(t: int, variant: str = "sm") -> float:
@@ -174,8 +215,8 @@ class DualCertificate:
 
     horizon: int
     variant: str
-    F: np.ndarray
-    c: np.ndarray
+    F: tuple[tuple[float, ...], ...]
+    c: tuple[float, ...]
     u: float
 
 
@@ -187,9 +228,9 @@ def dual_certificate(t: int, variant: str = "sm") -> DualCertificate:
     D = t ** t - (t - a) ** t
     scale = float(a)
     f_row = [scale * t ** j * (t - a) ** (t - 1 - j) / D for j in range(t)]
-    F = np.array([f_row] * t)
-    c = np.array([1.0 - (t ** (j + 1) - (t - a) ** (j + 1)) * (t - a) ** (t - 1 - j) / D
-                  for j in range(t)])
+    F = (tuple(f_row),) * t
+    c = tuple(1.0 - (t ** (j + 1) - (t - a) ** (j + 1)) * (t - a) ** (t - 1 - j) / D
+              for j in range(t))
     u = 2.0 + 2.0 * (t - a) ** t / D
     return DualCertificate(t, variant, F, c, u)
 
@@ -210,30 +251,30 @@ def verify_dual_feasible(cert: DualCertificate, t: int | None = None,
     t = cert.horizon if t is None else t
     variant = cert.variant if variant is None else _check_variant(variant)
     F, c, u = cert.F, cert.c, cert.u
-    if F.shape != (t, t) or c.shape != (t,):
+    if len(F) != t or any(len(row) != t for row in F) or len(c) != t:
         raise ValidationError("certificate dimensions do not match t")
     bad = []
     for i in range(t):
         for j in range(t):
-            lhs = F[i, :j + 1].sum() + c[j]
+            lhs = sum(F[i][:j + 1]) + c[j]
             if lhs < 1.0 - tol:
                 bad.append(f"cover row (i={i + 1}, j={j + 1}): {lhs:.12f} < 1")
     coef = 2.0 if variant == "sm" else 1.0
     for j in range(t):
-        lhs = coef * F[:, j].sum() + 2.0 * c[j]
+        lhs = coef * sum(row[j] for row in F) + 2.0 * c[j]
         if lhs > u + tol:
             bad.append(f"budget row (j={j + 1}): {lhs:.12f} > u={u:.12f}")
     for i in range(t):
-        lhs = F[i, :].sum()
+        lhs = sum(F[i])
         if lhs < 1.0 - tol:
             bad.append(f"mass row (i={i + 1}): {lhs:.12f} < 1")
-    if F.min() < -tol or c.min() < -tol or u < -tol:
+    if min(map(min, F)) < -tol or min(c) < -tol or u < -tol:
         bad.append("negative entry")
     return FeasibilityResult(not bad, tuple(bad))
 
 
 def primal_embedding(t: int, variant: str, e_aug, e_adj, e_new, e_succ_t: float
-                     ) -> tuple[np.ndarray, float]:
+                     ) -> tuple[list[float], float]:
     """Normalized expectation vector for the horizon-t primal.
 
     e_aug maps (t, i) to E[augmenting first selected in round i], e_adj
@@ -243,12 +284,11 @@ def primal_embedding(t: int, variant: str, e_aug, e_adj, e_new, e_succ_t: float
     if e_succ_t <= 0:
         raise ValidationError("embedding needs a positive success expectation")
     lp = build_primal(t, variant)
-    x = np.zeros(lp.num_vars)
+    x = [0.0] * lp.num_vars
     for i in range(t):
         x[lp.x(i)] = e_aug.get((t, i + 1), 0.0) / e_succ_t
         for j in range(t):
             x[lp.adj(i, j)] = e_adj.get((t, i + 1, j + 1), 0.0) / e_succ_t
     for j in range(t):
         x[lp.y(j)] = e_new[j] / e_succ_t
-    objective = float(np.dot(lp.dense()[2], x))
-    return x, objective
+    return x, sum(c * x_v for c, x_v in zip(lp.objective, x))

@@ -2,7 +2,8 @@
 
 Trial i draws its sample graph from sub_seed(seed, i), so the aggregate
 is a pure function of (instance, policy, trials, seed).  Trials run in
-this thread in index order, and partial sums are reduced in that order.
+this thread in index order, and each is added to the running sums as it
+finishes, so memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -87,16 +88,18 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
     policy = PolicyId(policy)
     runner = make_runner(instance, policy)
 
-    results = [runner(sample(instance, sub_seed(seed, i))) for i in range(trials)]
-
-    width = max(len(r[1]) for r in results)
     total = 0.0
     total_sq = 0.0
-    round_sum = [0.0] * width
-    round_sq = [0.0] * width
-    for value, per_round in results:
+    round_sum: list[float] = []
+    round_sq: list[float] = []
+    for i in range(trials):
+        value, per_round = runner(sample(instance, sub_seed(seed, i)))
         total += value
         total_sq += value * value
+        grow = len(per_round) - len(round_sum)
+        if grow > 0:
+            round_sum += [0.0] * grow
+            round_sq += [0.0] * grow
         for r, cnt in enumerate(per_round):
             round_sum[r] += cnt
             round_sq[r] += cnt * cnt
@@ -110,7 +113,7 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
 
     mean, se = stats(total, total_sq, trials)
     per_mean, per_se = [], []
-    for r in range(width):
+    for r in range(len(round_sum)):
         mu, s_e = stats(round_sum[r], round_sq[r], trials)
         per_mean.append(mu)
         per_se.append(s_e)

@@ -12,14 +12,20 @@ round from scratch, and serve as references for the versions that stop
 once a round can no longer change anything.  So is the expectimax DP
 after them, as first written, which rebuilds every action's candidate
 filters and outcome products at every state; the kernel must reproduce
-its tables exactly, insertion order included.
+its tables exactly, insertion order included.  So, last, is the Monte
+Carlo reduction as first written, which keeps every trial's result before
+summing; the streamed sums must match it bit for bit.
 """
 
+import math
 from itertools import combinations
 
 from rematch.kernels import lex_less
 from rematch.matching import WeightedSubproblem, max_weight_matching
-from rematch.model import Instance, enumerate_samples, feasible
+from rematch.model import Instance, enumerate_samples, feasible, sample
+from rematch.montecarlo import RewardStats, make_runner
+from rematch.policies import PolicyId
+from rematch.rng import sub_seed
 
 
 def all_feasible_subsets(inst: Instance, edge_ids):
@@ -255,3 +261,42 @@ def reference_dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, 
 
     root = solve(0, 0, 1)
     return root, values, actions
+
+
+# ---------------------------------------------------------------------
+# reference Monte Carlo reduction: all trial results listed, then summed
+
+
+def monte_carlo_list_reduce(instance: Instance, policy: PolicyId, trials: int,
+                            seed: int) -> RewardStats:
+    policy = PolicyId(policy)
+    runner = make_runner(instance, policy)
+
+    results = [runner(sample(instance, sub_seed(seed, i))) for i in range(trials)]
+
+    width = max(len(r[1]) for r in results)
+    total = 0.0
+    total_sq = 0.0
+    round_sum = [0.0] * width
+    round_sq = [0.0] * width
+    for value, per_round in results:
+        total += value
+        total_sq += value * value
+        for r, cnt in enumerate(per_round):
+            round_sum[r] += cnt
+            round_sq[r] += cnt * cnt
+
+    def stats(s, s2, n):
+        mean = s / n
+        if n < 2:
+            return mean, 0.0
+        var = max((s2 - n * mean * mean) / (n - 1), 0.0)
+        return mean, math.sqrt(var / n)
+
+    mean, se = stats(total, total_sq, trials)
+    per_mean, per_se = [], []
+    for r in range(width):
+        mu, s_e = stats(round_sum[r], round_sq[r], trials)
+        per_mean.append(mu)
+        per_se.append(s_e)
+    return RewardStats(policy.value, trials, seed, mean, se, per_mean, per_se)

@@ -1,24 +1,44 @@
+import dataclasses
 import math
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from rematch.coupling import coupling_expectations
 from rematch.errors import DomainError, SolverError
-from rematch.factorlp import (approximation_factor, build_primal, dual_certificate,
+from rematch.factorlp import (SOLVE_LIMIT, DualCertificate, FactorLp, _certify,
+                              approximation_factor, build_primal, dual_certificate,
                               limit_factor, primal_embedding, solve_lp, u_limit,
                               u_value, verify_dual_feasible)
 from rematch.generators import gen_random
-from rematch.rng import CounterRng, sub_seed
-from rematch import simplex
+from rematch.rng import sub_seed
+
+
+def dense(lp):
+    """(A, b, c) as nested lists, for the HiGHS oracle."""
+    A = [[0.0] * lp.num_vars for _ in lp.rows]
+    for r, row in enumerate(lp.rows):
+        for var, coef in row:
+            A[r][var] += coef
+    return A, list(lp.rhs), list(lp.objective)
 
 
 def scipy_optimum(lp):
-    A, b, c = lp.dense()
-    res = linprog(-c, A_ub=A, b_ub=b, bounds=[(0, None)] * lp.num_vars, method="highs")
+    A, b, c = dense(lp)
+    res = linprog([-v for v in c], A_ub=A, b_ub=b, bounds=[(0, None)] * lp.num_vars,
+                  method="highs")
     assert res.success
     return -res.fun
+
+
+def exact_u(t, variant):
+    """2 + 2 (t-a)^t / (t^t - (t-a)^t) as a Fraction, for every t >= 1."""
+    a = 1 if variant == "sm" else 2
+    return 2 + Fraction(2 * (t - a) ** t, t ** t - (t - a) ** t)
+
+
+ALL_LPS = [(t, variant) for variant in ("sm", "gc") for t in range(1, SOLVE_LIMIT + 1)]
 
 
 def test_build_primal_shapes():
@@ -40,42 +60,64 @@ def test_t1_optima():
     assert scipy_optimum(gc1) == pytest.approx(1.0, abs=1e-7)
 
 
-def test_simplex_matches_closed_form():
-    for variant, ts in (("sm", range(2, 7)), ("gc", range(2, 7))):
-        for t in ts:
+def test_solve_lp_is_the_exact_closed_form_u():
+    for t, variant in ALL_LPS:
+        assert solve_lp(build_primal(t, variant)) == float(exact_u(t, variant))
+        if t >= (1 if variant == "sm" else 2):
             assert solve_lp(build_primal(t, variant)) == pytest.approx(
-                u_value(t, variant), abs=1e-6)
+                u_value(t, variant), abs=1e-12)
 
 
-def test_simplex_matches_scipy_on_factor_lps():
-    for variant in ("sm", "gc"):
-        for t in (1, 2, 3, 4, 5):
-            lp = build_primal(t, variant)
-            assert solve_lp(lp) == pytest.approx(scipy_optimum(lp), abs=1e-7)
+def test_solve_lp_matches_scipy_on_factor_lps():
+    for t, variant in ALL_LPS:
+        lp = build_primal(t, variant)
+        assert solve_lp(lp) == pytest.approx(scipy_optimum(lp), abs=1e-7)
 
 
-def test_simplex_matches_scipy_on_random_lps():
-    rng = CounterRng(1234)
-    for _ in range(50):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        A = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(m)])
-        b = np.array([rng.uniform(0.0, 2.0) for _ in range(m)])
-        c = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
-        res = linprog(-c, A_ub=A, b_ub=b, bounds=[(0, None)] * n, method="highs")
-        if not res.success:  # unbounded
+def _tampered(lp):
+    """LPs whose optimum the closed-form pair no longer certifies."""
+    t = lp.horizon
+    positive = lp.adj(0, 0) if t > 1 else lp.x(0)  # a variable with x > 0
+    zero = lp.adj(0, t - 1)                         # X_{1,t} = 0
+    slack = t * t + t - 1                           # budget row t, multiplier c_t = 0
+
+    def objective(var, value):
+        return lp.objective[:var] + (value,) + lp.objective[var + 1:]
+
+    return {
+        "tightened last-row rhs": dataclasses.replace(lp, rhs=lp.rhs[:-1] + (0.5,)),
+        # breaks only primal feasibility: b.y and A^T y do not change
+        "tightened zero-multiplier row": dataclasses.replace(
+            lp, rhs=lp.rhs[:slack] + (-3.0,) + lp.rhs[slack + 1:]),
+        "loosened last-row rhs": dataclasses.replace(lp, rhs=lp.rhs[:-1] + (2.0,)),
+        "dropped row": dataclasses.replace(lp, rows=lp.rows[1:], rhs=lp.rhs[1:]),
+        "halved objective entry": dataclasses.replace(
+            lp, objective=objective(positive, lp.objective[positive] / 2)),
+        "raised objective on a zero variable": dataclasses.replace(
+            lp, objective=objective(zero, 2.0)),
+    }
+
+
+def test_tampered_lp_raises_solver_error():
+    for t, variant in ((1, "sm"), (1, "gc"), (2, "gc"), (6, "sm"), (6, "gc")):
+        for name, lp in _tampered(build_primal(t, variant)).items():
             with pytest.raises(SolverError):
-                simplex.maximize(c, A, b)
-            continue
-        value, x = simplex.maximize(c, A, b)
-        assert value == pytest.approx(-res.fun, abs=1e-7)
-        assert (A @ x <= b + 1e-9).all() and (x >= -1e-12).all()
+                value = solve_lp(lp)
+                pytest.fail(f"{name} (t={t}, {variant}) returned {value}")
 
 
-def test_degenerate_forced_zero_lp():
-    lp = build_primal(1, "sm")
-    forced = lp.with_rows([[(lp.y(0), 1.0)]], [0.0])
-    assert solve_lp(forced) == pytest.approx(0.0, abs=1e-12)
+def test_certify_rejects_negative_entries():
+    # max x s.t. x <= 1, -x <= 0: y = (1, -1) meets A^T y >= c and b.y = 1
+    # and fails only y >= 0
+    lp = FactorLp(1, "sm", 1, (((0, 1.0),), ((0, -1.0),)), (1.0, 0.0), (1.0,))
+    _certify(lp, [Fraction(1)], [Fraction(1), Fraction(0)], Fraction(1))
+    with pytest.raises(SolverError):
+        _certify(lp, [Fraction(1)], [Fraction(1), Fraction(-1)], Fraction(1))
+    # max 0 s.t. x <= 1: x = -1 meets every row and fails only x >= 0
+    lp = FactorLp(1, "sm", 1, (((0, 1.0),),), (1.0,), (0.0,))
+    _certify(lp, [Fraction(0)], [Fraction(0)], Fraction(0))
+    with pytest.raises(SolverError):
+        _certify(lp, [Fraction(-1)], [Fraction(0)], Fraction(0))
 
 
 def test_dual_certificate_domain():
@@ -97,10 +139,8 @@ def test_certificates_feasible_and_optimal():
 
 def test_perturbed_certificate_reports_the_violated_row():
     cert = dual_certificate(4, "sm")
-    F = cert.F.copy()
-    F[0, 0] -= 0.5
-    from rematch.factorlp import DualCertificate
-
+    F = [list(row) for row in cert.F]
+    F[0][0] -= 0.5
     broken = DualCertificate(4, "sm", F, cert.c, cert.u)
     result = verify_dual_feasible(broken)
     assert not result.ok

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rematch import cli
-from rematch.errors import ValidationError
+from rematch.errors import SolverError, ValidationError
 from rematch.generators import (PROFILES, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
 from rematch.model import Hypergraph, Instance, ManyToOne
@@ -17,6 +17,7 @@ from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId
 from rematch.rng import sub_seed
 from conftest import make_instance
+from oracles import monte_carlo_list_reduce
 
 
 def test_double_star_shape():
@@ -104,6 +105,20 @@ def test_monte_carlo_offline_policy():
     inst = gen_complete_bipartite(4, 0.5)
     stats = monte_carlo(inst, PolicyId.OFFLINE_MAX, 2000, seed=1)
     assert 0.0 < stats.mean <= 4.0
+
+
+def test_streamed_monte_carlo_matches_list_reduction():
+    # every policy (offline_max reports a single per-round entry), on unit
+    # and on non-unit round weights
+    ds3 = gen_double_star(3, 0.1)
+    weighted = Instance(ds3.vertices, ds3.edges, ds3.rounds,
+                        [0.3 + 0.1 * r for r in range(ds3.rounds)], ds3.structure)
+    for inst in (ds3, weighted):
+        for policy in PolicyId:
+            streamed = monte_carlo(inst, policy, 400, seed=23)
+            assert streamed == monte_carlo_list_reduce(inst, policy, 400, seed=23), policy
+    offline = monte_carlo(weighted, PolicyId.OFFLINE_MAX, 400, seed=23)
+    assert len(offline.per_round_mean) == 1
 
 
 def test_monte_carlo_rejects_zero_trials():
@@ -218,7 +233,8 @@ def test_cli_verify_hypergraph_with_capacity_above_one(tmp_path, mode):
 
 def test_monte_carlo_imports_no_scipy():
     # every policy, including the assignment path of greedy-commit on K_{5,5}
-    # (more than 20 edges) and the offline benchmark on K_{10,10}
+    # (more than 20 edges) and the offline benchmark on K_{10,10}, then the
+    # LP and verify subcommands: neither numpy nor scipy is loaded
     script = """
 import sys
 from rematch.generators import gen_complete_bipartite, gen_double_star, gen_separation
@@ -232,7 +248,14 @@ runs = [(gen_double_star(3, 0.1), P.SM), (gen_double_star(3, 0.1), P.ALTERNATING
 for inst, policy in runs:
     monte_carlo(inst, policy, 20, seed=3)
 assert {run[1] for run in runs} == set(P)
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+# the certified LP optimum and an exact lemma check
+import io
+from contextlib import redirect_stdout
+from rematch import cli
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["lp", "--t", "6", "--solve", "--check-dual"]) == 0
+    assert cli.main(["verify", "--family", "separation", "--mode", "exact"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "scipy")))
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -300,6 +323,17 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     code, _ = run_cli(["verify", "--family", "separation", "--lemma", "charging",
                        "--mode", "exact"])
     assert code == 2
+    # verification failure: an LP optimum that cannot be certified
+    def uncertified(*args):
+        raise SolverError("closed-form primal point is infeasible")
+
+    monkeypatch.setattr(cli.factorlp, "solve_lp", uncertified)
+    capsys.readouterr()
+    code, out = run_cli(["lp", "--t", "6", "--solve"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("verification failure:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_reproduce_single_bundle():
