@@ -179,14 +179,13 @@ def solve_lp(lp: FactorLp, solve_limit: int = SOLVE_LIMIT) -> float:
 
 
 def u_value(t: int, variant: str = "sm") -> float:
-    """Closed-form LP optimum; exact integer powers keep it stable at t=200."""
+    """Closed-form LP optimum u = 2 t^t / (t^t - (t-a)^t), computed as one
+    int/int division, which Python rounds correctly at every t."""
     _check_variant(variant)
     a = 1 if variant == "sm" else 2
     if t < a:
         raise DomainError(f"u(t) for variant {variant!r} needs t >= {a}")
-    num = 2 * (t - a) ** t
-    den = t ** t - (t - a) ** t
-    return 2.0 + num / den
+    return 2 * t ** t / (t ** t - (t - a) ** t)
 
 
 def u_limit(variant: str = "sm") -> float:
@@ -231,7 +230,7 @@ def dual_certificate(t: int, variant: str = "sm") -> DualCertificate:
     F = (tuple(f_row),) * t
     c = tuple(1.0 - (t ** (j + 1) - (t - a) ** (j + 1)) * (t - a) ** (t - 1 - j) / D
               for j in range(t))
-    u = 2.0 + 2.0 * (t - a) ** t / D
+    u = 2 * t ** t / D
     return DualCertificate(t, variant, F, c, u)
 
 

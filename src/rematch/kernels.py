@@ -30,6 +30,38 @@ of both tables are those of a solve that recomputes everything per
 state.  Children of the last round are worth 0.0, so their outcome
 loop is skipped: adding ``pr * 0.0`` to a non-negative value changes
 nothing.
+
+When the instance has interchangeable edge classes (``tables.classes``,
+see ``model.Tables``), ``dp_solve`` works on orbits of knowledge states:
+
+* *Orbit keys.*  Every child is mapped by ``canonical`` to the
+  representative of its orbit before the memo lookup: within each class
+  the successes take the lowest edge ids, then the failures, then the
+  unknown edges.  This is a popcount and a prefix mask per class.  The
+  tables hold only these representatives.
+* *Representative actions.*  The candidate list is keyed on the
+  available set and the known successes, and keeps an action only if,
+  within each class, the successes it picks and the unknown edges it
+  picks are the lowest ids of their part.  Any other action maps onto a
+  representative by swaps that fix the state, and the representative is
+  the smaller of the two under ``lex_less``, so the tie-break still
+  returns the lexicographically smallest optimal action.
+* *Replay.*  ``dp_action`` scores every real action at a real state, in
+  feasible order, reading the children's values at their canonical keys
+  and breaking ties with ``lex_less`` on the real masks.
+
+Why the values stay bitwise: a swap inside a class maps the unknown
+edges of an action onto those of its image, and where that map keeps
+the edge order, the image adds the same probabilities, multiplies the
+same factors and visits its outcomes in the same descending-submask
+order as the original.  By induction from the last round, the two
+actions then score the same float, and an orbit's states share one
+value.  When every class is a run of consecutive edge ids, as on every
+generated double star, the map always keeps the order.  Where a class
+interleaves with other edges (a relabelled instance), the swap can
+reorder terms, and the floats may differ in the last bits; the tests
+find them bitwise on relabelled double stars too.  Without classes, the
+code and the tables are exactly those of the unreduced solve.
 """
 
 from __future__ import annotations
@@ -124,6 +156,68 @@ def gc_trace(tables, real: int) -> list[int]:
     return sels
 
 
+def canonical(classes, s: int, f: int) -> tuple[int, int]:
+    """Orbit representative of the knowledge state (s, f): within each
+    edge class the successes move to the lowest ids, then the failures,
+    then the unknown edges."""
+    for pre in classes:
+        cls = pre[-1]
+        ns = (s & cls).bit_count()
+        nsf = ns + (f & cls).bit_count()
+        s = (s & ~cls) | pre[ns]
+        f = (f & ~cls) | (pre[nsf] ^ pre[ns])
+    return s, f
+
+
+def _representative(classes, mask: int, avail: int, s: int) -> bool:
+    # within each class the action picks the lowest ids of the known
+    # successes and the lowest ids of the available unknown edges
+    for pre in classes:
+        cls = pre[-1]
+        part = s & cls
+        picked = mask & part
+        if (part & ((1 << picked.bit_length()) - 1)) != picked:
+            return False
+        part = avail & cls & ~s
+        picked = mask & part
+        if (part & ((1 << picked.bit_length()) - 1)) != picked:
+            return False
+    return True
+
+
+def _fitting(tables, prune: bool, avail: int) -> list[int]:
+    feas = tables.feas
+    ext = tables.ext
+    return [feas[idx] for idx in range(len(feas))
+            if not (feas[idx] & ~avail)
+            and not (prune and (ext[idx] & avail & ~feas[idx]))]
+
+
+def _outcome_table(p, unknown: int) -> tuple[float, list[tuple[int, int, float]]]:
+    sp = 0.0
+    x = unknown
+    while x:
+        low = x & -x
+        sp += p[low.bit_length() - 1]
+        x ^= low
+    outs = []
+    r = unknown
+    while True:
+        pr = 1.0
+        x = unknown
+        while x:
+            low = x & -x
+            e = low.bit_length() - 1
+            pr *= p[e] if (r & low) else 1.0 - p[e]
+            x ^= low
+        if pr > 0.0:
+            outs.append((r, unknown ^ r, pr))
+        if r == 0:
+            break
+        r = (r - 1) & unknown
+    return sp, outs
+
+
 def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
     """Expectimax over knowledge states.
 
@@ -131,7 +225,9 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
     state plus the memoized value and argmax-action tables keyed by
     packed state.  With ``commit`` the action must contain every known
     success; with ``prune`` only selections maximal within the available
-    edges are considered (exhaustive mode disables this).
+    edges are considered (exhaustive mode disables this).  When the
+    instance has edge classes the tables hold canonical states only
+    (see the module docstring).
     """
     m = tables.m
     rounds = len(tables.weights)
@@ -139,50 +235,29 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
     p = tables.p
     posp = tables.posp_mask
     all_mask = tables.all_mask
-    feas = tables.feas
-    ext = tables.ext
-    nfeas = len(feas)
+    classes = tables.classes
     values: dict[int, float] = {}
     actions: dict[int, int] = {}
-    # Per-call tables: the actions that fit an available set, and the
-    # (success submask, failure submask, probability) outcomes of an
-    # unknown set together with its probability sum.
+    # Per-call tables: the actions that fit an available set (with edge
+    # classes, the representative ones for the available set and the
+    # known successes), and the (success submask, failure submask,
+    # probability) outcomes of an unknown set with its probability sum.
     candidates: dict[int, list[int]] = {}
     outcomes: dict[int, tuple[float, list[tuple[int, int, float]]]] = {}
 
-    def outcome_table(unknown: int) -> tuple[float, list[tuple[int, int, float]]]:
-        sp = 0.0
-        x = unknown
-        while x:
-            low = x & -x
-            sp += p[low.bit_length() - 1]
-            x ^= low
-        outs = []
-        r = unknown
-        while True:
-            pr = 1.0
-            x = unknown
-            while x:
-                low = x & -x
-                e = low.bit_length() - 1
-                pr *= p[e] if (r & low) else 1.0 - p[e]
-                x ^= low
-            if pr > 0.0:
-                outs.append((r, unknown ^ r, pr))
-            if r == 0:
-                break
-            r = (r - 1) & unknown
-        outcomes[unknown] = entry = (sp, outs)
-        return entry
-
     def solve(s: int, f: int, t: int) -> float:
         avail = ((all_mask & ~(s | f)) & posp) | s
-        cands = candidates.get(avail)
-        if cands is None:
-            cands = candidates[avail] = [
-                feas[idx] for idx in range(nfeas)
-                if not (feas[idx] & ~avail)
-                and not (prune and (ext[idx] & avail & ~feas[idx]))]
+        if classes:
+            ckey = (s << m) | avail
+            cands = candidates.get(ckey)
+            if cands is None:
+                cands = candidates[ckey] = [
+                    mask for mask in _fitting(tables, prune, avail)
+                    if _representative(classes, mask, avail, s)]
+        else:
+            cands = candidates.get(avail)
+            if cands is None:
+                cands = candidates[avail] = _fitting(tables, prune, avail)
         w_t = weights[t - 1]
         last = t == rounds
         child_round = (t + 1) << (2 * m)
@@ -195,10 +270,17 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
             unknown = mask & ~s
             entry = outcomes.get(unknown)
             if entry is None:
-                entry = outcome_table(unknown)
+                entry = outcomes[unknown] = _outcome_table(p, unknown)
             sp, outs = entry
             v = w_t * ((mask & s).bit_count() + sp)
-            if not last:
+            if not last and classes:
+                for r, q, pr in outs:
+                    cs, cf = canonical(classes, s | r, f | q)
+                    child = values.get(child_round | (cs << m) | cf)
+                    if child is None:
+                        child = solve(cs, cf, t + 1)
+                    v += pr * child
+            elif not last:
                 for r, q, pr in outs:
                     child = values.get(child_round | ((s | r) << m) | f | q)
                     if child is None:
@@ -222,3 +304,42 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
         # so the tables are freed by reference counting, not a GC pass.
         solve = None
     return root, values, actions
+
+
+def dp_action(tables, commit: bool, prune: bool, values: dict,
+              s: int, f: int, t: int) -> int:
+    """Argmax action at the real state (s, f) in round t of a solved table.
+
+    This is ``dp_solve``'s action loop over every fitting action in
+    feasible order, with each child's value read at its canonical key and
+    ties broken by ``lex_less`` on the real masks; replay uses it at the
+    states that a solve with edge classes did not store.  Every child must
+    be in ``values``: the children of a state are, up to an automorphism,
+    those of its orbit representative under representative actions.
+    """
+    m = tables.m
+    p = tables.p
+    classes = tables.classes
+    avail = ((tables.all_mask & ~(s | f)) & tables.posp_mask) | s
+    w_t = tables.weights[t - 1]
+    last = t == len(tables.weights)
+    child_round = (t + 1) << (2 * m)
+    best_v = -1.0
+    best_a = 0
+    have = False
+    for mask in _fitting(tables, prune, avail):
+        if commit and (mask & s) != s:
+            continue
+        sp, outs = _outcome_table(p, mask & ~s)
+        v = w_t * ((mask & s).bit_count() + sp)
+        if not last:
+            for r, q, pr in outs:
+                cs, cf = canonical(classes, s | r, f | q)
+                v += pr * values[child_round | (cs << m) | cf]
+        if (not have) or v > best_v or (v == best_v and lex_less(mask, best_a)):
+            best_v = v
+            best_a = mask
+            have = True
+    if not have:
+        raise ValueError("no feasible action; committed successes exceed capacity")
+    return best_a

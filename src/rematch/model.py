@@ -474,10 +474,19 @@ class Tables:
     instance and shared by every trace and DP solve.  ``cap`` holds the
     effective capacity: hypergraph selections are vertex-disjoint, so
     capacities collapse to 1 there.
+
+    ``classes`` holds the interchangeable edge classes: groups of two or
+    more edges with equal p, the same shared endpoints (vertices of
+    degree > 1) and the same multiset of private-endpoint signatures
+    (effective capacity, membership in the many-to-one left side).
+    Swapping two edges of a class together with their private endpoints
+    is an automorphism of the instance.  Each class is stored as the
+    masks of its lowest 0, 1, ..., k edge ids, so the last entry is the
+    whole class; the tuple is empty when no two edges are interchangeable.
     """
 
     __slots__ = ("instance", "m", "n", "p", "all_mask", "posp_mask", "vmask",
-                 "ev", "cap", "inc", "order", "feas", "ext", "weights")
+                 "ev", "cap", "inc", "order", "feas", "ext", "weights", "classes")
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -499,6 +508,26 @@ class Tables:
         self.weights = list(instance.weights)
         self.feas: list[int] | None = None
         self.ext: list[int] | None = None
+        self.classes = self._edge_classes()
+
+    def _edge_classes(self) -> tuple[tuple[int, ...], ...]:
+        st = self.instance.structure
+        left = st.left if isinstance(st, ManyToOne) else frozenset()
+        vids = [v.id for v in self.instance.vertices]
+        groups: dict[tuple, list[int]] = {}
+        for e, ev in enumerate(self.ev):
+            shared = tuple(v for v in ev if self.inc[v] != 1 << e)
+            private = sorted((self.cap[v], vids[v] in left)
+                             for v in ev if self.inc[v] == 1 << e)
+            groups.setdefault((self.p[e], shared, tuple(private)), []).append(e)
+        classes = []
+        for ids in groups.values():
+            if len(ids) > 1:
+                prefix = [0]
+                for e in ids:
+                    prefix.append(prefix[-1] | (1 << e))
+                classes.append(tuple(prefix))
+        return tuple(classes)
 
     def mask_feasible(self, mask: int) -> bool:
         for v in range(self.n):

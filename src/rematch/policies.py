@@ -113,6 +113,14 @@ class DpValueTable:
     encoding.  ``commit`` forces every known success into the action;
     ``prune`` restricts actions to maximal selections (the exhaustive
     mode ``prune=False`` exists to verify that restriction).
+
+    On an instance with interchangeable edge classes (``Tables.classes``)
+    the solve stores one state per orbit, so ``items()`` and ``len()``
+    run over orbit representatives; ``value()`` maps any state to its
+    representative first.  ``action()`` and :func:`run_opt` read the
+    stored action of a representative state; at any other reachable
+    state they run the kernel's action loop on the real state
+    (``kernels.dp_action``) once and keep the result in ``_actions``.
     """
 
     instance: Instance
@@ -122,23 +130,43 @@ class DpValueTable:
     _values: dict[int, float]
     _actions: dict[int, int]
 
-    def _packed(self, knowledge, round_index: int) -> int:
+    def _masks(self, knowledge) -> tuple[int, int]:
+        if not isinstance(knowledge, KnowledgeState):
+            knowledge = KnowledgeState.from_encoding(self.instance.num_edges, int(knowledge))
+        return knowledge.success_mask, knowledge.fail_mask
+
+    def _key(self, s: int, f: int, round_index: int) -> int:
         m = self.instance.num_edges
-        if isinstance(knowledge, KnowledgeState):
-            s, f = knowledge.success_mask, knowledge.fail_mask
-        else:
-            ks = KnowledgeState.from_encoding(m, int(knowledge))
-            s, f = ks.success_mask, ks.fail_mask
         return (round_index << (2 * m)) | (s << m) | f
 
     def value(self, knowledge, round_index: int) -> float:
-        return self._values[self._packed(knowledge, round_index)]
+        s, f = kernels.canonical(build_tables(self.instance).classes, *self._masks(knowledge))
+        return self._values[self._key(s, f, round_index)]
 
     def action(self, knowledge, round_index: int) -> frozenset[int]:
-        return mask_to_set(self._actions[self._packed(knowledge, round_index)])
+        s, f = self._masks(knowledge)
+        key = self._key(s, f, round_index)
+        mask = self._actions.get(key)
+        if mask is None:
+            mask = self._replay_action(s, f, round_index)
+            if mask is None:
+                raise KeyError(key)
+        return mask_to_set(mask)
+
+    def _replay_action(self, s: int, f: int, t: int) -> int | None:
+        """The argmax action at a state that the solve did not store, kept
+        in ``_actions``; None when the state's orbit was never reached."""
+        tables = _tables_with_enum(self.instance)
+        cs, cf = kernels.canonical(tables.classes, s, f)
+        if self._key(cs, cf, t) not in self._values:
+            return None
+        mask = self._actions[self._key(s, f, t)] = kernels.dp_action(
+            tables, self.commit, self.prune, self._values, s, f, t)
+        return mask
 
     def items(self):
-        """Yield ((base-3 encoding, round), value) over all memoized states."""
+        """Yield ((base-3 encoding, round), value) over all memoized states
+        (one per orbit on an instance with edge classes)."""
         m = self.instance.num_edges
         for key, v in self._values.items():
             f = key & ((1 << m) - 1)
@@ -172,17 +200,19 @@ def run_opt(instance: Instance, sample: SampleGraph, table: DpValueTable) -> Tra
     if table.instance != instance:
         raise ValidationError("value table was built for a different instance")
     m = instance.num_edges
+    actions = table._actions
     real = sample.mask
     s = f = 0
     sels = []
     for t in range(1, instance.rounds + 1):
-        key = (t << (2 * m)) | (s << m) | f
         try:
-            mask = table._actions[key]
+            mask = actions[(t << (2 * m)) | (s << m) | f]
         except KeyError:
-            raise ValidationError(
-                "sample graph reaches a state the table never evaluated "
-                "(inconsistent with an edge of probability 0 or 1)") from None
+            mask = table._replay_action(s, f, t)
+            if mask is None:
+                raise ValidationError(
+                    "sample graph reaches a state the table never evaluated "
+                    "(inconsistent with an edge of probability 0 or 1)") from None
         sels.append(mask)
         unknown = mask & ~s
         s |= unknown & real

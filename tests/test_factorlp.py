@@ -154,6 +154,15 @@ def test_u_is_monotone_and_converges():
         assert abs(values[-1] - u_limit(variant)) <= 0.02
 
 
+def test_u_is_correctly_rounded():
+    for variant, a in (("sm", 1), ("gc", 2)):
+        for t in range(a, 201):
+            exact = Fraction(2 * t ** t, t ** t - (t - a) ** t)
+            assert u_value(t, variant) == float(exact), (variant, t)
+            if a < t < 144:  # the certificate's F row leaves the float range at 144
+                assert dual_certificate(t, variant).u == float(exact), (variant, t)
+
+
 def test_factor_values():
     assert u_value(2, "sm") == pytest.approx(8.0 / 3.0, abs=1e-15)
     assert approximation_factor(2, "sm") == pytest.approx(0.375, abs=1e-12)

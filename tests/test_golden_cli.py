@@ -46,6 +46,10 @@ def _cases() -> dict[str, list[str]]:
     for flags in ([], ["--commit"], ["--exhaustive"], ["--commit", "--exhaustive"]):
         name = "-".join(["opt"] + [f.removeprefix("--") for f in flags])
         cases[name] = ["opt", *_DS3, *flags]
+    ds6 = ["--family", "double-star", "--n", "6", "--eps", "0.1"]
+    cases["opt-ds6"] = ["opt", *ds6]
+    cases["simulate-opt-ds6"] = ["simulate", *ds6, "--policy", "opt", "--trials", "50",
+                                 "--seed", "11"]
     for variant in ("sm", "gc"):
         cases[f"lp-{variant}"] = ["lp", "--t", "6", "--variant", variant,
                                   "--solve", "--check-dual"]

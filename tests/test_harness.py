@@ -175,6 +175,11 @@ def test_cli_lp():
     assert row["feasible"] is True
     assert row["primal_opt"] == pytest.approx(row["dual_u"], abs=1e-6)
     assert row["factor"] == pytest.approx(1 / row["dual_u"], abs=1e-12)
+    # the proven optimum and the closed-form u round to the same float
+    for t in (10, 11, 12):
+        code, out = run_cli(["lp", "--t", str(t), "--solve", "--check-dual"])
+        row = json.loads(out)
+        assert (code, row["primal_opt"]) == (0, row["dual_u"]), t
 
 
 def test_cli_lp_solve_refuses_large_horizon_before_building(monkeypatch, capsys):

@@ -8,10 +8,11 @@ from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value
                      sm_trace_loop)
 from rematch import kernels
 from rematch.errors import LimitExceededError, ValidationError
-from rematch.generators import (double_star_layout, gen_complete_bipartite,
+from rematch.generators import (RandomProfile, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
-from rematch.model import (Edge, Hypergraph, Instance, ManyToOne, SampleGraph, Vertex,
-                           build_tables, enumerate_samples, sample)
+from rematch.model import (Edge, Hypergraph, Instance, KnowledgeState, ManyToOne,
+                           SampleGraph, Vertex, build_tables, enumerate_samples,
+                           mask_to_set, sample)
 from rematch.policies import (DP_LIMIT, _gc_trace_large, _kuhn_size,
                               _unit_bipartite_ends, build_dp, offline_max_matching,
                               opt_value, run_alternating_scan, run_greedy_commit,
@@ -109,16 +110,52 @@ def test_pruned_dp_equals_exhaustive():
     assert checked >= 10
 
 
+def _relabel(instance, seed):
+    """The same instance with vertex ids and edge order permuted by seed."""
+    rng = CounterRng(seed)
+    vperm = [v.id for v in instance.vertices]
+    rng.shuffle(vperm)
+    vmap = {v.id: new for v, new in zip(instance.vertices, vperm)}
+    order = list(range(instance.num_edges))
+    rng.shuffle(order)
+    vertices = sorted((Vertex(vmap[v.id], v.capacity) for v in instance.vertices),
+                      key=lambda v: v.id)
+    edges = [Edge(new, [vmap[u] for u in instance.edges[old].endpoints],
+                  instance.edges[old].p) for new, old in enumerate(order)]
+    return Instance(vertices, edges, instance.rounds, instance.weights)
+
+
+# hand-built instances with interchangeable edges: a capacity-2 star, two
+# hubs with unequal spokes and round weights, a many-to-one hub of
+# capacity 2, and 3-uniform teams sharing a captain.  TWO_HUB's last round
+# is free, so every action ties there and the tie-break decides: the hub
+# edge 3 comes first in mask order, a spoke pair such as {0, 4} in
+# lexicographic order.
+STAR_CAP2 = make_instance([(0, i, 0.5) for i in range(1, 5)], rounds=3, caps={0: 2})
+TWO_HUB = make_instance([(0, 2, 0.3), (0, 3, 0.3), (0, 4, 0.3), (0, 1, 0.9),
+                         (1, 5, 0.6), (1, 6, 0.6)], rounds=3, weights=[2.0, 0.5, 0.0])
+MTO_HUB = make_instance([(0, 4, 0.5), (1, 4, 0.5), (2, 4, 0.5), (3, 4, 0.7), (3, 5, 0.7)],
+                        rounds=3, caps={4: 2}, structure=ManyToOne([0, 1, 2, 3]))
+TEAMS = make_instance([(0, 1, 2, 0.4), (0, 3, 4, 0.4), (0, 5, 6, 0.4), (7, 8, 9, 0.6),
+                       (7, 10, 0.5)], rounds=3, structure=Hypergraph(3))
+
+
+def _class_ids(inst):
+    return [[e for e in range(inst.num_edges) if pre[-1] >> e & 1]
+            for pre in build_tables(inst).classes]
+
+
 def test_dp_solve_matches_reference_tables():
-    # same root, values and actions bit for bit, in the same insertion order
-    instances = [gen_double_star(n, 0.1) for n in range(2, 5)]
-    instances.append(gen_complete_bipartite(3, 0.5, rounds=3))
+    # without edge classes: same root, values and actions bit for bit, in
+    # the same insertion order
+    instances = [gen_double_star(2, 0.1), gen_complete_bipartite(3, 0.5, rounds=3)]
     instances += [gen_random(profile, sub_seed(4242, i))
                   for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small")
                   for i in range(10)]
     for k, inst in enumerate(instances):
         tables = build_tables(inst)
         tables.build_enumeration()
+        assert not tables.classes, k
         for commit in (False, True):
             for prune in (False, True):
                 root, values, actions = kernels.dp_solve(tables, commit, prune)
@@ -129,13 +166,158 @@ def test_dp_solve_matches_reference_tables():
                 assert list(actions.items()) == list(want_actions.items()), (k, commit, prune)
 
 
+def _assert_matches_reference(inst, commit, prune, label):
+    # with edge classes the table holds one state per orbit; every state
+    # the unreduced solve reaches still reads its value and action bit for bit
+    tables = build_tables(inst)
+    tables.build_enumeration()
+    table = build_dp(inst, commit, prune)
+    want_root, want_values, want_actions = reference_dp_solve(tables, commit, prune)
+    assert table.root_value == want_root, label
+    assert len(table) < len(want_values), label
+    m = inst.num_edges
+    for key, want in want_values.items():
+        ks = KnowledgeState.from_masks(m, (key >> m) & tables.all_mask, key & tables.all_mask)
+        t = key >> (2 * m)
+        assert table.value(ks, t) == want, (label, key)
+        assert table.action(ks, t) == mask_to_set(want_actions[key]), (label, key)
+
+
+def test_orbit_dp_matches_reference_on_double_stars():
+    for n in (3, 4):
+        inst = gen_double_star(n, 0.1)
+        for commit in (False, True):
+            for prune in (False, True):
+                _assert_matches_reference(inst, commit, prune, (n, commit, prune))
+
+
+def test_orbit_dp_matches_reference_on_relabelled_and_hand_built_instances():
+    ds4 = gen_double_star(4, 0.1)
+    for seed in range(6):
+        inst = _relabel(ds4, seed)
+        assert sorted(map(len, _class_ids(inst))) == [3, 3]
+        for commit in (False, True):
+            _assert_matches_reference(inst, commit, True, (seed, commit))
+    for k, inst in enumerate((STAR_CAP2, TWO_HUB, MTO_HUB, TEAMS)):
+        assert build_tables(inst).classes, k
+        for commit in (False, True):
+            for prune in (False, True):
+                _assert_matches_reference(inst, commit, prune, (k, commit, prune))
+
+
+def test_orbit_replay_matches_reference_replay():
+    # run_opt at states the solve did not store agrees with replaying the
+    # unreduced argmax actions, on every realization
+    for inst in (gen_double_star(3, 0.1), _relabel(gen_double_star(4, 0.1), 2)):
+        tables = build_tables(inst)
+        tables.build_enumeration()
+        m = inst.num_edges
+        for commit in (False, True):
+            table = build_dp(inst, commit)
+            _, _, want_actions = reference_dp_solve(tables, commit, True)
+            for smp, prob in enumerate_samples(inst):
+                if prob == 0.0:
+                    continue
+                s = f = 0
+                want = []
+                for t in range(1, inst.rounds + 1):
+                    mask = want_actions[(t << (2 * m)) | (s << m) | f]
+                    want.append(mask)
+                    unknown = mask & ~s
+                    s |= unknown & smp.mask
+                    f |= unknown & ~smp.mask
+                assert run_opt(inst, smp, table).selection_masks() == tuple(want)
+
+
+def test_orbit_solve_evaluates_representative_actions_only():
+    # ds3: hub edge 0, left spokes 1-2, right spokes 3-4.  The pair {1, 3}
+    # stands for {1, 4}, {2, 3} and {2, 4} at the root, so those are never
+    # scored there; {2, 4} comes up only after {1, 3} has failed.
+    tables = build_tables(gen_double_star(3, 0.1))
+    tables.build_enumeration()
+    scored = []
+    real_outcome_table = kernels._outcome_table
+
+    def spy(p, unknown):
+        scored.append(unknown)
+        return real_outcome_table(p, unknown)
+
+    kernels._outcome_table = spy
+    try:
+        kernels.dp_solve(tables, False, True)
+    finally:
+        kernels._outcome_table = real_outcome_table
+    masks = [(), (0,), (2,), (4,), (1, 3), (2, 4)]
+    assert sorted(scored) == sorted(sum(1 << e for e in ids) for ids in masks)
+
+
+def test_representative_actions_take_the_lowest_ids_of_each_part():
+    # ds4: left spokes 1-3, right spokes 4-6; spokes 1 and 2 succeeded
+    classes = build_tables(gen_double_star(4, 0.1)).classes
+    s = 0b110
+    avail = 0b1111111
+
+    def rep(*ids):
+        return kernels._representative(classes, sum(1 << e for e in ids), avail, s)
+
+    assert rep(1, 4) and rep(3, 4) and rep(1) and rep(4) and rep()
+    assert not rep(2, 4)  # success 2 stands in for the lower success 1
+    assert not rep(1, 5) and not rep(3, 6)  # unknown 5 or 6 for the lower 4
+
+
+def test_edge_classes():
+    for n in range(3, 8):
+        assert _class_ids(gen_double_star(n, 0.1)) == [
+            list(range(1, n)), list(range(n, 2 * n - 1))]
+    assert _class_ids(gen_double_star(2, 0.1)) == []
+    assert _class_ids(gen_complete_bipartite(3, 0.5)) == []
+    assert _class_ids(gen_separation()) == []
+    # equal p, same shared endpoint, same private signature
+    assert _class_ids(STAR_CAP2) == [[0, 1, 2, 3]]
+    assert _class_ids(TWO_HUB) == [[0, 1, 2], [4, 5]]
+    # unequal p splits
+    assert _class_ids(make_instance([(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.4)])) == [[0, 1]]
+    # a private endpoint's effective capacity splits
+    caps = {2: 2}
+    assert _class_ids(make_instance([(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)], caps=caps)) == [
+        [0, 2]]
+    assert _class_ids(make_instance([(0, 1, 2, 0.5), (0, 3, 4, 0.5)], caps=caps,
+                                    structure=Hypergraph(3))) == [[0, 1]]
+    # the many-to-one left side: a right hub's left spokes form a class,
+    # and so do disjoint edges, which keep their sides when swapped
+    mto = make_instance([(0, 4, 0.5), (1, 4, 0.5), (2, 5, 0.5), (3, 6, 0.5)],
+                        caps={4: 2}, structure=ManyToOne([0, 1, 2, 3]))
+    assert _class_ids(mto) == [[0, 1], [2, 3]]
+    assert _class_ids(MTO_HUB) == [[0, 1, 2]]
+    assert _class_ids(TEAMS) == [[0, 1, 2]]
+
+
+def test_edge_classes_absent_on_benchmark_draws():
+    # the CAP11 draws of benchmarks/perf (dp-opt) and the random profiles
+    # keep the unreduced solve
+    cap11 = RandomProfile("bench-cap11", "general", (6, 6), (11, 11), (1, 3), (3, 3))
+    for draw in range(1, 9):
+        assert build_tables(gen_random(cap11, draw)).classes == ()
+    for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small"):
+        for i in range(100):
+            assert build_tables(gen_random(profile, i)).classes == (), (profile, i)
+
+
+def test_orbit_dp_reaches_ds6():
+    inst = gen_double_star(6, 0.1)
+    table = build_dp(inst, commit=False)
+    assert len(table) == 17358
+    assert table.root_value == pytest.approx(64.5996051456, rel=1e-12)
+    assert len(build_dp(inst, commit=True)) == 1336
+
+
 def test_dropped_dp_table_leaves_no_cyclic_garbage():
     inst = gen_double_star(3, 0.1)
     gc.collect()
     gc.disable()
     try:
         table = build_dp(inst, commit=False)
-        assert len(table) == 575
+        assert len(table) == 237
         del table
         assert gc.collect() == 0
     finally:
