@@ -104,7 +104,6 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int, help="horizon (default: instance rounds)")
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enum-limit", type=int, default=16)
 
     p = sub.add_parser("lp", help="factor-revealing LP")
     p.add_argument("--t", type=int, required=True)
@@ -117,7 +116,6 @@ def build_parser() -> _Parser:
     p.add_argument("--commit", action="store_true")
     p.add_argument("--exhaustive", action="store_true",
                    help="disable maximal-action pruning")
-    p.add_argument("--dp-limit", type=int, default=12)
 
     p = sub.add_parser("reproduce", help="rerun acceptance bundles")
     p.add_argument("--bundle", default="all",
@@ -136,11 +134,7 @@ def _run_verify(args, out) -> int:
         instances = [_load_instance(args)]
     all_ok = True
     for inst in instances:
-        if inst.num_edges > args.enum_limit and mode == "exact":
-            raise LimitExceededError(
-                f"exact verification over {inst.num_edges} edges exceeds "
-                f"--enum-limit {args.enum_limit}")
-        t = args.t if args.t else inst.rounds
+        t = args.t if args.t is not None else inst.rounds
         lemmas = (coupling.default_lemmas(inst) if args.lemma == "all" else
                   [args.lemma.removeprefix("domination-").replace("-", "_")])
         for lemma in lemmas:
@@ -195,7 +189,7 @@ def main(argv=None) -> int:
                    "primal_opt": None, "dual_u": None, "factor": None,
                    "feasible": None}
             if do_solve:
-                factorlp.check_solve_limit(args.t)
+                factorlp.check_primal_size(args.t)
                 row["primal_opt"] = factorlp.solve_lp(
                     factorlp.build_primal(args.t, args.variant))
             if do_dual:
@@ -214,8 +208,7 @@ def main(argv=None) -> int:
 
         if args.command == "opt":
             inst = _load_instance(args)
-            value = opt_value(inst, commit=args.commit, prune=not args.exhaustive,
-                              dp_limit=args.dp_limit)
+            value = opt_value(inst, commit=args.commit, prune=not args.exhaustive)
             _dump({"value": value, "commit": args.commit,
                    "exhaustive": args.exhaustive}, out)
             return 0

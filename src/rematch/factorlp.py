@@ -115,15 +115,15 @@ def build_primal(t: int, variant: str = "sm") -> FactorLp:
     return FactorLp(t, variant, n, tuple(rows), tuple(rhs), tuple(objective))
 
 
-def check_solve_limit(t: int, solve_limit: int = SOLVE_LIMIT) -> None:
+def check_primal_size(t: int) -> None:
     """Raise ``LimitExceededError`` for a horizon whose primal is too large.
 
     Callers that build the primal only to solve it check first: the
     primal has t^2 rows, and the limit keeps it small.
     """
-    if t > solve_limit:
+    if t > SOLVE_LIMIT:
         raise LimitExceededError(
-            f"horizon {t} exceeds the primal-size limit {solve_limit}")
+            f"horizon {t} exceeds the primal-size limit {SOLVE_LIMIT}")
 
 
 def _exact_certificate(t: int, variant: str) -> tuple[list, list, Fraction]:
@@ -170,9 +170,9 @@ def _certify(lp: FactorLp, x, y, u: Fraction) -> None:
         raise SolverError(f"objectives differ: primal {primal}, dual {dual}, u {u}")
 
 
-def solve_lp(lp: FactorLp, solve_limit: int = SOLVE_LIMIT) -> float:
+def solve_lp(lp: FactorLp) -> float:
     """Optimal objective, proven by the exact closed-form primal-dual pair."""
-    check_solve_limit(lp.horizon, solve_limit)
+    check_primal_size(lp.horizon)
     x, y, u = _exact_certificate(lp.horizon, lp.variant)
     _certify(lp, x, y, u)
     return float(u)
@@ -243,12 +243,10 @@ class FeasibilityResult:
         return self.ok
 
 
-def verify_dual_feasible(cert: DualCertificate, t: int | None = None,
-                         variant: str | None = None, tol: float = 1e-9
-                         ) -> FeasibilityResult:
-    """Check every dual row within tol, reporting each violated row."""
-    t = cert.horizon if t is None else t
-    variant = cert.variant if variant is None else _check_variant(variant)
+def verify_dual_feasible(cert: DualCertificate) -> FeasibilityResult:
+    """Check every dual row of ``cert``'s own horizon and variant within
+    1e-9, reporting each violated row."""
+    t, variant, tol = cert.horizon, cert.variant, 1e-9
     F, c, u = cert.F, cert.c, cert.u
     if len(F) != t or any(len(row) != t for row in F) or len(c) != t:
         raise ValidationError("certificate dimensions do not match t")

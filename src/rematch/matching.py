@@ -9,14 +9,13 @@ exact solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import LimitExceededError, UnknownEdgeError, ValidationError
 from .model import Hypergraph, Instance, ManyToOne, RoundSelection
 
 EXACT_SEARCH_LIMIT = 20
-EXACT_SEARCH_HARD_CAP = 26
 
 
 @dataclass(frozen=True)
@@ -25,22 +24,19 @@ class WeightedSubproblem:
 
     ``weights`` defines the available edges (id -> weight >= 0);
     ``residual`` the remaining per-vertex capacity (defaults to the
-    declared capacities); ``blocked`` edges are excluded outright and
-    must not overlap the available set.
+    declared capacities).
     """
 
     instance: Instance
     weights: Mapping[int, float]
     residual: Mapping[int, int]
-    blocked: frozenset[int] = field(default_factory=frozenset)
 
-    def __init__(self, instance, weights, residual=None, blocked=()):
+    def __init__(self, instance, weights, residual=None):
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "weights", dict(weights))
         if residual is None:
             residual = {v.id: v.capacity for v in instance.vertices}
         object.__setattr__(self, "residual", dict(residual))
-        object.__setattr__(self, "blocked", frozenset(blocked))
         self._validate()
 
     def _validate(self):
@@ -56,8 +52,6 @@ class WeightedSubproblem:
                 raise ValidationError(f"unknown vertex {v}")
             if not (0 <= r <= caps[v]):
                 raise ValidationError(f"vertex {v}: residual outside 0..capacity")
-        if self.blocked & set(self.weights):
-            raise ValidationError("blocked edges overlap the available set")
 
     @classmethod
     def fresh(cls, instance: Instance, weights: Mapping[int, float] | None = None
@@ -81,7 +75,7 @@ def greedy_matching(sub: WeightedSubproblem) -> RoundSelection:
     """
     inst = sub.instance
     residual = sub._effective_residual()
-    order = sorted((e for e, w in sub.weights.items() if w > 0 and e not in sub.blocked),
+    order = sorted((e for e, w in sub.weights.items() if w > 0),
                    key=lambda e: (-sub.weights[e], e))
     chosen = []
     for e in order:
@@ -310,8 +304,7 @@ def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, float],
     return sorted(chosen)
 
 
-def max_weight_matching(sub: WeightedSubproblem, exact_limit: int = EXACT_SEARCH_LIMIT
-                        ) -> RoundSelection:
+def max_weight_matching(sub: WeightedSubproblem) -> RoundSelection:
     """Feasible selection maximizing total weight.
 
     Small problems (and all non-bipartite ones up to the exact-search
@@ -323,18 +316,17 @@ def max_weight_matching(sub: WeightedSubproblem, exact_limit: int = EXACT_SEARCH
     inst = sub.instance
     if isinstance(inst.structure, Hypergraph):
         raise ValidationError("max_weight_matching covers general/many-to-one structures")
-    exact_limit = min(exact_limit, EXACT_SEARCH_HARD_CAP)
-    avail = [e for e, w in sub.weights.items() if w > 0 and e not in sub.blocked]
+    avail = [e for e, w in sub.weights.items() if w > 0]
     residual = sub._effective_residual()
     for v in (v.id for v in inst.vertices):
         residual.setdefault(v, 0)
-    if len(avail) <= exact_limit:
+    if len(avail) <= EXACT_SEARCH_LIMIT:
         _, chosen = _branch_and_bound(inst, avail, sub.weights, residual)
         return RoundSelection(chosen)
     sides = _bipartite_sides(inst)
     if sides is None:
         raise LimitExceededError(
-            f"exact matching over {len(avail)} edges exceeds limit {exact_limit} "
+            f"exact matching over {len(avail)} edges exceeds limit {EXACT_SEARCH_LIMIT} "
             "on a non-bipartite instance")
     return RoundSelection(_assignment(inst, avail, sub.weights, residual, sides))
 

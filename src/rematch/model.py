@@ -26,7 +26,6 @@ from .errors import LimitExceededError, UnknownEdgeError, ValidationError
 from .rng import uniform01
 
 ENUMERATION_LIMIT = 16
-ENUMERATION_HARD_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -418,17 +417,21 @@ def sample(instance: Instance, seed: int) -> SampleGraph:
     return SampleGraph(instance.num_edges, mask)
 
 
-def enumerate_samples(instance: Instance, limit: int = ENUMERATION_LIMIT
-                      ) -> Iterator[tuple[SampleGraph, float]]:
+def _check_enumeration_limit(m: int) -> None:
+    """Raise ``LimitExceededError`` when 2^m masks are too many to list."""
+    if m > ENUMERATION_LIMIT:
+        raise LimitExceededError(
+            f"enumeration over {m} edges exceeds limit {ENUMERATION_LIMIT}")
+
+
+def enumerate_samples(instance: Instance) -> Iterator[tuple[SampleGraph, float]]:
     """Yield all 2^m sample graphs with their probabilities (summing to 1).
 
     Zero-probability realizations are yielded with weight 0.0 so callers
     can rely on seeing every mask exactly once, in ascending mask order.
     """
     m = instance.num_edges
-    limit = min(limit, ENUMERATION_HARD_CAP)
-    if m > limit:
-        raise LimitExceededError(f"enumeration over {m} edges exceeds limit {limit}")
+    _check_enumeration_limit(m)
     ps = [e.p for e in instance.edges]
     for mask in range(1 << m):
         prob = 1.0
@@ -535,13 +538,11 @@ class Tables:
                 return False
         return True
 
-    def build_enumeration(self, limit: int = ENUMERATION_LIMIT) -> None:
+    def build_enumeration(self) -> None:
         """Populate the feasible-selection list and its extension masks."""
         if self.feas is not None:
             return
-        if self.m > min(limit, ENUMERATION_HARD_CAP):
-            raise LimitExceededError(
-                f"selection enumeration over {self.m} edges exceeds limit {limit}")
+        _check_enumeration_limit(self.m)
         flags = bytearray(1 << self.m)
         feas = []
         for mask in range(1 << self.m):

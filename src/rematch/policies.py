@@ -9,6 +9,7 @@ table doubles as the argmax policy for per-sample replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -22,7 +23,6 @@ from .model import (ENUMERATION_LIMIT, Hypergraph, Instance, KnowledgeState,
                     SampleGraph, Tables, Trace, build_tables, mask_to_set)
 
 DP_LIMIT = 12
-DP_HARD_CAP = 14
 
 
 class PolicyId(str, Enum):
@@ -35,9 +35,9 @@ class PolicyId(str, Enum):
     OFFLINE_MAX = "offline_max"
 
 
-def _tables_with_enum(instance: Instance, limit: int = ENUMERATION_LIMIT) -> Tables:
+def _tables_with_enum(instance: Instance) -> Tables:
     tables = build_tables(instance)
-    tables.build_enumeration(limit)
+    tables.build_enumeration()
     return tables
 
 
@@ -84,8 +84,7 @@ def _gc_trace_large(instance: Instance, real: int) -> list[int]:
                 residual[v] -= 1
         weights = {e.id: e.p for e in instance.edges
                    if e.id not in committed and e.id not in failed and e.p > 0.0}
-        picked = max_weight_matching(WeightedSubproblem(
-            instance, weights, residual, frozenset(failed))).chosen
+        picked = max_weight_matching(WeightedSubproblem(instance, weights, residual)).chosen
         sel = committed | set(picked)
         sels.append(sum(1 << e for e in sel))
         if not picked:
@@ -178,21 +177,30 @@ class DpValueTable:
         return len(self._values)
 
 
-def build_dp(instance: Instance, commit: bool, prune: bool = True,
-             dp_limit: int = DP_LIMIT) -> DpValueTable:
-    limit = min(dp_limit, DP_HARD_CAP)
-    if instance.num_edges > limit:
+def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTable:
+    """Solve the expectimax DP over orbit states (see :class:`DpValueTable`).
+
+    The instance is admitted by its per-round orbit-state bound: a class
+    of k interchangeable edges has C(k+2, 2) orbits of success/fail/unknown
+    labels and every other edge 3 labels, and the product must stay within
+    3^``DP_LIMIT``.  Without classes that is m <= ``DP_LIMIT``.  The
+    selection enumeration then applies ``ENUMERATION_LIMIT`` to m.
+    """
+    tables = build_tables(instance)
+    ks = [len(cls) - 1 for cls in tables.classes]
+    bound = math.prod(math.comb(k + 2, 2) for k in ks) * 3 ** (tables.m - sum(ks))
+    if bound > 3 ** DP_LIMIT:
         raise LimitExceededError(
-            f"DP over {instance.num_edges} edges exceeds limit {limit}")
-    tables = _tables_with_enum(instance)
+            f"DP over {bound} orbit states per round exceeds limit 3^{DP_LIMIT}")
+    tables.build_enumeration()
     root, values, actions = kernels.dp_solve(tables, commit, prune)
     return DpValueTable(instance, commit, prune, root, values, actions)
 
 
-def opt_value(instance: Instance, commit: bool, prune: bool = True,
-              dp_limit: int = DP_LIMIT) -> float:
-    """Optimal expected weighted reward from the all-unknown state."""
-    return build_dp(instance, commit, prune, dp_limit).root_value
+def opt_value(instance: Instance, commit: bool, prune: bool = True) -> float:
+    """Optimal expected weighted reward from the all-unknown state, by
+    :func:`build_dp` (which raises ``LimitExceededError`` past its limits)."""
+    return build_dp(instance, commit, prune).root_value
 
 
 def run_opt(instance: Instance, sample: SampleGraph, table: DpValueTable) -> Trace:

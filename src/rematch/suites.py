@@ -60,7 +60,7 @@ def criterion_1_lp_certificates() -> CriterionResult:
     for variant, ts in (("sm", range(2, 9)), ("gc", range(3, 9))):
         for t in ts:
             cert = dual_certificate(t, variant)
-            feas = verify_dual_feasible(cert, tol=1e-9)
+            feas = verify_dual_feasible(cert)
             primal = solve_lp(build_primal(t, variant))
             gap = abs(primal - cert.u)
             factor = 1.0 / cert.u
@@ -273,7 +273,7 @@ def criterion_5_separation(unit: list[CouplingSummary] | None = None,
 def criterion_6_upper_bound(trials: int = 100000, seed: int = UPPER_SEED) -> CriterionResult:
     inst = gen_double_star(6, 0.1)
     sm_ok = True
-    for smp, prob in enumerate_samples(inst, limit=11):
+    for smp, prob in enumerate_samples(inst):
         if prob == 0.0:
             continue
         trace = run_sm(inst, smp)

@@ -156,8 +156,7 @@ def gc_trace_large_loop(instance: Instance, real: int) -> list[int]:
                 residual[v] -= 1
         weights = {e.id: e.p for e in instance.edges
                    if e.id not in committed and e.id not in failed and e.p > 0.0}
-        picked = max_weight_matching(WeightedSubproblem(
-            instance, weights, residual, frozenset(failed))).chosen
+        picked = max_weight_matching(WeightedSubproblem(instance, weights, residual)).chosen
         sels.append(sum(1 << e for e in committed | set(picked)))
         for e in picked:
             (committed if real >> e & 1 else failed).add(e)

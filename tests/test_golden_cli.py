@@ -48,6 +48,7 @@ def _cases() -> dict[str, list[str]]:
         cases[name] = ["opt", *_DS3, *flags]
     ds6 = ["--family", "double-star", "--n", "6", "--eps", "0.1"]
     cases["opt-ds6"] = ["opt", *ds6]
+    cases["opt-ds8"] = ["opt", "--family", "double-star", "--n", "8", "--eps", "0.1"]
     cases["simulate-opt-ds6"] = ["simulate", *ds6, "--policy", "opt", "--trials", "50",
                                  "--seed", "11"]
     for variant in ("sm", "gc"):

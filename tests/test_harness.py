@@ -292,6 +292,10 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
                   "--mode", "monte-carlo", "--trials", "0"],
                  ["verify", "--family", "separation", "--lemma", "charging",
                   "--mode", "monte-carlo", "--trials", "0"],
+                 ["verify", "--family", "separation", "--t", "0", "--lemma", "charging"],
+                 # the limit overrides are gone
+                 ["opt", "--family", "separation", "--dp-limit", "12"],
+                 ["verify", "--family", "separation", "--enum-limit", "16"],
                  ["verify", "--profile", "unit-small", "--count", "0"],
                  ["verify", "--profile", "unit-small", "--count", "-1"],
                  # domination variants that do not apply to the instance
@@ -318,6 +322,9 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
              "-o", str(path)])
     code, _ = run_cli(["verify", "--instance", str(path), "--mode", "exact"])
     assert code == 3
+    # resource limit: ds9 passes the DP's orbit bound, not the enumeration limit
+    code, out = run_cli(["opt", "--family", "double-star", "--n", "9"])
+    assert (code, out) == (3, "")
     # verification failure: force a failing report
     from rematch.coupling import LemmaReport
 

@@ -6,9 +6,10 @@ from conftest import make_instance
 from oracles import brute_max_weight
 from rematch.errors import ValidationError
 from rematch.kernels import lex_less
-from rematch.matching import (WeightedSubproblem, degree_halving_subgraph,
-                              greedy_matching, greedy_hypergraph_matching,
-                              linear_sum_assignment, max_weight_matching)
+from rematch.matching import (WeightedSubproblem, _assignment, _bipartite_sides,
+                              degree_halving_subgraph, greedy_matching,
+                              greedy_hypergraph_matching, linear_sum_assignment,
+                              max_weight_matching)
 from rematch.model import Hypergraph, ManyToOne, mask_to_set
 from rematch.rng import CounterRng
 
@@ -91,7 +92,7 @@ def test_greedy_is_half_of_exact():
 
 
 def test_assignment_path_matches_enumeration():
-    # force the polynomial path with exact_limit=0 on one-side-unit instances
+    # the polynomial path, called directly on one-side-unit instances
     from rematch.model import Edge, Instance, Vertex
 
     rng = CounterRng(41)
@@ -107,8 +108,9 @@ def test_assignment_path_matches_enumeration():
         edges = [Edge(i, pairs[i], 0.5) for i in range(m)]
         inst = Instance(vertices, edges, 1, structure=ManyToOne(range(n_left)))
         weights = {e.id: rng.uniform(0.01, 1.0) for e in inst.edges}
-        sub = WeightedSubproblem(inst, weights)
-        fast = max_weight_matching(sub, exact_limit=0).total_weight(weights)
+        residual = {v.id: v.capacity for v in inst.vertices}
+        chosen = _assignment(inst, list(weights), weights, residual, _bipartite_sides(inst))
+        fast = sum(weights[e] for e in chosen)
         assert fast == pytest.approx(brute_max_weight(inst, weights), abs=1e-9)
 
 
@@ -207,8 +209,6 @@ def test_degree_halving_postconditions():
 def test_subproblem_validation():
     with pytest.raises(ValidationError):
         WeightedSubproblem(PATH, {0: -1.0})
-    with pytest.raises(ValidationError):
-        WeightedSubproblem(PATH, {0: 1.0}, blocked=[0])
     with pytest.raises(ValidationError):
         WeightedSubproblem(PATH, {9: 1.0})
 

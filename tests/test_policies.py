@@ -370,9 +370,17 @@ def test_run_opt_rejects_inconsistent_sample():
 
 
 def test_dp_limit():
+    # no classes: 3^13 orbit states per round
     inst = make_instance([(i, i + 1, 0.5) for i in range(DP_LIMIT + 1)], rounds=1)
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError, match="orbit states"):
         opt_value(inst, commit=False)
+    # one class of 13 spokes: C(15, 2) = 105 orbit states per round
+    star = make_instance([(0, i, 0.5) for i in range(1, DP_LIMIT + 2)], rounds=2)
+    assert len(build_tables(star).classes) == 1
+    assert opt_value(star, commit=False) == pytest.approx(0.5 + 0.75)  # reselect or retry
+    # ds9 (17 edges) passes the orbit bound and stops at the enumeration limit
+    with pytest.raises(LimitExceededError, match="enumeration over 17 edges"):
+        build_dp(gen_double_star(9, 0.1), commit=False)
 
 
 def test_commit_property_on_random_instances():
