@@ -414,8 +414,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
         runs: dict[str, list[int]] = {"sm": kernels.sm_trace(tables, real)}
         if with_gc:
             runs["gc"] = kernels.gc_trace(tables, real)
-        opt_sels = run_opt(instance, smp, table).selection_masks()
-        optc_sels = run_opt(instance, smp, table_c).selection_masks()
+        opt_sels = table.replay(real)
+        optc_sels = table_c.replay(real)
         if with_follower:
             runs["opt_follower"] = follower_masks(tables, opt_sels, real)
 

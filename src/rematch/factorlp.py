@@ -224,6 +224,10 @@ def dual_certificate(t: int, variant: str = "sm") -> DualCertificate:
     a = 1 if variant == "sm" else 2
     if t < a + 1:
         raise DomainError(f"dual certificate for {variant!r} needs t >= {a + 1}")
+    if (t - 1) * math.log2(t) >= 1024:
+        # F and c convert integers near t^(t-1) to float, which overflows
+        # exactly from t = 144 in both variants; fail before building t^t
+        raise OverflowError("int too large to convert to float")
     D = t ** t - (t - a) ** t
     scale = float(a)
     f_row = [scale * t ** j * (t - a) ** (t - 1 - j) / D for j in range(t)]

@@ -25,11 +25,14 @@ sum of an unknown set and its nonzero outcomes, each with the product
 taken bit by bit upward, are computed once per distinct unknown mask.
 A state's value still adds its actions' outcomes in the same
 descending-submask order, and its children are solved depth first in
-that order, so the values, the argmax actions and the insertion order
-of both tables are those of a solve that recomputes everything per
-state.  Children of the last round are worth 0.0, so their outcome
-loop is skipped: adding ``pr * 0.0`` to a non-negative value changes
-nothing.
+that order, so the values and the insertion order of the value table
+are those of a solve that recomputes everything per state.  Children of
+the last round are worth 0.0, so their outcome loop is skipped: adding
+``pr * 0.0`` to a non-negative value changes nothing.
+
+``dp_solve`` stores values only.  The policy is greedy in them:
+``dp_action`` derives the action at a state from its children's values,
+and replay calls it once per state it visits.
 
 When the instance has interchangeable edge classes (``tables.classes``,
 see ``model.Tables``), ``dp_solve`` works on orbits of knowledge states:
@@ -38,17 +41,16 @@ see ``model.Tables``), ``dp_solve`` works on orbits of knowledge states:
   representative of its orbit before the memo lookup: within each class
   the successes take the lowest edge ids, then the failures, then the
   unknown edges.  This is a popcount and a prefix mask per class.  The
-  tables hold only these representatives.
+  value table holds only these representatives.
 * *Representative actions.*  The candidate list is keyed on the
   available set and the known successes, and keeps an action only if,
   within each class, the successes it picks and the unknown edges it
   picks are the lowest ids of their part.  Any other action maps onto a
-  representative by swaps that fix the state, and the representative is
-  the smaller of the two under ``lex_less``, so the tie-break still
-  returns the lexicographically smallest optimal action.
-* *Replay.*  ``dp_action`` scores every real action at a real state, in
-  feasible order, reading the children's values at their canonical keys
-  and breaking ties with ``lex_less`` on the real masks.
+  representative by swaps that fix the state and scores the same, so
+  scoring representatives only preserves the max.
+* *Replay.*  At every state replay visits, ``dp_action`` scores every
+  real action, in feasible order, reading the children's values at their
+  canonical keys and breaking ties with ``lex_less`` on the real masks.
 
 Why the values stay bitwise: a swap inside a class maps the unknown
 edges of an action onto those of its image, and where that map keeps
@@ -61,7 +63,7 @@ generated double star, the map always keeps the order.  Where a class
 interleaves with other edges (a relabelled instance), the swap can
 reorder terms, and the floats may differ in the last bits; the tests
 find them bitwise on relabelled double stars too.  Without classes, the
-code and the tables are exactly those of the unreduced solve.
+code and the value table are exactly those of the unreduced solve.
 """
 
 from __future__ import annotations
@@ -218,16 +220,16 @@ def _outcome_table(p, unknown: int) -> tuple[float, list[tuple[int, int, float]]
     return sp, outs
 
 
-def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
+def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict]:
     """Expectimax over knowledge states.
 
     Returns the optimal expected weighted reward from the all-unknown
-    state plus the memoized value and argmax-action tables keyed by
-    packed state.  With ``commit`` the action must contain every known
-    success; with ``prune`` only selections maximal within the available
-    edges are considered (exhaustive mode disables this).  When the
-    instance has edge classes the tables hold canonical states only
-    (see the module docstring).
+    state and the memoized value table keyed by packed state; the policy's
+    actions are derived from the values by ``dp_action``.  With ``commit``
+    the action must contain every known success; with ``prune`` only
+    selections maximal within the available edges are considered
+    (exhaustive mode disables this).  When the instance has edge classes
+    the table holds canonical states only (see the module docstring).
     """
     m = tables.m
     rounds = len(tables.weights)
@@ -237,7 +239,6 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
     all_mask = tables.all_mask
     classes = tables.classes
     values: dict[int, float] = {}
-    actions: dict[int, int] = {}
     # Per-call tables: the actions that fit an available set (with edge
     # classes, the representative ones for the available set and the
     # known successes), and the (success submask, failure submask,
@@ -262,8 +263,6 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
         last = t == rounds
         child_round = (t + 1) << (2 * m)
         best_v = -1.0
-        best_a = 0
-        have = False
         for mask in cands:
             if commit and (mask & s) != s:
                 continue
@@ -286,15 +285,11 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
                     if child is None:
                         child = solve(s | r, f | q, t + 1)
                     v += pr * child
-            if (not have) or v > best_v or (v == best_v and lex_less(mask, best_a)):
+            if v > best_v:
                 best_v = v
-                best_a = mask
-                have = True
-        if not have:
+        if best_v < 0.0:
             raise ValueError("no feasible action; committed successes exceed capacity")
-        key = (t << (2 * m)) | (s << m) | f
-        values[key] = best_v
-        actions[key] = best_a
+        values[(t << (2 * m)) | (s << m) | f] = best_v
         return best_v
 
     try:
@@ -303,18 +298,18 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, dict]:
         # The closure refers to itself through its cell; break that cycle
         # so the tables are freed by reference counting, not a GC pass.
         solve = None
-    return root, values, actions
+    return root, values
 
 
 def dp_action(tables, commit: bool, prune: bool, values: dict,
               s: int, f: int, t: int) -> int:
     """Argmax action at the real state (s, f) in round t of a solved table.
 
-    This is ``dp_solve``'s action loop over every fitting action in
-    feasible order, with each child's value read at its canonical key and
-    ties broken by ``lex_less`` on the real masks; replay uses it at the
-    states that a solve with edge classes did not store.  Every child must
-    be in ``values``: the children of a state are, up to an automorphism,
+    This is the policy's only argmax: it scores every fitting action in
+    feasible order as ``dp_solve`` does, reads each child's value at its
+    canonical key and breaks ties toward the lexicographically smallest
+    action (``lex_less`` on the real masks).  Every child must be in
+    ``values``: the children of a reached state are, up to an automorphism,
     those of its orbit representative under representative actions.
     """
     m = tables.m
@@ -326,7 +321,6 @@ def dp_action(tables, commit: bool, prune: bool, values: dict,
     child_round = (t + 1) << (2 * m)
     best_v = -1.0
     best_a = 0
-    have = False
     for mask in _fitting(tables, prune, avail):
         if commit and (mask & s) != s:
             continue
@@ -336,10 +330,9 @@ def dp_action(tables, commit: bool, prune: bool, values: dict,
             for r, q, pr in outs:
                 cs, cf = canonical(classes, s | r, f | q)
                 v += pr * values[child_round | (cs << m) | cf]
-        if (not have) or v > best_v or (v == best_v and lex_less(mask, best_a)):
+        if v > best_v or (v == best_v and lex_less(mask, best_a)):
             best_v = v
             best_a = mask
-            have = True
-    if not have:
+    if best_v < 0.0:
         raise ValueError("no feasible action; committed successes exceed capacity")
     return best_a

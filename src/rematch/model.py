@@ -17,6 +17,7 @@ attributes are views built on access for the API boundary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
@@ -26,6 +27,7 @@ from .errors import LimitExceededError, UnknownEdgeError, ValidationError
 from .rng import uniform01
 
 ENUMERATION_LIMIT = 16
+ROUNDS_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ class Instance:
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "rounds", int(rounds))
+        if self.rounds > ROUNDS_LIMIT:  # before the default weights are allocated
+            raise LimitExceededError(f"{self.rounds} rounds exceed limit {ROUNDS_LIMIT}")
         if weights is None:
             weights = (1.0,) * int(rounds)
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
@@ -125,8 +129,8 @@ class Instance:
             raise ValidationError("rounds must be >= 1")
         if len(self.weights) != self.rounds:
             raise ValidationError("weights length must equal rounds")
-        if any(w < 0 for w in self.weights):
-            raise ValidationError("round weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValidationError("round weights must be finite and non-negative")
 
         st = self.structure
         if isinstance(st, General):

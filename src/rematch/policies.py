@@ -3,14 +3,14 @@
 Committing policies (stable matching, greedy-commit, the optimal
 committing policy, the opt-follower) reselect every discovered
 successful edge in all later rounds.  The exact optimal policies come
-from an expectimax dynamic program over knowledge states; its value
-table doubles as the argmax policy for per-sample replay.
+from an expectimax dynamic program over knowledge states; per-sample
+replay derives the argmax policy from its value table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -23,6 +23,8 @@ from .model import (ENUMERATION_LIMIT, Hypergraph, Instance, KnowledgeState,
                     SampleGraph, Tables, Trace, build_tables, mask_to_set)
 
 DP_LIMIT = 12
+# the solve recurses one frame per round
+DP_ROUNDS_LIMIT = 900
 
 
 class PolicyId(str, Enum):
@@ -105,7 +107,8 @@ def _gc_trace_large(instance: Instance, real: int) -> list[int]:
 
 @dataclass
 class DpValueTable:
-    """Memoized expectimax values and argmax actions for one instance.
+    """Memoized expectimax values for one instance, and the argmax policy
+    derived from them.
 
     Keys are reachable (knowledge state, round) pairs; the public
     accessors accept a :class:`KnowledgeState` or its canonical base-3
@@ -116,10 +119,10 @@ class DpValueTable:
     On an instance with interchangeable edge classes (``Tables.classes``)
     the solve stores one state per orbit, so ``items()`` and ``len()``
     run over orbit representatives; ``value()`` maps any state to its
-    representative first.  ``action()`` and :func:`run_opt` read the
-    stored action of a representative state; at any other reachable
-    state they run the kernel's action loop on the real state
-    (``kernels.dp_action``) once and keep the result in ``_actions``.
+    representative first.  The solve stores no actions: ``action()`` and
+    ``replay()`` derive the argmax at each real state they reach from the
+    children's values (``kernels.dp_action``), once per state, and keep it
+    in ``_actions``.
     """
 
     instance: Instance
@@ -127,7 +130,8 @@ class DpValueTable:
     prune: bool
     root_value: float
     _values: dict[int, float]
-    _actions: dict[int, int]
+    _actions: dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     def _masks(self, knowledge) -> tuple[int, int]:
         if not isinstance(knowledge, KnowledgeState):
@@ -148,20 +152,41 @@ class DpValueTable:
         mask = self._actions.get(key)
         if mask is None:
             mask = self._replay_action(s, f, round_index)
-            if mask is None:
-                raise KeyError(key)
         return mask_to_set(mask)
 
-    def _replay_action(self, s: int, f: int, t: int) -> int | None:
-        """The argmax action at a state that the solve did not store, kept
-        in ``_actions``; None when the state's orbit was never reached."""
+    def _replay_action(self, s: int, f: int, t: int) -> int:
+        """The argmax action at the real state (s, f) in round t, kept in
+        ``_actions``; KeyError when the state's orbit was never reached."""
         tables = _tables_with_enum(self.instance)
+        key = self._key(s, f, t)
         cs, cf = kernels.canonical(tables.classes, s, f)
         if self._key(cs, cf, t) not in self._values:
-            return None
-        mask = self._actions[self._key(s, f, t)] = kernels.dp_action(
+            raise KeyError(key)
+        mask = self._actions[key] = kernels.dp_action(
             tables, self.commit, self.prune, self._values, s, f, t)
         return mask
+
+    def replay(self, real: int) -> list[int]:
+        """Selection masks, one per round, of the argmax policy against the
+        realization ``real`` (the mask of successful edges)."""
+        m = self.instance.num_edges
+        actions = self._actions
+        s = f = 0
+        sels = []
+        for t in range(1, self.instance.rounds + 1):
+            mask = actions.get((t << (2 * m)) | (s << m) | f)
+            if mask is None:
+                try:
+                    mask = self._replay_action(s, f, t)
+                except KeyError:
+                    raise ValidationError(
+                        "sample graph reaches a state the table never evaluated "
+                        "(inconsistent with an edge of probability 0 or 1)") from None
+            sels.append(mask)
+            unknown = mask & ~s
+            s |= unknown & real
+            f |= unknown & ~real
+        return sels
 
     def items(self):
         """Yield ((base-3 encoding, round), value) over all memoized states
@@ -180,12 +205,17 @@ class DpValueTable:
 def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTable:
     """Solve the expectimax DP over orbit states (see :class:`DpValueTable`).
 
-    The instance is admitted by its per-round orbit-state bound: a class
-    of k interchangeable edges has C(k+2, 2) orbits of success/fail/unknown
-    labels and every other edge 3 labels, and the product must stay within
-    3^``DP_LIMIT``.  Without classes that is m <= ``DP_LIMIT``.  The
-    selection enumeration then applies ``ENUMERATION_LIMIT`` to m.
+    The solve recurses one frame per round, so the horizon must stay
+    within ``DP_ROUNDS_LIMIT``.  The instance is admitted by its
+    per-round orbit-state bound: a class of k interchangeable edges has
+    C(k+2, 2) orbits of success/fail/unknown labels and every other edge
+    3 labels, and the product must stay within 3^``DP_LIMIT``.  Without
+    classes that is m <= ``DP_LIMIT``.  The selection enumeration then
+    applies ``ENUMERATION_LIMIT`` to m.
     """
+    if instance.rounds > DP_ROUNDS_LIMIT:
+        raise LimitExceededError(
+            f"DP over {instance.rounds} rounds exceeds limit {DP_ROUNDS_LIMIT}")
     tables = build_tables(instance)
     ks = [len(cls) - 1 for cls in tables.classes]
     bound = math.prod(math.comb(k + 2, 2) for k in ks) * 3 ** (tables.m - sum(ks))
@@ -193,8 +223,8 @@ def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTab
         raise LimitExceededError(
             f"DP over {bound} orbit states per round exceeds limit 3^{DP_LIMIT}")
     tables.build_enumeration()
-    root, values, actions = kernels.dp_solve(tables, commit, prune)
-    return DpValueTable(instance, commit, prune, root, values, actions)
+    root, values = kernels.dp_solve(tables, commit, prune)
+    return DpValueTable(instance, commit, prune, root, values)
 
 
 def opt_value(instance: Instance, commit: bool, prune: bool = True) -> float:
@@ -207,26 +237,8 @@ def run_opt(instance: Instance, sample: SampleGraph, table: DpValueTable) -> Tra
     """Replay the DP argmax policy against one realization."""
     if table.instance != instance:
         raise ValidationError("value table was built for a different instance")
-    m = instance.num_edges
-    actions = table._actions
-    real = sample.mask
-    s = f = 0
-    sels = []
-    for t in range(1, instance.rounds + 1):
-        try:
-            mask = actions[(t << (2 * m)) | (s << m) | f]
-        except KeyError:
-            mask = table._replay_action(s, f, t)
-            if mask is None:
-                raise ValidationError(
-                    "sample graph reaches a state the table never evaluated "
-                    "(inconsistent with an edge of probability 0 or 1)") from None
-        sels.append(mask)
-        unknown = mask & ~s
-        s |= unknown & real
-        f |= unknown & ~real
     name = PolicyId.OPT_COMMIT.value if table.commit else PolicyId.OPT.value
-    return Trace.from_selection_masks(instance, name, sels, real)
+    return Trace.from_selection_masks(instance, name, table.replay(sample.mask), sample.mask)
 
 
 # ---------------------------------------------------------------------

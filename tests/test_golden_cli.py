@@ -54,6 +54,12 @@ def _cases() -> dict[str, list[str]]:
     for variant in ("sm", "gc"):
         cases[f"lp-{variant}"] = ["lp", "--t", "6", "--variant", variant,
                                   "--solve", "--check-dual"]
+    # rejected inputs and resource limits: no stdout, and no traceback
+    cases["opt-nan-weight"] = ["opt", "--instance", str(GOLDEN / "nan-weight-instance.json")]
+    cases["opt-rounds-1100"] = ["opt", "--family", "complete-bipartite", "--n", "2",
+                                "--p", "0.5", "--rounds", "1100"]
+    cases["gen-double-star-1001"] = ["gen", "--family", "double-star", "--n", "1001"]
+    cases["lp-t-1000000-check-dual"] = ["lp", "--t", "1000000", "--check-dual"]
     return cases
 
 

@@ -6,9 +6,9 @@ import pytest
 from conftest import make_instance
 from oracles import expectation
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
-from rematch.model import (Edge, Hypergraph, Instance, KnowledgeState, ManyToOne,
-                           SampleGraph, Status, Trace, Vertex, enumerate_samples,
-                           feasible, sample, weighted_reward)
+from rematch.model import (ROUNDS_LIMIT, Edge, Hypergraph, Instance, KnowledgeState,
+                           ManyToOne, SampleGraph, Status, Trace, Vertex,
+                           enumerate_samples, feasible, sample, weighted_reward)
 from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId, run_sm
 
@@ -26,6 +26,11 @@ def test_validation_rejects_bad_instances():
         Edge(0, (1, 1), 0.5)  # repeated endpoint
     with pytest.raises(ValidationError):
         make_instance([(0, 1, 0.5)], weights=[1.0, 1.0])  # weights length
+    for w in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValidationError):
+            make_instance([(0, 1, 0.5)], rounds=2, weights=[w, 1.0])
+    with pytest.raises(LimitExceededError):  # before the weights are allocated
+        make_instance([(0, 1, 0.5)], rounds=ROUNDS_LIMIT + 1)
     with pytest.raises(ValidationError):
         make_instance([(0, 1, 2, 0.5)])  # 3 endpoints under general structure
     with pytest.raises(ValidationError):  # left vertex with capacity 2

@@ -13,7 +13,7 @@ from rematch.generators import (RandomProfile, double_star_layout, gen_complete_
 from rematch.model import (Edge, Hypergraph, Instance, KnowledgeState, ManyToOne,
                            SampleGraph, Vertex, build_tables, enumerate_samples,
                            mask_to_set, sample)
-from rematch.policies import (DP_LIMIT, _gc_trace_large, _kuhn_size,
+from rematch.policies import (DP_LIMIT, DP_ROUNDS_LIMIT, _gc_trace_large, _kuhn_size,
                               _unit_bipartite_ends, build_dp, offline_max_matching,
                               opt_value, run_alternating_scan, run_greedy_commit,
                               run_opt, run_opt_follower, run_sm)
@@ -146,8 +146,9 @@ def _class_ids(inst):
 
 
 def test_dp_solve_matches_reference_tables():
-    # without edge classes: same root, values and actions bit for bit, in
-    # the same insertion order
+    # without edge classes: same root and values bit for bit, in the same
+    # insertion order, and dp_action derives the reference action at every
+    # reference state
     instances = [gen_double_star(2, 0.1), gen_complete_bipartite(3, 0.5, rounds=3)]
     instances += [gen_random(profile, sub_seed(4242, i))
                   for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small")
@@ -158,12 +159,24 @@ def test_dp_solve_matches_reference_tables():
         assert not tables.classes, k
         for commit in (False, True):
             for prune in (False, True):
-                root, values, actions = kernels.dp_solve(tables, commit, prune)
+                root, values = kernels.dp_solve(tables, commit, prune)
                 want_root, want_values, want_actions = reference_dp_solve(
                     tables, commit, prune)
                 assert root == want_root, (k, commit, prune)
                 assert list(values.items()) == list(want_values.items()), (k, commit, prune)
-                assert list(actions.items()) == list(want_actions.items()), (k, commit, prune)
+                m = tables.m
+                for key, want in want_actions.items():
+                    s, f = (key >> m) & tables.all_mask, key & tables.all_mask
+                    got = kernels.dp_action(tables, commit, prune, values, s, f, key >> (2 * m))
+                    assert got == want, (k, commit, prune, key)
+
+
+def test_dp_table_stores_no_actions():
+    # the solve keeps values only; replay derives the actions it visits
+    table = build_dp(gen_double_star(5, 0.1), commit=False)
+    assert table._actions == {}
+    table.replay(0b1)  # the certain hub edge succeeds, every spoke fails
+    assert len(table._actions) == 25
 
 
 def _assert_matches_reference(inst, commit, prune, label):
@@ -381,6 +394,9 @@ def test_dp_limit():
     # ds9 (17 edges) passes the orbit bound and stops at the enumeration limit
     with pytest.raises(LimitExceededError, match="enumeration over 17 edges"):
         build_dp(gen_double_star(9, 0.1), commit=False)
+    # the solve recurses once per round
+    with pytest.raises(LimitExceededError, match="rounds"):
+        build_dp(make_instance([(0, 1, 0.5)], rounds=DP_ROUNDS_LIMIT + 1), commit=False)
 
 
 def test_commit_property_on_random_instances():
