@@ -16,11 +16,22 @@ the committing reference run:
 Charging bounds are combinatorial and checked per sample with zero
 tolerance; domination bounds are expectation-level claims and are only
 ever checked in expectation (exactly via enumeration, or by Monte Carlo
-with a stated confidence multiplier).  This module is the one owner of
-the lemma rules: which checks apply to an instance (``default_lemmas``),
-the charging lemma and factor (``charging_rule``) and the domination
-rows (``_DOMINATION_VARIANTS``), read by ``verify``, the CLI and the
-acceptance suites alike.
+with a stated confidence multiplier).
+
+The exact pass (``coupling_expectations``) traces every run on every
+sample graph of positive probability, then groups the samples into
+footprint classes: samples on which every run makes the same selections
+and the selected edges have the same outcomes.  The decompositions, the
+checks and the counts read a sample only through those, so they run
+once per class, weighted by the class probability.  Probabilities are
+floats, hence dyadic rationals, so every expectation is summed exactly
+as an integer over a power of two and rounded once: each ``e_*`` value
+is correctly rounded, whatever the grouping or the enumeration order.
+
+This module is the one owner of the lemma rules: which checks apply to
+an instance (``default_lemmas``), the charging lemma and factor
+(``charging_rule``) and the domination rows (``_DOMINATION_VARIANTS``),
+read by ``verify``, the CLI and the acceptance suites alike.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
@@ -281,12 +293,13 @@ def decompose_capacitated(ref_trace: Trace, opt_trace: Trace, t: int) -> Decompo
 
 
 # ---------------------------------------------------------------------
-# exact coupling engine
+# exact coupling summary
 
 
 @dataclass
 class CouplingSummary:
-    """Exact (enumeration) expectations and per-sample check results."""
+    """Exact (enumeration) expectations, each correctly rounded, and
+    per-sample check results."""
 
     instance: Instance
     horizons: list[int]
@@ -367,8 +380,27 @@ def default_lemmas(instance: Instance) -> list[str]:
 
 @lru_cache(maxsize=64)
 def coupling_expectations(instance: Instance) -> CouplingSummary:
-    """One exact pass: traces for every policy on every sample graph,
-    decompositions at every horizon, expectations and per-sample checks."""
+    """One exact pass over the sample graphs of positive probability.
+
+    *Group.*  Every run (sm, gc, opt, opt-commit, opt-follower) is traced
+    on each sample, and the sample's probability is added to its
+    footprint class: every run's selection masks together with the
+    sample's outcomes on the union of those masks.  The rest of the pass
+    reads a sample only through ``selection & real``, so all samples of a
+    class give the same decompositions, checks and counts.
+
+    *Evaluate.*  Once per class: decompositions at every horizon, the
+    partition and commit checks, the charging worst cases (which need no
+    weight) and the counts, weighted by the class probability.
+
+    Each probability is a float, hence a dyadic rational; it is scaled to
+    an integer over the instance's largest power-of-two denominator 2^K,
+    and every sum is an exact integer, rounded once by int/int division.
+    Every ``e_*`` value is therefore the correctly rounded expectation,
+    whatever the grouping or the enumeration order.  ``e_reward`` weights
+    the exact per-round success sums by the round weights in ``Fraction``
+    arithmetic and is rounded once too.
+    """
     tables = build_tables(instance)
     tables.build_enumeration()
     T = instance.rounds
@@ -384,17 +416,37 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     table = build_dp(instance, commit=False)
     table_c = build_dp(instance, commit=True)
 
-    e_new = {name: [0.0] * T for name in run_names}
-    e_succ = {name: [0.0] * T for name in run_names}
-    e_opt_succ = [0.0] * T
-    e_aug = {r: {} for r in refs}
-    e_adj = {r: {} for r in refs}
-    e_remainder: dict[tuple[int, int], float] | None = {} if with_cap else None
-    e_reward = {"sm": 0.0, "opt": 0.0, "opt_commit": 0.0}
-    if with_gc:
-        e_reward["gc"] = 0.0
-    if with_follower:
-        e_reward["opt_follower"] = 0.0
+    # scaled probabilities: prob = num / 2^k exactly, with 2^K the common denominator
+    samples = []
+    for smp, prob in enumerate_samples(instance):
+        if prob > 0.0:
+            num, den = prob.as_integer_ratio()
+            samples.append((smp.mask, num, den.bit_length() - 1))
+    K = max((k for _, _, k in samples), default=0)
+
+    # group: footprint key -> summed scaled probability
+    footprints: dict[tuple, int] = {}
+    for real, num, k in samples:
+        opt_sels = table.replay(real)
+        sels = opt_sels + table_c.replay(real) + kernels.sm_trace(tables, real)
+        if with_gc:
+            sels += kernels.gc_trace(tables, real)
+        if with_follower:
+            sels += follower_masks(tables, opt_sels, real)
+        union = 0
+        for sel in sels:
+            union |= sel
+        sels.append(real & union)
+        key = tuple(sels)
+        footprints[key] = footprints.get(key, 0) + (num << (K - k))
+
+    # evaluate: once per class, with exact integer sums
+    names = ["opt", "opt_commit"] + run_names
+    succ = {name: [0] * T for name in names}
+    new_sums = {name: [0] * T for name in run_names}
+    aug_sums = {r: {} for r in refs}
+    adj_sums = {r: {} for r in refs}
+    rem_sums: dict[tuple[int, int], int] = {}
     charging_worst = {r: {} for r in refs}
     occ_charging_worst = {} if with_cap else None
     partition_ok = True
@@ -402,53 +454,35 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     charging_factor = charging_rule(instance)[1]
     occ_factor = _occupancy_rule(instance)[1]
 
-    weights = instance.weights
-
-    def reward(sels, real):
-        return sum(w * (sel & real).bit_count() for w, sel in zip(weights, sels))
-
-    for smp, prob in enumerate_samples(instance):
-        if prob == 0.0:
-            continue
-        real = smp.mask
-        runs: dict[str, list[int]] = {"sm": kernels.sm_trace(tables, real)}
-        if with_gc:
-            runs["gc"] = kernels.gc_trace(tables, real)
-        opt_sels = table.replay(real)
-        optc_sels = table_c.replay(real)
-        if with_follower:
-            runs["opt_follower"] = follower_masks(tables, opt_sels, real)
-
-        e_reward["sm"] += prob * reward(runs["sm"], real)
-        e_reward["opt"] += prob * reward(opt_sels, real)
-        e_reward["opt_commit"] += prob * reward(optc_sels, real)
-        if with_gc:
-            e_reward["gc"] += prob * reward(runs["gc"], real)
-        if with_follower:
-            e_reward["opt_follower"] += prob * reward(runs["opt_follower"], real)
-
-        commit_ok &= all(_commits(sels, real) for sels in runs.values())
-        commit_ok &= _commits(optc_sels, real)
+    for footprint, w in footprints.items():
+        real = footprint[-1]
+        runs = {name: footprint[i * T:(i + 1) * T] for i, name in enumerate(names)}
+        opt_sels = runs["opt"]
+        commit_ok &= all(_commits(runs[name], real) for name in names[1:])
 
         for name, sels in runs.items():
-            new = _new_masks(sels, real)
+            row = succ[name]
             for t in horizons:
-                e_new[name][t - 1] += prob * new[t - 1].bit_count()
-                e_succ[name][t - 1] += prob * (sels[t - 1] & real).bit_count()
-        for t in horizons:
-            e_opt_succ[t - 1] += prob * (opt_sels[t - 1] & real).bit_count()
+                c = (sels[t - 1] & real).bit_count()
+                if c:
+                    row[t - 1] += w * c
+        for name in run_names:
+            row = new_sums[name]
+            for t, mask in enumerate(_new_masks(runs[name], real)):
+                if mask:
+                    row[t] += w * mask.bit_count()
 
         for name in refs:
-            aug_sums, adj_sums = e_aug[name], e_adj[name]
+            aug_w, adj_w = aug_sums[name], adj_sums[name]
             for t, o_mask, new, (aug, adj) in _decompositions(
                     tables, True, runs[name], opt_sels, real, horizons):
                 partition_ok &= _is_partition(o_mask, [*aug.values(), *adj.values()])
                 for i, mask in aug.items():
                     key = (t, i)
-                    aug_sums[key] = aug_sums.get(key, 0.0) + prob * mask.bit_count()
+                    aug_w[key] = aug_w.get(key, 0) + w * mask.bit_count()
                 for (i, j), mask in adj.items():
                     key3 = (t, i, j)
-                    adj_sums[key3] = adj_sums.get(key3, 0.0) + prob * mask.bit_count()
+                    adj_w[key3] = adj_w.get(key3, 0) + w * mask.bit_count()
                 _charge(charging_worst[name], t, charging_factor, new, adj=adj)
         if with_cap:
             sm_sels = runs["sm"]
@@ -457,14 +491,27 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 partition_ok &= _is_partition(o_mask, [overlap, occ, *rem.values()])
                 for i, mask in rem.items():
                     key = (t, i)
-                    e_remainder[key] = e_remainder.get(key, 0.0) + prob * mask.bit_count()
+                    rem_sums[key] = rem_sums.get(key, 0) + w * mask.bit_count()
                 _charge(occ_charging_worst, t, occ_factor, occ=occ,
                         s_le=sm_sels[t - 1] & real)
 
+    scale = 1 << K  # int / int true division rounds correctly
+
+    def rounded(sums: dict) -> dict:
+        return {key: total / scale for key, total in sums.items()}
+
+    weights = [Fraction(w) for w in instance.weights]
+    e_reward = {name: float(sum(w * total for w, total in zip(weights, succ[name]))
+                            / scale)
+                for name in ["sm", "opt", "opt_commit"] + run_names[1:]}
     return CouplingSummary(
         instance=instance, horizons=horizons, references=refs,
-        e_new=e_new, e_succ=e_succ, e_opt_succ=e_opt_succ,
-        e_aug=e_aug, e_adj=e_adj, e_remainder=e_remainder, e_reward=e_reward,
+        e_new={name: [total / scale for total in new_sums[name]] for name in run_names},
+        e_succ={name: [total / scale for total in succ[name]] for name in run_names},
+        e_opt_succ=[total / scale for total in succ["opt"]],
+        e_aug={r: rounded(aug_sums[r]) for r in refs},
+        e_adj={r: rounded(adj_sums[r]) for r in refs},
+        e_remainder=rounded(rem_sums) if with_cap else None, e_reward=e_reward,
         opt_value=table.root_value, opt_commit_value=table_c.root_value,
         charging_worst=charging_worst, occ_charging_worst=occ_charging_worst,
         partition_ok=partition_ok, commit_ok=commit_ok)

@@ -32,7 +32,9 @@ the last round are worth 0.0, so their outcome loop is skipped: adding
 
 ``dp_solve`` stores values only.  The policy is greedy in them:
 ``dp_action`` derives the action at a state from its children's values,
-and replay calls it once per state it visits.
+and replay calls it once per state it visits.  Replay keeps its own
+fitting-action and outcome tables, filled lazily by ``dp_action`` with
+the same keys, so the solve's tables are freed when it returns.
 
 When the instance has interchangeable edge classes (``tables.classes``,
 see ``model.Tables``), ``dp_solve`` works on orbits of knowledge states:
@@ -302,7 +304,7 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict]:
 
 
 def dp_action(tables, commit: bool, prune: bool, values: dict,
-              s: int, f: int, t: int) -> int:
+              s: int, f: int, t: int, fitting: dict, outcomes: dict) -> int:
     """Argmax action at the real state (s, f) in round t of a solved table.
 
     This is the policy's only argmax: it scores every fitting action in
@@ -311,20 +313,31 @@ def dp_action(tables, commit: bool, prune: bool, values: dict,
     action (``lex_less`` on the real masks).  Every child must be in
     ``values``: the children of a reached state are, up to an automorphism,
     those of its orbit representative under representative actions.
+
+    ``fitting`` (available mask -> fitting actions) and ``outcomes``
+    (unknown mask -> outcome table) are the caller's memos of the lists
+    ``dp_solve`` keys the same way; calls on one table may share them.
     """
     m = tables.m
     p = tables.p
     classes = tables.classes
     avail = ((tables.all_mask & ~(s | f)) & tables.posp_mask) | s
+    cands = fitting.get(avail)
+    if cands is None:
+        cands = fitting[avail] = _fitting(tables, prune, avail)
     w_t = tables.weights[t - 1]
     last = t == len(tables.weights)
     child_round = (t + 1) << (2 * m)
     best_v = -1.0
     best_a = 0
-    for mask in _fitting(tables, prune, avail):
+    for mask in cands:
         if commit and (mask & s) != s:
             continue
-        sp, outs = _outcome_table(p, mask & ~s)
+        unknown = mask & ~s
+        entry = outcomes.get(unknown)
+        if entry is None:
+            entry = outcomes[unknown] = _outcome_table(p, unknown)
+        sp, outs = entry
         v = w_t * ((mask & s).bit_count() + sp)
         if not last:
             for r, q, pr in outs:

@@ -122,7 +122,9 @@ class DpValueTable:
     representative first.  The solve stores no actions: ``action()`` and
     ``replay()`` derive the argmax at each real state they reach from the
     children's values (``kernels.dp_action``), once per state, and keep it
-    in ``_actions``.
+    in ``_actions``.  The fitting actions per available mask and the
+    outcome tables per unknown mask those derivations read are kept in
+    ``_fitting`` and ``_outcomes``, filled as replay reaches them.
     """
 
     instance: Instance
@@ -132,6 +134,10 @@ class DpValueTable:
     _values: dict[int, float]
     _actions: dict[int, int] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
+    _fitting: dict[int, list[int]] = field(default_factory=dict, init=False,
+                                           repr=False, compare=False)
+    _outcomes: dict[int, tuple] = field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
     def _masks(self, knowledge) -> tuple[int, int]:
         if not isinstance(knowledge, KnowledgeState):
@@ -163,7 +169,8 @@ class DpValueTable:
         if self._key(cs, cf, t) not in self._values:
             raise KeyError(key)
         mask = self._actions[key] = kernels.dp_action(
-            tables, self.commit, self.prune, self._values, s, f, t)
+            tables, self.commit, self.prune, self._values, s, f, t,
+            self._fitting, self._outcomes)
         return mask
 
     def replay(self, real: int) -> list[int]:

@@ -36,6 +36,9 @@ KERNEL_SEED = 808
 
 UNIT_COUNT = 200
 GENERAL_COUNT = 100
+# relative gap allowed between a replayed policy's exact expected reward
+# and the DP root value it was derived from
+EVALUATION_RTOL = 1e-12
 
 
 @dataclass
@@ -257,13 +260,19 @@ def criterion_5_separation(unit: list[CouplingSummary] | None = None,
         for name, value in s.e_reward.items():
             if name != "opt" and value > s.e_reward["opt"] + EXACT_TOL:
                 dominance_bad += 1
+    # policy evaluation: the replayed argmax policies earn the DP root values
+    evaluation_bad = sum(
+        abs(s.e_reward["opt"] - s.opt_value) > EVALUATION_RTOL * abs(s.opt_value)
+        or abs(s.e_reward["opt_commit"] - s.opt_commit_value)
+        > EVALUATION_RTOL * abs(s.opt_commit_value)
+        for s in all_summaries + [sep_summary])
     ok = (gap > 0 and cond_ok and sandwich_bad == 0 and follower_bad == 0
-          and dominance_bad == 0)
+          and dominance_bad == 0 and evaluation_bad == 0)
     return CriterionResult(5, "separation-commit", ok, {
         "opt_value": table.root_value, "opt_commit_value": table_c.root_value,
         "gap": gap, "conditional_round2": conds, "conditional_ok": cond_ok,
         "sandwich_violations": sandwich_bad, "follower_violations": follower_bad,
-        "dominance_violations": dominance_bad})
+        "dominance_violations": dominance_bad, "evaluation_violations": evaluation_bad})
 
 
 # ---------------------------------------------------------------------

@@ -12,19 +12,25 @@ round from scratch, and serve as references for the versions that stop
 once a round can no longer change anything.  So is the expectimax DP
 after them, as first written, which rebuilds every action's candidate
 filters and outcome products at every state; the kernel must reproduce
-its tables exactly, insertion order included.  So, last, is the Monte
-Carlo reduction as first written, which keeps every trial's result before
-summing; the streamed sums must match it bit for bit.
+its tables exactly, insertion order included.  So is the Monte Carlo
+reduction as first written, which keeps every trial's result before
+summing; the streamed sums must match it bit for bit.  So, last, is the
+exact coupling pass as first written, one sample at a time with no
+grouping, here summing in ``Fraction``: every expectation of the grouped
+pass must be its correct rounding.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
+from rematch import coupling, kernels
 from rematch.kernels import lex_less
 from rematch.matching import WeightedSubproblem, max_weight_matching
-from rematch.model import Instance, enumerate_samples, feasible, sample
+from rematch.model import (Hypergraph, Instance, build_tables, enumerate_samples,
+                           feasible, sample)
 from rematch.montecarlo import RewardStats, make_runner
-from rematch.policies import PolicyId
+from rematch.policies import PolicyId, build_dp, follower_masks
 from rematch.rng import sub_seed
 
 
@@ -299,3 +305,88 @@ def monte_carlo_list_reduce(instance: Instance, policy: PolicyId, trials: int,
         per_mean.append(mu)
         per_se.append(s_e)
     return RewardStats(policy.value, trials, seed, mean, se, per_mean, per_se)
+
+
+# ---------------------------------------------------------------------
+# reference exact coupling pass: one sample at a time, exact sums
+
+
+def reference_coupling_expectations(instance: Instance) -> dict:
+    """The fields of ``coupling.coupling_expectations``, summed per sample
+    in ``Fraction``: every ``e_*`` value is exact (round it with
+    ``float``), the charging worst cases and checks are as computed."""
+    tables = build_tables(instance)
+    tables.build_enumeration()
+    T = instance.rounds
+    horizons = range(1, T + 1)
+    hyper = isinstance(instance.structure, Hypergraph)
+    refs = coupling._references(instance)
+    with_gc = not hyper
+    with_follower = bool(refs) and not hyper
+    run_names = ["sm"] + (["gc"] if with_gc else []) + (
+        ["opt_follower"] if with_follower else [])
+    table = build_dp(instance, commit=False)
+    table_c = build_dp(instance, commit=True)
+    charging_factor = coupling.charging_rule(instance)[1]
+    occ_factor = coupling._occupancy_rule(instance)[1]
+    zero = Fraction(0)
+    out = {
+        "e_new": {name: [zero] * T for name in run_names},
+        "e_succ": {name: [zero] * T for name in run_names},
+        "e_opt_succ": [zero] * T,
+        "e_aug": {r: {} for r in refs}, "e_adj": {r: {} for r in refs},
+        "e_remainder": None if hyper else {},
+        "e_reward": {name: zero for name in ["sm", "opt", "opt_commit"] + run_names[1:]},
+        "charging_worst": {r: {} for r in refs},
+        "occ_charging_worst": None if hyper else {},
+        "partition_ok": True, "commit_ok": True,
+    }
+    weights = [Fraction(w) for w in instance.weights]
+
+    def reward(sels, real):
+        return sum(w * (sel & real).bit_count() for w, sel in zip(weights, sels))
+
+    for smp, prob in enumerate_samples(instance):
+        if prob == 0.0:
+            continue
+        prob = Fraction(prob)
+        real = smp.mask
+        runs = {"sm": kernels.sm_trace(tables, real)}
+        if with_gc:
+            runs["gc"] = kernels.gc_trace(tables, real)
+        opt_sels = table.replay(real)
+        optc_sels = table_c.replay(real)
+        if with_follower:
+            runs["opt_follower"] = follower_masks(tables, opt_sels, real)
+        for name, sels in [*runs.items(), ("opt", opt_sels), ("opt_commit", optc_sels)]:
+            out["e_reward"][name] += prob * reward(sels, real)
+            out["commit_ok"] &= name == "opt" or coupling._commits(sels, real)
+        for name, sels in runs.items():
+            new = coupling._new_masks(sels, real)
+            for t in horizons:
+                out["e_new"][name][t - 1] += prob * new[t - 1].bit_count()
+                out["e_succ"][name][t - 1] += prob * (sels[t - 1] & real).bit_count()
+        for t in horizons:
+            out["e_opt_succ"][t - 1] += prob * (opt_sels[t - 1] & real).bit_count()
+        for name in refs:
+            aug_sums, adj_sums = out["e_aug"][name], out["e_adj"][name]
+            for t, o_mask, new, (aug, adj) in coupling._decompositions(
+                    tables, True, runs[name], opt_sels, real, horizons):
+                out["partition_ok"] &= coupling._is_partition(
+                    o_mask, [*aug.values(), *adj.values()])
+                for i, mask in aug.items():
+                    aug_sums[t, i] = aug_sums.get((t, i), zero) + prob * mask.bit_count()
+                for (i, j), mask in adj.items():
+                    adj_sums[t, i, j] = adj_sums.get((t, i, j), zero) + prob * mask.bit_count()
+                coupling._charge(out["charging_worst"][name], t, charging_factor, new, adj=adj)
+        if not hyper:
+            rem_sums = out["e_remainder"]
+            for t, o_mask, _, (overlap, occ, rem) in coupling._decompositions(
+                    tables, False, runs["sm"], opt_sels, real, horizons):
+                out["partition_ok"] &= coupling._is_partition(
+                    o_mask, [overlap, occ, *rem.values()])
+                for i, mask in rem.items():
+                    rem_sums[t, i] = rem_sums.get((t, i), zero) + prob * mask.bit_count()
+                coupling._charge(out["occ_charging_worst"], t, occ_factor, occ=occ,
+                                 s_le=runs["sm"][t - 1] & real)
+    return out

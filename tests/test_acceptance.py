@@ -56,7 +56,9 @@ def test_criterion_4_ratio_bounds(unit_suite, generalized_suite):
 
 
 def test_criterion_5_separation_and_follower(unit_suite, generalized_suite):
-    _report(suites.criterion_5_separation(unit_suite.data, generalized_suite.data))
+    result = suites.criterion_5_separation(unit_suite.data, generalized_suite.data)
+    _report(result)
+    assert result.details["evaluation_violations"] == 0
 
 
 def test_criterion_6_upper_bound_gap():

@@ -1,13 +1,15 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from conftest import make_instance
-from oracles import expectation
+from oracles import expectation, reference_coupling_expectations
 from rematch.coupling import (coupling_expectations, decompose, decompose_capacitated,
                               verify_charging, verify_domination)
 from rematch.errors import ValidationError
-from rematch.generators import gen_random, gen_separation
+from rematch.generators import (gen_complete_bipartite, gen_double_star, gen_random,
+                                gen_separation)
 from rematch.model import (Edge, Instance, ManyToOne, SampleGraph, Trace, Vertex,
                            enumerate_samples, sample)
 from rematch.policies import build_dp, run_opt, run_sm
@@ -183,3 +185,43 @@ def test_summary_reward_expectations_match_direct_enumeration():
     assert s.e_reward["sm"] == pytest.approx(direct, abs=1e-12)
     assert s.e_reward["opt"] == pytest.approx(s.opt_value, abs=1e-9)
     assert s.e_reward["opt_commit"] == pytest.approx(s.opt_commit_value, abs=1e-9)
+
+
+_E_FIELDS = ("e_new", "e_succ", "e_opt_succ", "e_aug", "e_adj", "e_remainder", "e_reward")
+
+
+def _bits(x):
+    """Floats as their hex strings, exact values rounded once first."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_bits(v) for v in x]
+    if isinstance(x, Fraction):
+        x = float(x)
+    return None if x is None else x.hex()
+
+
+def _oracle_instances():
+    for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small"):
+        for i in range(10):
+            yield f"{profile}-{i}", gen_random(profile, sub_seed(61, i))
+    for n in (2, 3, 4):
+        yield f"ds{n}", gen_double_star(n, 0.1)
+    yield "k33", gen_complete_bipartite(3, 0.5, rounds=2)
+    base = gen_random("cap-small", sub_seed(62, 0))
+    weights = [0.7, 1.3, 0.1, 2.5, 1.1][:base.rounds]
+    yield "weighted", Instance(base.vertices, base.edges, base.rounds, weights, base.structure)
+
+
+def test_grouped_pass_rounds_the_exact_per_sample_sums():
+    """Every expectation of the grouped pass is the correct rounding of the
+    per-sample sum, and the worst cases and checks are the per-sample ones."""
+    for label, inst in _oracle_instances():
+        got = coupling_expectations(inst)
+        want = reference_coupling_expectations(inst)
+        for name in _E_FIELDS:
+            assert _bits(getattr(got, name)) == _bits(want[name]), (label, name)
+        for name in ("charging_worst", "occ_charging_worst", "partition_ok", "commit_ok"):
+            assert getattr(got, name) == want[name], (label, name)
+        assert got.partition_ok and got.commit_ok, label
+    assert any(w != 1.0 for w in inst.weights)

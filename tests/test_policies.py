@@ -165,18 +165,22 @@ def test_dp_solve_matches_reference_tables():
                 assert root == want_root, (k, commit, prune)
                 assert list(values.items()) == list(want_values.items()), (k, commit, prune)
                 m = tables.m
+                fitting, outcomes = {}, {}  # shared across states, as replay shares them
                 for key, want in want_actions.items():
                     s, f = (key >> m) & tables.all_mask, key & tables.all_mask
-                    got = kernels.dp_action(tables, commit, prune, values, s, f, key >> (2 * m))
+                    got = kernels.dp_action(tables, commit, prune, values, s, f,
+                                            key >> (2 * m), fitting, outcomes)
                     assert got == want, (k, commit, prune, key)
 
 
 def test_dp_table_stores_no_actions():
     # the solve keeps values only; replay derives the actions it visits
     table = build_dp(gen_double_star(5, 0.1), commit=False)
-    assert table._actions == {}
+    assert table._actions == table._fitting == table._outcomes == {}
     table.replay(0b1)  # the certain hub edge succeeds, every spoke fails
     assert len(table._actions) == 25
+    # replay's own action lists and outcome tables, one per distinct key
+    assert 0 < len(table._fitting) <= 25 and table._outcomes
 
 
 def _assert_matches_reference(inst, commit, prune, label):
