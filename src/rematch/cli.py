@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``gen`` writes instance JSON, ``simulate`` runs Monte
-Carlo policy simulation, ``verify`` checks coupling lemmas, ``lp``
+Carlo policy simulation, ``verify`` checks coupling lemmas exactly, ``lp``
 solves/validates the factor-revealing LPs, ``opt`` evaluates the exact
 DP value, ``reproduce`` reruns the named acceptance bundles.
 
@@ -100,10 +100,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=1,
                    help="number of random instances when using --profile")
     p.add_argument("--lemma", choices=_LEMMA_CHOICES + ("all",), default="all")
-    p.add_argument("--mode", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--t", type=int, help="horizon (default: instance rounds)")
-    p.add_argument("--trials", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("lp", help="factor-revealing LP")
     p.add_argument("--t", type=int, required=True)
@@ -124,7 +121,6 @@ def build_parser() -> _Parser:
 
 
 def _run_verify(args, out) -> int:
-    mode = args.mode.replace("-", "_")
     if args.profile and not args.instance:
         if args.count < 1:
             raise UsageError("--count must be >= 1")
@@ -139,11 +135,9 @@ def _run_verify(args, out) -> int:
                   [args.lemma.removeprefix("domination-").replace("-", "_")])
         for lemma in lemmas:
             if lemma == "charging":
-                report = coupling.verify_charging(inst, t, mode, trials=args.trials,
-                                                  seed=args.seed)
+                report = coupling.verify_charging(inst, t)
             else:
-                report = coupling.verify_domination(inst, t, lemma, mode,
-                                                    trials=args.trials, seed=args.seed)
+                report = coupling.verify_domination(inst, t, lemma)
             all_ok &= report.verdict
             _dump(report.to_json(), out)
     return 0 if all_ok else 2

@@ -15,8 +15,8 @@ the committing reference run:
 
 Charging bounds are combinatorial and checked per sample with zero
 tolerance; domination bounds are expectation-level claims and are only
-ever checked in expectation (exactly via enumeration, or by Monte Carlo
-with a stated confidence multiplier).
+ever checked in expectation.  Both are checked exactly, over every
+sample graph of positive probability; no check estimates by sampling.
 
 The exact pass (``coupling_expectations``) traces every run on every
 sample graph of positive probability, then groups the samples into
@@ -37,7 +37,6 @@ read by ``verify``, the CLI and the acceptance suites alike.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,12 +45,12 @@ from . import kernels
 from .errors import ValidationError
 from .model import (Hypergraph, Instance, ManyToOne, Trace,
                     build_tables, enumerate_samples, mask_to_set)
-from .policies import build_dp, follower_masks, run_opt
-from .rng import sub_seed
-from .model import sample as draw_sample
+from .policies import build_dp, follower_masks
+# benchmarks/perf/selftest.py requires these two bindings to patch
+from .model import sample as draw_sample  # noqa: F401
+from .policies import run_opt  # noqa: F401
 
 EXACT_TOL = 1e-9
-MC_CONFIDENCE = 4.0
 
 
 # ---------------------------------------------------------------------
@@ -523,31 +522,18 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
 
 @dataclass
 class LemmaReport:
-    """Per-index left/right values for one lemma check.
-
-    Exact mode carries no standard errors; Monte Carlo verdicts flag a
-    violation only when the mean gap exceeds ``confidence`` standard
-    errors of the per-trial gap.
-    """
+    """Per-index left/right values of one lemma check, read from the exact pass."""
 
     lemma: str
-    mode: str
+    mode: str  # always "exact"; kept so ``rematch verify`` output keeps its bytes
     indices: list[dict]
     lhs: list[float]
     rhs: list[float]
     verdict: bool
-    stderr: list[float] | None = None
-    confidence: float | None = None
-    trials: int | None = None
 
     def to_json(self) -> dict:
-        out = {"lemma": self.lemma, "mode": self.mode, "indices": self.indices,
-               "lhs": self.lhs, "rhs": self.rhs, "verdict": self.verdict}
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-            out["confidence"] = self.confidence
-            out["trials"] = self.trials
-        return out
+        return {"lemma": self.lemma, "mode": self.mode, "indices": self.indices,
+                "lhs": self.lhs, "rhs": self.rhs, "verdict": self.verdict}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -565,27 +551,6 @@ _DOMINATION_VARIANTS = {
 }
 
 
-def _domination_pairs(instance, t, variant, aug, adj, rem, new_sizes):
-    """Yield (index descriptor, lhs, rhs) for one realization or expectation table."""
-    ref, factor, shape = _DOMINATION_VARIANTS[variant]
-    if variant == "hypergraph":
-        factor = float(instance.structure.k)
-    if shape == "per_round":
-        for i in range(1, t + 1):
-            lhs = aug.get((t, i), 0.0)
-            yield {"t": t, "i": i}, lhs, factor * new_sizes[i - 1]
-    elif shape == "tail":
-        for i in range(1, t + 1):
-            base = aug.get((t, i), 0.0)
-            for j in range(1, t + 1):
-                lhs = base + sum(adj.get((t, i, q), 0.0) for q in range(j, t + 1))
-                yield {"t": t, "i": i, "j": j}, lhs, factor * new_sizes[j - 1]
-    else:
-        for i in range(1, t + 1):
-            lhs = rem.get((t, i), 0.0)
-            yield {"t": t, "i": i}, lhs, factor * new_sizes[i - 1]
-
-
 def _check_variant(instance: Instance, variant: str) -> None:
     """Reject a variant the exact pass keeps no expectation table for."""
     if variant not in _DOMINATION_VARIANTS:
@@ -601,14 +566,23 @@ def _check_variant(instance: Instance, variant: str) -> None:
 
 
 def _exact_pairs(summary: CouplingSummary, t: int, variant: str):
-    """The rows of one domination variant at horizon t, in expectation."""
-    ref, _, shape = _DOMINATION_VARIANTS[variant]
-    if shape == "remainder":
-        aug, adj, rem = {}, {}, summary.e_remainder
+    """Yield (index descriptor, lhs, rhs) per row of one domination variant
+    at horizon t, in expectation."""
+    ref, factor, shape = _DOMINATION_VARIANTS[variant]
+    if variant == "hypergraph":
+        factor = float(summary.instance.structure.k)
+    new = summary.e_new[ref]
+    if shape == "tail":
+        aug, adj = summary.e_aug[ref], summary.e_adj[ref]
+        for i in range(1, t + 1):
+            base = aug.get((t, i), 0.0)
+            for j in range(1, t + 1):
+                lhs = base + sum(adj.get((t, i, q), 0.0) for q in range(j, t + 1))
+                yield {"t": t, "i": i, "j": j}, lhs, factor * new[j - 1]
     else:
-        aug, adj, rem = summary.e_aug[ref], summary.e_adj[ref], {}
-    return _domination_pairs(summary.instance, t, variant, aug, adj, rem,
-                             summary.e_new[ref])
+        table = summary.e_remainder if shape == "remainder" else summary.e_aug[ref]
+        for i in range(1, t + 1):
+            yield {"t": t, "i": i}, table.get((t, i), 0.0), factor * new[i - 1]
 
 
 def domination_violations(summary: CouplingSummary, variant: str) -> int:
@@ -618,121 +592,47 @@ def domination_violations(summary: CouplingSummary, variant: str) -> int:
                for _, lhs, rhs in _exact_pairs(summary, t, variant))
 
 
-def _mc_trials(instance: Instance, reference: str, trials: int, seed: int):
-    """Yield (sample mask, reference selections, opt selections) per seeded trial."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    tables = build_tables(instance)
-    tables.build_enumeration()
-    trace = kernels.sm_trace if reference == "sm" else kernels.gc_trace
-    table = _cached_dp(instance)
-    for trial in range(trials):
-        smp = draw_sample(instance, sub_seed(seed, trial))
-        real = smp.mask
-        yield real, trace(tables, real), run_opt(instance, smp, table).selection_masks()
+def _check_mode(mode: str) -> None:
+    # benchmarks/perf/workloads.py still passes "exact" positionally
+    if mode != "exact":
+        raise ValidationError(f"unknown mode {mode!r}")
 
 
-def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exact",
-                      trials: int = 20000, seed: int = 0) -> LemmaReport:
-    """Expectation-level domination inequalities; never asserted per sample."""
+def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exact"
+                      ) -> LemmaReport:
+    """Expectation-level domination inequalities from the exact pass; never
+    asserted per sample."""
+    _check_mode(mode)
     _check_variant(instance, variant)
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
-    ref, _, shape = _DOMINATION_VARIANTS[variant]
-    lemma = f"domination_{variant}"
-    if mode == "exact":
-        rows = list(_exact_pairs(coupling_expectations(instance), t, variant))
-        indices = [r[0] for r in rows]
-        lhs = [r[1] for r in rows]
-        rhs = [r[2] for r in rows]
-        verdict = all(a <= b + EXACT_TOL for a, b in zip(lhs, rhs))
-        return LemmaReport(lemma, "exact", indices, lhs, rhs, verdict)
-    if mode != "monte_carlo":
-        raise ValidationError(f"unknown mode {mode!r}")
-    tables = build_tables(instance)
-    unit = shape != "remainder"
-    sums: dict = {}
-    sq: dict = {}
-    indices = None
-    for real, ref_sels, opt_sels in _mc_trials(instance, ref, trials, seed):
-        _, _, new, classes = next(_decompositions(
-            tables, unit, ref_sels, opt_sels, real, (t,)))
-        new_sizes = [m.bit_count() for m in new[:t]]
-        if unit:
-            aug = {(t, i): float(m.bit_count()) for i, m in classes[0].items()}
-            adj = {(t, i, j): float(m.bit_count()) for (i, j), m in classes[1].items()}
-            rem = {}
-        else:
-            aug, adj = {}, {}
-            rem = {(t, i): float(m.bit_count()) for i, m in classes[2].items()}
-        rows = list(_domination_pairs(instance, t, variant, aug, adj, rem, new_sizes))
-        if indices is None:
-            indices = [r[0] for r in rows]
-            sums = {k: [0.0, 0.0] for k in range(len(rows))}
-            sq = {k: 0.0 for k in range(len(rows))}
-        for k, (_, a, b) in enumerate(rows):
-            sums[k][0] += a
-            sums[k][1] += b
-            sq[k] += (a - b) ** 2
-    lhs, rhs, stderr = [], [], []
-    verdict = True
-    for k in range(len(indices)):
-        la, rb = sums[k][0] / trials, sums[k][1] / trials
-        gap_mean = la - rb
-        var = max(sq[k] / trials - gap_mean * gap_mean, 0.0)
-        se = math.sqrt(var / trials) if trials > 1 else 0.0
-        lhs.append(la)
-        rhs.append(rb)
-        stderr.append(se)
-        if gap_mean > MC_CONFIDENCE * se + EXACT_TOL:
-            verdict = False
-    return LemmaReport(lemma, "monte_carlo", indices, lhs, rhs, verdict,
-                       stderr=stderr, confidence=MC_CONFIDENCE, trials=trials)
-
-
-@lru_cache(maxsize=64)
-def _cached_dp(instance: Instance):
-    return build_dp(instance, commit=False)
+    rows = list(_exact_pairs(coupling_expectations(instance), t, variant))
+    lhs = [r[1] for r in rows]
+    rhs = [r[2] for r in rows]
+    verdict = all(a <= b + EXACT_TOL for a, b in zip(lhs, rhs))
+    return LemmaReport(f"domination_{variant}", "exact", [r[0] for r in rows],
+                       lhs, rhs, verdict)
 
 
 def verify_charging(instance: Instance, t: int, mode: str = "exact",
-                    reference: str = "sm", trials: int = 20000, seed: int = 0
-                    ) -> LemmaReport:
+                    reference: str = "sm") -> LemmaReport:
     """Per-sample charging bounds (combinatorial, zero tolerance), by
-    :func:`charging_rule`."""
+    :func:`charging_rule`: the worst sample of the exact pass per index."""
+    _check_mode(mode)
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
     refs = _references(instance)
     if reference not in (refs or ["sm"]):  # the occupancy rule charges against sm
         raise ValidationError(f"no charging check against {reference!r} on this instance")
-    unit = bool(refs)
-    lemma, factor = charging_rule(instance)
-    if mode == "exact":
-        summary = coupling_expectations(instance)
-        worst = summary.charging_worst[reference] if unit else summary.occ_charging_worst
-    elif mode == "monte_carlo":
-        tables = build_tables(instance)
-        worst = {}
-        for real, ref_sels, opt_sels in _mc_trials(instance, reference, trials, seed):
-            _, _, new, classes = next(_decompositions(
-                tables, unit, ref_sels, opt_sels, real, (t,)))
-            if unit:
-                _charge(worst, t, factor, new, adj=classes[1])
-            else:
-                _charge(worst, t, factor, occ=classes[1], s_le=ref_sels[t - 1] & real)
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    if unit:
+    summary = coupling_expectations(instance)
+    if refs:
+        worst = summary.charging_worst[reference]
         indices = [{"t": t, "j": j} for j in range(1, t + 1)]
         pairs = [worst.get((t, j), (0.0, 0.0)) for j in range(1, t + 1)]
     else:
         indices = [{"t": t}]
-        pairs = [worst.get(t, (0.0, 0.0))]
+        pairs = [summary.occ_charging_worst.get(t, (0.0, 0.0))]
     lhs = [p[0] for p in pairs]
     rhs = [p[1] for p in pairs]
     verdict = all(a <= b for a, b in zip(lhs, rhs))
-    if mode == "exact":
-        return LemmaReport(lemma, "exact", indices, lhs, rhs, verdict)
-    return LemmaReport(lemma, "monte_carlo", indices, lhs, rhs, verdict,
-                       stderr=[0.0] * len(pairs), confidence=MC_CONFIDENCE,
-                       trials=trials)
+    return LemmaReport(charging_rule(instance)[0], "exact", indices, lhs, rhs, verdict)

@@ -249,24 +249,28 @@ class FeasibilityResult:
 
 def verify_dual_feasible(cert: DualCertificate) -> FeasibilityResult:
     """Check every dual row of ``cert``'s own horizon and variant within
-    1e-9, reporting each violated row."""
+    1e-9, reporting each violated row, in O(t^2): each cover row's prefix
+    of F extends the previous one."""
     t, variant, tol = cert.horizon, cert.variant, 1e-9
     F, c, u = cert.F, cert.c, cert.u
     if len(F) != t or any(len(row) != t for row in F) or len(c) != t:
         raise ValidationError("certificate dimensions do not match t")
     bad = []
-    for i in range(t):
+    mass = []  # per row, the running prefix ends at the row total
+    for i, row in enumerate(F):
+        prefix = 0.0
         for j in range(t):
-            lhs = sum(F[i][:j + 1]) + c[j]
+            prefix += row[j]
+            lhs = prefix + c[j]
             if lhs < 1.0 - tol:
                 bad.append(f"cover row (i={i + 1}, j={j + 1}): {lhs:.12f} < 1")
+        mass.append(prefix)
     coef = 2.0 if variant == "sm" else 1.0
     for j in range(t):
         lhs = coef * sum(row[j] for row in F) + 2.0 * c[j]
         if lhs > u + tol:
             bad.append(f"budget row (j={j + 1}): {lhs:.12f} > u={u:.12f}")
-    for i in range(t):
-        lhs = sum(F[i])
+    for i, lhs in enumerate(mass):
         if lhs < 1.0 - tol:
             bad.append(f"mass row (i={i + 1}): {lhs:.12f} < 1")
     if min(map(min, F)) < -tol or min(c) < -tol or u < -tol:

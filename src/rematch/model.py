@@ -445,7 +445,8 @@ def enumerate_samples(instance: Instance) -> Iterator[tuple[SampleGraph, float]]
 
 
 def feasible(instance: Instance, selection) -> bool:
-    """True iff per-vertex load respects capacity (hyperedges: vertex-disjoint)."""
+    """True iff per-vertex load respects capacity (hyperedges: vertex-disjoint),
+    by :meth:`Tables.mask_feasible`."""
     if isinstance(selection, RoundSelection):
         chosen = selection.chosen
     else:
@@ -454,13 +455,7 @@ def feasible(instance: Instance, selection) -> bool:
     for e in chosen:
         if not (0 <= e < m):
             raise UnknownEdgeError(f"unknown edge id {e}")
-    hyper = isinstance(instance.structure, Hypergraph)
-    load: dict[int, int] = {}
-    for e in chosen:
-        for v in instance.edges[e].endpoints:
-            load[v] = load.get(v, 0) + 1
-    caps = {v.id: (1 if hyper else v.capacity) for v in instance.vertices}
-    return all(cnt <= caps[v] for v, cnt in load.items())
+    return build_tables(instance).mask_feasible(sum(1 << e for e in chosen))
 
 
 def weighted_reward(trace: Trace, weights: Sequence[float]) -> float:

@@ -4,9 +4,8 @@ Everything stochastic in this package flows through the splitmix64
 finalizer used in pure counter mode: a 64-bit key plus a counter is
 hashed to a 64-bit word, with no generator state to carry around.
 Trial ``i`` of a Monte Carlo run derives its own sub-seed via
-``sub_seed(seed, i)``, so results are reproducible no matter how trials
-are distributed over threads, and any single trial can be replayed in
-isolation.
+``sub_seed(seed, i)``, so trials, which run serially, depend on no
+shared state, and any single trial can be replayed in isolation.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ reduction as first written, which keeps every trial's result before
 summing; the streamed sums must match it bit for bit.  So, last, is the
 exact coupling pass as first written, one sample at a time with no
 grouping, here summing in ``Fraction``: every expectation of the grouped
-pass must be its correct rounding.
+pass must be its correct rounding.  And the dual-feasibility check as
+first written, which re-sums every cover row's prefix; the running
+prefixes must report the same violations, digit for digit.
 """
 
 import math
@@ -390,3 +392,32 @@ def reference_coupling_expectations(instance: Instance) -> dict:
                 coupling._charge(out["occ_charging_worst"], t, occ_factor, occ=occ,
                                  s_le=runs["sm"][t - 1] & real)
     return out
+
+
+# ---------------------------------------------------------------------
+# reference dual-feasibility check: every cover row summed from scratch
+
+
+def dual_violations_loop(cert) -> tuple[str, ...]:
+    """The violations of ``factorlp.verify_dual_feasible`` as first written,
+    re-summing the prefix F[i][:j + 1] for every cover row: O(t^3)."""
+    t, variant, tol = cert.horizon, cert.variant, 1e-9
+    F, c, u = cert.F, cert.c, cert.u
+    bad = []
+    for i in range(t):
+        for j in range(t):
+            lhs = sum(F[i][:j + 1]) + c[j]
+            if lhs < 1.0 - tol:
+                bad.append(f"cover row (i={i + 1}, j={j + 1}): {lhs:.12f} < 1")
+    coef = 2.0 if variant == "sm" else 1.0
+    for j in range(t):
+        lhs = coef * sum(row[j] for row in F) + 2.0 * c[j]
+        if lhs > u + tol:
+            bad.append(f"budget row (j={j + 1}): {lhs:.12f} > u={u:.12f}")
+    for i in range(t):
+        lhs = sum(F[i])
+        if lhs < 1.0 - tol:
+            bad.append(f"mass row (i={i + 1}): {lhs:.12f} < 1")
+    if min(map(min, F)) < -tol or min(c) < -tol or u < -tol:
+        bad.append("negative entry")
+    return tuple(bad)

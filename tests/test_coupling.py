@@ -118,20 +118,26 @@ def test_partition_property_on_random_capacitated_instances():
 
 
 def test_verify_charging_exact_and_reports():
-    report = verify_charging(FORK, 1, mode="exact")
+    report = verify_charging(FORK, 1)
     assert report.verdict and report.mode == "exact"
     assert report.lemma == "charging"
     # tight witness: two adjacent opt successes against one reference success
     assert max(l - r for l, r in zip(report.lhs, report.rhs)) == 0.0
     payload = json.loads(report.dumps())
-    assert set(payload) >= {"lemma", "mode", "indices", "lhs", "rhs", "verdict"}
-    assert verify_charging(FORK, 1, mode="exact", reference="gc").verdict
+    assert set(payload) == {"lemma", "mode", "indices", "lhs", "rhs", "verdict"}
+    assert verify_charging(FORK, 1, reference="gc").verdict
     # references the exact pass does not run: no greedy-commit on a hypergraph
     hyper = gen_random("hyper3-small", 3)
-    for mode in ("exact", "monte_carlo"):
-        for reference in ("gc", "opt"):
-            with pytest.raises(ValidationError):
-                verify_charging(hyper, hyper.rounds, mode, reference=reference, trials=10)
+    for reference in ("gc", "opt"):
+        with pytest.raises(ValidationError):
+            verify_charging(hyper, hyper.rounds, reference=reference)
+
+
+def test_verify_accepts_only_the_exact_mode():
+    with pytest.raises(ValidationError):
+        verify_charging(FORK, 1, mode="monte_carlo")
+    with pytest.raises(ValidationError):
+        verify_domination(FORK, 1, "sm", mode="monte_carlo")
 
 
 def test_verify_domination_exact_all_variants_hold():
@@ -151,24 +157,6 @@ def test_verify_domination_exact_all_variants_hold():
         inst = gen_random("hyper3-small", sub_seed(58, i))
         assert verify_domination(inst, inst.rounds, "hypergraph").verdict
         assert verify_charging(inst, inst.rounds).verdict
-
-
-def test_verify_domination_monte_carlo_consistent_with_exact():
-    inst = gen_random("unit-small", sub_seed(55, 1))
-    t = inst.rounds
-    exact = verify_domination(inst, t, "sm", mode="exact")
-    mc = verify_domination(inst, t, "sm", mode="monte_carlo", trials=4000, seed=9)
-    assert mc.verdict
-    assert mc.trials == 4000 and mc.confidence == 4.0
-    for k in range(len(exact.indices)):
-        gap_exact = exact.lhs[k] - exact.rhs[k]
-        gap_mc = mc.lhs[k] - mc.rhs[k]
-        assert abs(gap_mc - gap_exact) <= 4 * mc.stderr[k] + 0.05
-
-
-def test_verify_charging_monte_carlo():
-    report = verify_charging(FORK, 1, mode="monte_carlo", trials=500, seed=3)
-    assert report.verdict and report.mode == "monte_carlo"
 
 
 def test_degenerate_probabilities_deterministic_world():

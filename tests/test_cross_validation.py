@@ -9,8 +9,7 @@ loudly if the fast paths drift.
 import pytest
 
 from oracles import brute_policy_value
-from rematch.coupling import (coupling_expectations, decompose, decompose_capacitated,
-                              verify_charging, verify_domination)
+from rematch.coupling import coupling_expectations, decompose, decompose_capacitated
 from rematch.generators import gen_random
 from rematch.model import Hypergraph, ManyToOne, enumerate_samples
 from rematch.policies import build_dp, opt_value, run_greedy_commit, run_opt, run_sm
@@ -195,20 +194,6 @@ def test_opt_successful_sets_are_selection_intersect_realization():
             for t in range(trace.rounds):
                 realized = {e for e in trace.selections[t] if smp.realized[e]}
                 assert set(trace.successful[t]) == realized
-
-
-def test_mc_consistency_on_capacitated_variant():
-    inst = gen_random("cap-small", sub_seed(24242, 2))
-    t = inst.rounds
-    exact = verify_domination(inst, t, "capacitated", mode="exact")
-    mc = verify_domination(inst, t, "capacitated", mode="monte_carlo",
-                           trials=3000, seed=77)
-    assert mc.verdict
-    for k in range(len(exact.indices)):
-        gap_exact = exact.lhs[k] - exact.rhs[k]
-        gap_mc = mc.lhs[k] - mc.rhs[k]
-        assert abs(gap_mc - gap_exact) <= 4 * mc.stderr[k] + 0.1
-    assert verify_charging(inst, t, mode="monte_carlo", trials=1000, seed=78).verdict
 
 
 def test_from_json_accepts_out_of_order_edges():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from scipy.optimize import linprog
 
+from oracles import dual_violations_loop
 from rematch.coupling import coupling_expectations
 from rematch.errors import DomainError, SolverError
 from rematch.factorlp import (SOLVE_LIMIT, DualCertificate, FactorLp, _certify,
@@ -145,6 +146,43 @@ def test_perturbed_certificate_reports_the_violated_row():
     result = verify_dual_feasible(broken)
     assert not result.ok
     assert any("i=1" in v for v in result.violations)
+
+
+def _perturbed(cert):
+    """``cert`` and copies each with one fault: an entry of F or c moved down or
+    up, F scaled just past the tolerance either way, u lowered, F negative."""
+    t, variant = cert.horizon, cert.variant
+    F = [list(row) for row in cert.F]
+
+    def make(F2=F, c2=cert.c, u2=cert.u):
+        return DualCertificate(t, variant, tuple(map(tuple, F2)), tuple(c2), u2)
+
+    out = [cert, make(u2=cert.u * 0.999)]
+    for scale in (1 - 2e-9, 1 - 5e-10, 1 + 3e-9):
+        out.append(make([[f * scale for f in row] for row in F]))
+    for k in range(t):
+        F2 = [row[:] for row in F]
+        F2[k][(7 * k) % t] -= 0.3
+        out.append(make(F2))
+        for delta in (-0.25, 0.5):
+            c2 = list(cert.c)
+            c2[k] += delta
+            out.append(make(c2=c2))
+    F2 = [row[:] for row in F]
+    F2[0][t - 1] = -0.01
+    out.append(make(F2))
+    return out
+
+
+def test_dual_check_matches_the_cubic_loop():
+    kinds = set()
+    for variant in ("sm", "gc"):
+        for t in (3, 5, 8, 20):
+            for cert in _perturbed(dual_certificate(t, variant)):
+                violations = verify_dual_feasible(cert).violations
+                assert violations == dual_violations_loop(cert), (variant, t)
+                kinds |= {v.split(" row")[0] for v in violations}
+    assert kinds == {"cover", "budget", "mass", "negative entry"}
 
 
 def test_u_is_monotone_and_converges():

@@ -37,12 +37,8 @@ def _cases() -> dict[str, list[str]]:
     for profile in _PROFILES:
         batch = ["verify", "--family", "random", "--profile", profile,
                  "--count", "3", "--gen-seed", "7"]
-        cases[f"verify-{profile}-exact"] = batch + ["--mode", "exact"]
-        cases[f"verify-{profile}-monte-carlo"] = batch + [
-            "--mode", "monte-carlo", "--trials", "150", "--seed", "5"]
-    cases["verify-ds3-exact"] = ["verify", *_DS3, "--mode", "exact"]
-    cases["verify-ds3-t4-monte-carlo"] = ["verify", *_DS3, "--t", "4", "--mode",
-                                          "monte-carlo", "--trials", "150"]
+        cases[f"verify-{profile}-exact"] = batch
+    cases["verify-ds3-exact"] = ["verify", *_DS3]
     for flags in ([], ["--commit"], ["--exhaustive"], ["--commit", "--exhaustive"]):
         name = "-".join(["opt"] + [f.removeprefix("--") for f in flags])
         cases[name] = ["opt", *_DS3, *flags]

@@ -201,7 +201,7 @@ def test_cli_opt():
 
 
 def test_cli_verify_exact():
-    code, out = run_cli(["verify", "--family", "separation", "--mode", "exact"])
+    code, out = run_cli(["verify", "--family", "separation"])
     assert code == 0
     reports = [json.loads(line) for line in out.strip().splitlines()]
     assert all(r["verdict"] for r in reports)
@@ -211,13 +211,12 @@ def test_cli_verify_exact():
 
 def test_cli_verify_profile_batch():
     code, out = run_cli(["verify", "--family", "random", "--profile", "hyper3-small",
-                         "--count", "3", "--gen-seed", "5", "--mode", "exact"])
+                         "--count", "3", "--gen-seed", "5"])
     assert code == 0
     assert all(json.loads(line)["verdict"] for line in out.strip().splitlines())
 
 
-@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
-def test_cli_verify_hypergraph_with_capacity_above_one(tmp_path, mode):
+def test_cli_verify_hypergraph_with_capacity_above_one(tmp_path):
     # hypergraph selections are vertex-disjoint, so a declared capacity of 2
     # must give the verdicts of the same instance at capacity 1
     verdicts = []
@@ -226,8 +225,7 @@ def test_cli_verify_hypergraph_with_capacity_above_one(tmp_path, mode):
                              caps={0: cap}, structure=Hypergraph(3))
         path = tmp_path / f"hyper{cap}.json"
         path.write_text(inst.dumps())
-        code, out = run_cli(["verify", "--instance", str(path), "--mode", mode,
-                             "--trials", "300"])
+        code, out = run_cli(["verify", "--instance", str(path)])
         assert code in (0, 2)
         verdicts.append([(r["lemma"], r["verdict"])
                          for r in map(json.loads, out.strip().splitlines())])
@@ -259,7 +257,7 @@ from contextlib import redirect_stdout
 from rematch import cli
 with redirect_stdout(io.StringIO()):
     assert cli.main(["lp", "--t", "6", "--solve", "--check-dual"]) == 0
-    assert cli.main(["verify", "--family", "separation", "--mode", "exact"]) == 0
+    assert cli.main(["verify", "--family", "separation"]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "scipy")))
 """
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -288,25 +286,20 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
                  ["gen", "--family", "separation", "-o", str(tmp_path / "no" / "x.json")],
                  ["lp", "--t", "1", "--variant", "gc"],
                  ["lp", "--t", "1"],
-                 ["verify", "--family", "separation", "--lemma", "domination-sm",
-                  "--mode", "monte-carlo", "--trials", "0"],
-                 ["verify", "--family", "separation", "--lemma", "charging",
-                  "--mode", "monte-carlo", "--trials", "0"],
                  ["verify", "--family", "separation", "--t", "0", "--lemma", "charging"],
-                 # the limit overrides are gone
+                 # the limit overrides and the Monte Carlo verification options are gone
                  ["opt", "--family", "separation", "--dp-limit", "12"],
                  ["verify", "--family", "separation", "--enum-limit", "16"],
+                 ["verify", "--family", "separation", "--mode", "exact"],
+                 ["verify", "--family", "separation", "--trials", "150"],
+                 ["verify", "--family", "separation", "--seed", "5"],
                  ["verify", "--profile", "unit-small", "--count", "0"],
                  ["verify", "--profile", "unit-small", "--count", "-1"],
                  # domination variants that do not apply to the instance
                  ["verify", "--profile", "cap-small", "--lemma", "domination-sm"],
                  ["verify", "--profile", "hyper3-small", "--lemma", "domination-gc-refined"],
                  ["verify", "--profile", "hyper3-small", "--lemma", "domination-capacitated"],
-                 ["verify", "--family", "separation", "--lemma", "domination-hypergraph"],
-                 ["verify", "--family", "separation", "--lemma", "domination-hypergraph",
-                  "--mode", "monte-carlo", "--trials", "10"],
-                 ["verify", "--profile", "hyper3-small", "--lemma", "domination-gc",
-                  "--mode", "monte-carlo", "--trials", "10"]):
+                 ["verify", "--family", "separation", "--lemma", "domination-hypergraph"]):
         code, out = run_cli(argv)
         assert (code, out) == (1, ""), argv
         assert capsys.readouterr().err.startswith("usage error:"), argv
@@ -320,7 +313,7 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     path = tmp_path / "k55.json"
     run_cli(["gen", "--family", "complete-bipartite", "--n", "5", "--p", "0.1",
              "-o", str(path)])
-    code, _ = run_cli(["verify", "--instance", str(path), "--mode", "exact"])
+    code, _ = run_cli(["verify", "--instance", str(path)])
     assert code == 3
     # resource limit: ds9 passes the DP's orbit bound, not the enumeration limit
     code, out = run_cli(["opt", "--family", "double-star", "--n", "9"])
@@ -328,12 +321,11 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     # verification failure: force a failing report
     from rematch.coupling import LemmaReport
 
-    def failing(inst, t, mode, trials=0, seed=0):
+    def failing(inst, t):
         return LemmaReport("charging", "exact", [{"t": t}], [1.0], [0.0], False)
 
     monkeypatch.setattr(cli.coupling, "verify_charging", failing)
-    code, _ = run_cli(["verify", "--family", "separation", "--lemma", "charging",
-                       "--mode", "exact"])
+    code, _ = run_cli(["verify", "--family", "separation", "--lemma", "charging"])
     assert code == 2
     # verification failure: an LP optimum that cannot be certified
     def uncertified(*args):
@@ -357,6 +349,6 @@ def test_cli_reproduce_single_bundle():
 
 def test_cli_verify_exact_on_200_unit_instances_exits_zero():
     code, out = run_cli(["verify", "--family", "random", "--profile", "unit-small",
-                         "--count", "200", "--gen-seed", "101", "--mode", "exact"])
+                         "--count", "200", "--gen-seed", "101"])
     assert code == 0
     assert all(json.loads(line)["verdict"] for line in out.strip().splitlines())

@@ -122,6 +122,11 @@ def test_feasible():
     hyper = make_instance([(0, 1, 2, 0.5), (2, 3, 4, 0.5)], structure=Hypergraph(3))
     assert feasible(hyper, [0, 1]) is False or 2 in hyper.edges[0].endpoints
     assert not feasible(hyper, [0, 1])
+    # hyperedge selections are vertex-disjoint whatever capacity a vertex declares
+    shared = make_instance([(0, 1, 2, 0.5), (2, 3, 4, 0.5)], caps={2: 2},
+                           structure=Hypergraph(3))
+    assert not feasible(shared, [0, 1])
+    assert feasible(shared, [1])
 
 
 def test_weighted_reward():
