@@ -24,7 +24,7 @@ from .generators import (PROFILES, double_star_layout, gen_complete_bipartite,
 from .matching import (WeightedSubproblem, degree_halving_subgraph, greedy_matching,
                        greedy_hypergraph_matching, max_weight_matching)
 from .model import (Edge, General, Hypergraph, Instance, KnowledgeState, ManyToOne,
-                    RoundSelection, SampleGraph, Status, Trace, Vertex,
+                    RoundSelection, SampleGraph, Trace, Vertex,
                     enumerate_samples, feasible, sample, weighted_reward)
 from .montecarlo import RewardStats, monte_carlo
 from .policies import (DpValueTable, PolicyId, build_dp, offline_max_matching,

@@ -25,10 +25,8 @@ from .policies import PolicyId, opt_value
 from .rng import sub_seed
 from . import coupling, factorlp, generators, suites
 
-_LEMMA_CHOICES = ("charging", "domination-sm", "domination-sm-refined",
-                  "domination-gc", "domination-gc-refined",
-                  "domination-capacitated", "domination-many-to-one",
-                  "domination-hypergraph")
+_LEMMA_CHOICES = ("charging",) + tuple(
+    "domination-" + variant.replace("_", "-") for variant in coupling._DOMINATION_VARIANTS)
 
 
 class UsageError(RematchError):
@@ -62,7 +60,7 @@ def _load_instance(args) -> Instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:  # bad encoding or JSON
+            except (ValueError, RecursionError) as exc:  # bad encoding, JSON or nesting
                 raise UsageError(f"instance {args.instance} is not JSON: {exc}") from exc
         return Instance.from_json(data)
     if args.family == "double-star":
@@ -124,8 +122,9 @@ def _run_verify(args, out) -> int:
     if args.profile and not args.instance:
         if args.count < 1:
             raise UsageError("--count must be >= 1")
-        instances = [generators.gen_random(args.profile, sub_seed(args.gen_seed, i))
-                     for i in range(args.count)]
+        # drawn one at a time, so reports stream and memory stays flat
+        instances = (generators.gen_random(args.profile, sub_seed(args.gen_seed, i))
+                     for i in range(args.count))
     else:
         instances = [_load_instance(args)]
     all_ok = True

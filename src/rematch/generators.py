@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ValidationError
-from .model import Edge, General, Hypergraph, Instance, ManyToOne, Vertex
+from .model import (Edge, General, Hypergraph, Instance, ManyToOne, Vertex,
+                    check_rounds_limit)
 from .rng import CounterRng
 
 
@@ -16,12 +17,14 @@ def gen_double_star(n: int, eps: float) -> Instance:
     Vertices 0..n-1 are the left side (hub 0), n..2n-1 the right side
     (hub n).  Edge 0 is the hub-hub edge with p=1; edges 1..n-1 fan out
     from the left hub, edges n..2n-2 from the right hub.  T = n^2,
-    unit capacities and weights.
+    unit capacities and weights; a T past ``ROUNDS_LIMIT`` raises
+    ``LimitExceededError`` before anything is built.
     """
     if n < 2:
         raise ValidationError("double star needs n >= 2")
     if not (0.0 < eps < 0.5):
         raise ValidationError("eps must lie strictly between 0 and 0.5")
+    check_rounds_limit(n * n)
     p = 0.5 - eps
     vertices = [Vertex(i) for i in range(2 * n)]
     edges = [Edge(0, (0, n), 1.0)]
@@ -89,9 +92,13 @@ def gen_separation() -> Instance:
 
 
 def gen_complete_bipartite(n: int, p: float, rounds: int = 1) -> Instance:
-    """K_{n,n} with uniform edge probability; single round by default."""
+    """K_{n,n} with uniform edge probability; single round by default.
+
+    The rounds are checked against ``ROUNDS_LIMIT`` before the n^2 edges
+    are built."""
     if n < 1:
         raise ValidationError("n must be >= 1")
+    check_rounds_limit(rounds)
     vertices = [Vertex(i) for i in range(2 * n)]
     edges = []
     for i in range(n):

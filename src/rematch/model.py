@@ -4,14 +4,14 @@ An :class:`Instance` is the problem definition: vertices with integer
 capacities, probabilistic (hyper)edges, a round count and per-round
 weights.  Nature's hidden draw is a :class:`SampleGraph` (one boolean per
 edge); what a policy has learned so far is a :class:`KnowledgeState`
-(per-edge Unknown/Success/Fail); a policy execution record is a
-:class:`Trace`.
+(the masks of the edges known to have succeeded and failed); a policy
+execution record is a :class:`Trace`.
 
 Instances and sample graphs are immutable and safe to share across
 threads.  Edge ids are dense 0..m-1 by construction, so an edge set is
 stored as an integer bitmask (bit e set iff edge e is in the set): sample
-graphs and traces keep only masks, and their frozenset or tuple
-attributes are views built on access for the API boundary.
+graphs, knowledge states and traces keep only masks, and their frozenset
+or tuple attributes are views built on access for the API boundary.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -28,6 +27,12 @@ from .rng import uniform01
 
 ENUMERATION_LIMIT = 16
 ROUNDS_LIMIT = 10**6
+
+
+def check_rounds_limit(rounds: int) -> None:
+    """Raise ``LimitExceededError`` past ``ROUNDS_LIMIT``; call it before allocating."""
+    if rounds > ROUNDS_LIMIT:
+        raise LimitExceededError(f"{rounds} rounds exceed limit {ROUNDS_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,7 @@ class Instance:
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "rounds", int(rounds))
-        if self.rounds > ROUNDS_LIMIT:  # before the default weights are allocated
-            raise LimitExceededError(f"{self.rounds} rounds exceed limit {ROUNDS_LIMIT}")
+        check_rounds_limit(self.rounds)  # before the default weights are allocated
         if weights is None:
             weights = (1.0,) * int(rounds)
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
@@ -129,8 +133,10 @@ class Instance:
             raise ValidationError("rounds must be >= 1")
         if len(self.weights) != self.rounds:
             raise ValidationError("weights length must equal rounds")
-        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
-            raise ValidationError("round weights must be finite and non-negative")
+        # a round rewards at most m successes, so every total reward stays finite
+        if not (all(w >= 0 for w in self.weights)
+                and math.isfinite(sum(self.weights) * max(1, len(self.edges)))):
+            raise ValidationError("round weights must be non-negative with a finite m * sum")
 
         st = self.structure
         if isinstance(st, General):
@@ -262,52 +268,17 @@ class SampleGraph:
         return cls(num_edges, mask & ((1 << num_edges) - 1))
 
 
-class Status(IntEnum):
-    UNKNOWN = 0
-    SUCCESS = 1
-    FAIL = 2
-
-
 @dataclass(frozen=True)
 class KnowledgeState:
-    """Per-edge Unknown/Success/Fail; the dynamic-programming state."""
+    """What a policy has learned: the masks of the edges it has seen
+    succeed and fail (every other edge is unknown); the DP state."""
 
-    statuses: tuple[Status, ...]
+    success_mask: int
+    fail_mask: int
 
-    def encode(self) -> int:
-        """Canonical base-3 integer keyed by edge id; unique per state."""
-        code = 0
-        for s in reversed(self.statuses):
-            code = code * 3 + int(s)
-        return code
-
-    @classmethod
-    def from_encoding(cls, num_edges: int, code: int) -> "KnowledgeState":
-        statuses = []
-        for _ in range(num_edges):
-            statuses.append(Status(code % 3))
-            code //= 3
-        return cls(tuple(statuses))
-
-    @classmethod
-    def from_masks(cls, num_edges: int, success_mask: int, fail_mask: int) -> "KnowledgeState":
-        if success_mask & fail_mask:
+    def __post_init__(self):
+        if self.success_mask & self.fail_mask:
             raise ValidationError("an edge cannot be both successful and failed")
-        return cls(tuple(
-            Status.SUCCESS if success_mask >> i & 1 else
-            Status.FAIL if fail_mask >> i & 1 else Status.UNKNOWN
-            for i in range(num_edges)))
-
-    @property
-    def success_mask(self) -> int:
-        return sum(1 << i for i, s in enumerate(self.statuses) if s is Status.SUCCESS)
-
-    @property
-    def fail_mask(self) -> int:
-        return sum(1 << i for i, s in enumerate(self.statuses) if s is Status.FAIL)
-
-    def consistent_with(self, sample: SampleGraph) -> bool:
-        return not (self.success_mask & ~sample.mask or self.fail_mask & sample.mask)
 
 
 @dataclass(frozen=True)

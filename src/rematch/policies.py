@@ -37,12 +37,6 @@ class PolicyId(str, Enum):
     OFFLINE_MAX = "offline_max"
 
 
-def _tables_with_enum(instance: Instance) -> Tables:
-    tables = build_tables(instance)
-    tables.build_enumeration()
-    return tables
-
-
 # ---------------------------------------------------------------------
 # committing heuristics
 
@@ -65,7 +59,8 @@ def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
     if isinstance(instance.structure, Hypergraph):
         raise ValidationError("greedy-commit covers general/many-to-one structures")
     if instance.num_edges <= ENUMERATION_LIMIT:
-        tables = _tables_with_enum(instance)
+        tables = build_tables(instance)
+        tables.build_enumeration()
         sels = kernels.gc_trace(tables, sample.mask)
     else:
         sels = _gc_trace_large(instance, sample.mask)
@@ -110,11 +105,12 @@ class DpValueTable:
     """Memoized expectimax values for one instance, and the argmax policy
     derived from them.
 
-    Keys are reachable (knowledge state, round) pairs; the public
-    accessors accept a :class:`KnowledgeState` or its canonical base-3
-    encoding.  ``commit`` forces every known success into the action;
-    ``prune`` restricts actions to maximal selections (the exhaustive
-    mode ``prune=False`` exists to verify that restriction).
+    Keys are reachable (knowledge state, round) pairs, packed as
+    ``(round << 2m) | (success_mask << m) | fail_mask``; the accessors
+    take a :class:`KnowledgeState`.  ``commit`` forces every known success
+    into the action; ``prune`` restricts actions to maximal selections
+    (the exhaustive mode ``prune=False`` exists to verify that
+    restriction); ``tables`` are the mask tables the solve ran on.
 
     On an instance with interchangeable edge classes (``Tables.classes``)
     the solve stores one state per orbit, so ``items()`` and ``len()``
@@ -128,6 +124,7 @@ class DpValueTable:
     """
 
     instance: Instance
+    tables: Tables = field(repr=False, compare=False)
     commit: bool
     prune: bool
     root_value: float
@@ -139,23 +136,23 @@ class DpValueTable:
     _outcomes: dict[int, tuple] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
 
-    def _masks(self, knowledge) -> tuple[int, int]:
-        if not isinstance(knowledge, KnowledgeState):
-            knowledge = KnowledgeState.from_encoding(self.instance.num_edges, int(knowledge))
-        return knowledge.success_mask, knowledge.fail_mask
+    def _masks(self, knowledge: KnowledgeState) -> tuple[int, int]:
+        s, f = knowledge.success_mask, knowledge.fail_mask
+        if (s | f) >> self.tables.m:  # its packed key would be another state's
+            raise ValidationError(f"knowledge state names an edge past {self.tables.m - 1}")
+        return s, f
 
     def _key(self, s: int, f: int, round_index: int) -> int:
-        m = self.instance.num_edges
+        m = self.tables.m
         return (round_index << (2 * m)) | (s << m) | f
 
-    def value(self, knowledge, round_index: int) -> float:
-        s, f = kernels.canonical(build_tables(self.instance).classes, *self._masks(knowledge))
+    def value(self, knowledge: KnowledgeState, round_index: int) -> float:
+        s, f = kernels.canonical(self.tables.classes, *self._masks(knowledge))
         return self._values[self._key(s, f, round_index)]
 
-    def action(self, knowledge, round_index: int) -> frozenset[int]:
+    def action(self, knowledge: KnowledgeState, round_index: int) -> frozenset[int]:
         s, f = self._masks(knowledge)
-        key = self._key(s, f, round_index)
-        mask = self._actions.get(key)
+        mask = self._actions.get(self._key(s, f, round_index))
         if mask is None:
             mask = self._replay_action(s, f, round_index)
         return mask_to_set(mask)
@@ -163,20 +160,19 @@ class DpValueTable:
     def _replay_action(self, s: int, f: int, t: int) -> int:
         """The argmax action at the real state (s, f) in round t, kept in
         ``_actions``; KeyError when the state's orbit was never reached."""
-        tables = _tables_with_enum(self.instance)
         key = self._key(s, f, t)
-        cs, cf = kernels.canonical(tables.classes, s, f)
+        cs, cf = kernels.canonical(self.tables.classes, s, f)
         if self._key(cs, cf, t) not in self._values:
             raise KeyError(key)
         mask = self._actions[key] = kernels.dp_action(
-            tables, self.commit, self.prune, self._values, s, f, t,
+            self.tables, self.commit, self.prune, self._values, s, f, t,
             self._fitting, self._outcomes)
         return mask
 
     def replay(self, real: int) -> list[int]:
         """Selection masks, one per round, of the argmax policy against the
         realization ``real`` (the mask of successful edges)."""
-        m = self.instance.num_edges
+        m = self.tables.m
         actions = self._actions
         s = f = 0
         sels = []
@@ -196,14 +192,12 @@ class DpValueTable:
         return sels
 
     def items(self):
-        """Yield ((base-3 encoding, round), value) over all memoized states
+        """Yield ((KnowledgeState, round), value) over all memoized states
         (one per orbit on an instance with edge classes)."""
-        m = self.instance.num_edges
+        m = self.tables.m
+        all_mask = self.tables.all_mask
         for key, v in self._values.items():
-            f = key & ((1 << m) - 1)
-            s = (key >> m) & ((1 << m) - 1)
-            t = key >> (2 * m)
-            yield (KnowledgeState.from_masks(m, s, f).encode(), t), v
+            yield (KnowledgeState(key >> m & all_mask, key & all_mask), key >> (2 * m)), v
 
     def __len__(self) -> int:
         return len(self._values)
@@ -231,7 +225,7 @@ def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTab
             f"DP over {bound} orbit states per round exceeds limit 3^{DP_LIMIT}")
     tables.build_enumeration()
     root, values = kernels.dp_solve(tables, commit, prune)
-    return DpValueTable(instance, commit, prune, root, values)
+    return DpValueTable(instance, tables, commit, prune, root, values)
 
 
 def opt_value(instance: Instance, commit: bool, prune: bool = True) -> float:

@@ -237,7 +237,7 @@ def criterion_5_separation(unit: list[CouplingSummary] | None = None,
     # re-pairs for expected 1.4 while the committing one holds its success for 1
     conds = []
     for s_mask, f_mask in ((0b0001, 0b1000), (0b1000, 0b0001)):
-        ks = KnowledgeState.from_masks(4, s_mask, f_mask)
+        ks = KnowledgeState(s_mask, f_mask)
         conds.append((table.value(ks, 2), table_c.value(ks, 2)))
     cond_ok = all(abs(a - 1.4) <= 1e-12 and abs(b - 1.0) <= 1e-12 for a, b in conds)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,12 +8,14 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from rematch import cli
-from rematch.errors import SolverError, ValidationError
+from rematch import cli, generators
+from rematch.errors import LimitExceededError, SolverError, ValidationError
 from rematch.generators import (PROFILES, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
-from rematch.model import Hypergraph, Instance, ManyToOne
+from rematch.model import ROUNDS_LIMIT, Hypergraph, Instance, ManyToOne
 from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId
 from rematch.rng import sub_seed
@@ -59,6 +62,20 @@ def test_complete_bipartite():
     assert inst.num_edges == 9 and inst.rounds == 1
     assert isinstance(inst.structure, ManyToOne)
     assert inst.structure.left == frozenset({0, 1, 2})
+
+
+def test_generators_check_rounds_before_building(monkeypatch):
+    # a horizon past ROUNDS_LIMIT fails before any vertex or edge exists,
+    # so a huge n costs no memory
+    def unbuilt(*args):
+        raise AssertionError("built before the rounds check")
+
+    monkeypatch.setattr(generators, "Vertex", unbuilt)
+    monkeypatch.setattr(generators, "Edge", unbuilt)
+    with pytest.raises(LimitExceededError):
+        gen_double_star(10**8, 0.1)  # T = n^2
+    with pytest.raises(LimitExceededError):
+        gen_complete_bipartite(10**4, 0.5, ROUNDS_LIMIT + 1)
 
 
 def test_random_profiles_respect_contracts():
@@ -216,6 +233,24 @@ def test_cli_verify_profile_batch():
     assert all(json.loads(line)["verdict"] for line in out.strip().splitlines())
 
 
+def test_cli_verify_streams_reports(monkeypatch):
+    # instances are drawn one at a time: a failure drawing the second one
+    # leaves the first one's reports on stdout
+    _, first = run_cli(["verify", "--profile", "unit-small", "--count", "1"])
+    draw = generators.gen_random
+    seeds = []
+
+    def second_fails(profile, seed):
+        seeds.append(seed)
+        if len(seeds) == 2:
+            raise LimitExceededError("second instance")
+        return draw(profile, seed)
+
+    monkeypatch.setattr(cli.generators, "gen_random", second_fails)
+    code, out = run_cli(["verify", "--profile", "unit-small", "--count", "300000000"])
+    assert (code, out) == (3, first) and first and len(seeds) == 2
+
+
 def test_cli_verify_hypergraph_with_capacity_above_one(tmp_path):
     # hypergraph selections are vertex-disjoint, so a declared capacity of 2
     # must give the verdicts of the same instance at capacity 1
@@ -279,10 +314,14 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     bad.write_text("{not json")
     bad_id = tmp_path / "bad_id.json"
     bad_id.write_text('{"vertices": [{"id": "x"}], "edges": [], "rounds": 1}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)  # past the parser's recursion limit
     capsys.readouterr()
     for argv in (["opt", "--instance", str(bad)],
                  ["opt", "--instance", str(tmp_path / "missing.json")],
                  ["opt", "--instance", str(bad_id)],
+                 ["opt", "--instance", str(deep)],
+                 ["verify", "--instance", str(deep)],
                  ["gen", "--family", "separation", "-o", str(tmp_path / "no" / "x.json")],
                  ["lp", "--t", "1", "--variant", "gc"],
                  ["lp", "--t", "1"],
@@ -338,6 +377,59 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("verification failure:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+_FUZZ_BASES = tuple(inst.dumps() for inst in (
+    gen_separation(), gen_double_star(3, 0.1), gen_random("unit-small", 3),
+    gen_random("cap-small", 4), gen_random("mto-small", 1), gen_random("hyper3-small", 2)))
+_FUZZ_VALUES = (None, True, "x", [], {}, -1, 0, 1, 2.5, -0.5, 1e308, math.nan, math.inf,
+                -math.inf, ROUNDS_LIMIT + 1, 10**30)
+_NEST = "__nest__"
+
+
+@st.composite
+def _mutated_instances(draw):
+    """Instance JSON text: a valid instance with one to three keys dropped,
+    values swapped for wrong types or out-of-range numbers, subtrees nested
+    up to 10^5 deep, or the rounds pushed past the limits."""
+    data = json.loads(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        node = data
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.booleans())):
+                break
+            node = child
+        action = draw(st.sampled_from(("drop", "replace", "nest", "rounds")))
+        if action == "drop":
+            del node[key]
+        elif action == "replace":
+            node[key] = draw(st.sampled_from(_FUZZ_VALUES))
+        elif action == "nest":
+            node[key] = _NEST
+        else:
+            data["rounds"] = draw(st.sampled_from((0, 901, ROUNDS_LIMIT + 1, 10**30)))
+            if draw(st.booleans()):
+                data.pop("weights", None)
+    depth = draw(st.sampled_from((2, 100, 5_000, 100_000)))
+    return json.dumps(data).replace(json.dumps(_NEST), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_mutated_instances())
+@example(text="[" * 100_000 + "]" * 100_000)
+@example(text='{"vertices": ' * 100_000 + "[]" + "}" * 100_000)
+def test_cli_exit_codes_hold_for_fuzzed_instances(tmp_path, text):
+    path = tmp_path / "fuzzed.json"
+    path.write_text(text)
+    for command in ("opt", "verify"):
+        code, _ = run_cli([command, "--instance", str(path)])
+        assert code in (0, 1, 2, 3), (command, text[:200])
 
 
 def test_cli_reproduce_single_bundle():

@@ -7,7 +7,7 @@ from conftest import make_instance
 from oracles import expectation
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
 from rematch.model import (ROUNDS_LIMIT, Edge, Hypergraph, Instance, KnowledgeState,
-                           ManyToOne, SampleGraph, Status, Trace, Vertex,
+                           ManyToOne, SampleGraph, Trace, Vertex,
                            enumerate_samples, feasible, sample, weighted_reward)
 from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId, run_sm
@@ -29,6 +29,8 @@ def test_validation_rejects_bad_instances():
     for w in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValidationError):
             make_instance([(0, 1, 0.5)], rounds=2, weights=[w, 1.0])
+    with pytest.raises(ValidationError):  # two successes in a round would overflow
+        make_instance([(0, 1, 0.5), (2, 3, 0.5)], weights=[1e308])
     with pytest.raises(LimitExceededError):  # before the weights are allocated
         make_instance([(0, 1, 0.5)], rounds=ROUNDS_LIMIT + 1)
     with pytest.raises(ValidationError):
@@ -190,25 +192,10 @@ def test_json_weights_default_to_ones():
     assert inst.weights == (1.0, 1.0, 1.0)
 
 
-def test_knowledge_state_encoding_round_trip():
-    ks = KnowledgeState((Status.UNKNOWN, Status.SUCCESS, Status.FAIL, Status.SUCCESS))
-    assert ks.encode() == 0 + 1 * 3 + 2 * 9 + 1 * 27
-    assert KnowledgeState.from_encoding(4, ks.encode()) == ks
-    codes = set()
-    for s in range(16):
-        for f in range(16):
-            if s & f:
-                continue
-            codes.add(KnowledgeState.from_masks(4, s, f).encode())
-    assert len(codes) == 3 ** 4  # canonical encoding is unique per state
-
-
-def test_knowledge_state_consistency_with_sample():
-    smp = SampleGraph.from_mask(3, 0b101)
-    good = KnowledgeState.from_masks(3, 0b001, 0b010)
-    bad = KnowledgeState.from_masks(3, 0b010, 0b000)
-    assert good.consistent_with(smp)
-    assert not bad.consistent_with(smp)
+def test_knowledge_state_rejects_overlapping_masks():
+    assert KnowledgeState(0b001, 0b010) == KnowledgeState(0b001, 0b010)
+    with pytest.raises(ValidationError):
+        KnowledgeState(0b011, 0b010)  # edge 1 both succeeded and failed
 
 
 def test_trace_new_successes_partition_for_committing_policy():

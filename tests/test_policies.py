@@ -1,6 +1,9 @@
 import gc
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value,
@@ -8,15 +11,16 @@ from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value
                      sm_trace_loop)
 from rematch import kernels
 from rematch.errors import LimitExceededError, ValidationError
-from rematch.generators import (RandomProfile, double_star_layout, gen_complete_bipartite,
-                                gen_double_star, gen_random, gen_separation)
+from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
+                                gen_complete_bipartite, gen_double_star, gen_random,
+                                gen_separation)
 from rematch.model import (Edge, Hypergraph, Instance, KnowledgeState, ManyToOne,
                            SampleGraph, Vertex, build_tables, enumerate_samples,
                            mask_to_set, sample)
 from rematch.policies import (DP_LIMIT, DP_ROUNDS_LIMIT, _gc_trace_large, _kuhn_size,
-                              _unit_bipartite_ends, build_dp, offline_max_matching,
-                              opt_value, run_alternating_scan, run_greedy_commit,
-                              run_opt, run_opt_follower, run_sm)
+                              _unit_bipartite_ends, build_dp, follower_masks,
+                              offline_max_matching, opt_value, run_alternating_scan,
+                              run_greedy_commit, run_opt, run_opt_follower, run_sm)
 from rematch.rng import CounterRng, sub_seed
 
 ONE_EDGE = make_instance([(0, 1, 1.0)], rounds=3)
@@ -194,7 +198,7 @@ def _assert_matches_reference(inst, commit, prune, label):
     assert len(table) < len(want_values), label
     m = inst.num_edges
     for key, want in want_values.items():
-        ks = KnowledgeState.from_masks(m, (key >> m) & tables.all_mask, key & tables.all_mask)
+        ks = KnowledgeState((key >> m) & tables.all_mask, key & tables.all_mask)
         t = key >> (2 * m)
         assert table.value(ks, t) == want, (label, key)
         assert table.action(ks, t) == mask_to_set(want_actions[key]), (label, key)
@@ -369,13 +373,22 @@ def test_run_opt_enumeration_mean_equals_value():
 def test_dp_table_accessors():
     sep = gen_separation()
     table = build_dp(sep, commit=False)
-    assert table.value(0, 1) == pytest.approx(3.094, abs=1e-12)
-    assert table.action(0, 1) == {0, 3}
+    root = KnowledgeState(0, 0)
+    assert table.value(root, 1) == pytest.approx(3.094, abs=1e-12)
+    assert table.action(root, 1) == {0, 3}
     keys = dict(table.items())
-    assert keys[(0, 1)] == table.root_value
-    assert all(v >= 0.0 for v in keys.values())
+    assert len(keys) == len(table) and keys[(root, 1)] == table.root_value
+    assert all(table.value(ks, t) == v >= 0.0 for (ks, t), v in keys.items())
     with pytest.raises(KeyError):
-        table.value(1, 1)  # unreachable state at round 1
+        table.value(KnowledgeState(0b1, 0), 1)  # unreachable state at round 1
+    # the 4-edge instance has no edge 4: a failed edge 4 beside a successful
+    # edge 3 packs to the key of the reached state "0 and 3 succeeded"
+    assert table.value(KnowledgeState(0b1001, 0), 2) == 2.0
+    for ks in (KnowledgeState(0b1000, 1 << 4), KnowledgeState(1 << 4, 0)):
+        with pytest.raises(ValidationError):
+            table.value(ks, 2)
+        with pytest.raises(ValidationError):
+            table.action(ks, 2)
 
 
 def test_run_opt_rejects_inconsistent_sample():
@@ -602,3 +615,45 @@ def test_alternating_scan_matches_reference_loop():
             for smp in _samples(inst, n, count=200):
                 want = alternating_scan_loop(layout, rounds, smp.mask)
                 assert run_alternating_scan(inst, smp).selection_masks() == tuple(want)
+
+
+@lru_cache(maxsize=8)
+def _solved(inst):
+    return build_dp(inst, commit=False), build_dp(inst, commit=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(inst=st.one_of(
+           st.builds(gen_random, st.sampled_from(sorted(PROFILES)), st.integers(0, 10**6)),
+           st.builds(gen_double_star, st.integers(2, 5), st.just(0.1))),
+       bits=st.integers(0, (1 << 16) - 1))
+def test_runs_read_only_the_outcomes_of_edges_they_selected(inst, bits):
+    # Non-anticipation: a run's selections are fixed by the outcomes of the
+    # edges it has selected, so flipping the outcome of any other edge leaves
+    # them unchanged.  The exact pass's footprint classes rest on this.
+    tables = build_tables(inst)
+    tables.build_enumeration()
+    table, table_c = _solved(inst)
+    certain = sum(1 << e.id for e in inst.edges if e.p == 1.0)
+    real = (bits & tables.posp_mask) | certain  # a sample of positive probability
+    runs = {
+        "sm": lambda r: kernels.sm_trace(tables, r),
+        "opt": table.replay,
+        "opt-commit": table_c.replay,
+        # the follower reads its companion's selections, so both are one run
+        "opt-follower": lambda r: table.replay(r) + follower_masks(
+            tables, table.replay(r), r),
+    }
+    if not isinstance(inst.structure, Hypergraph):
+        runs["gc"] = lambda r: kernels.gc_trace(tables, r)
+    if double_star_layout(inst) is not None:
+        runs["alternating-scan"] = lambda r: list(run_alternating_scan(
+            inst, SampleGraph(inst.num_edges, r)).selection_masks())
+    for name, run in runs.items():
+        sels = run(real)
+        union = 0
+        for sel in sels:
+            union |= sel
+        for e in range(inst.num_edges):
+            if not union >> e & 1:
+                assert run(real ^ (1 << e)) == sels, (name, e)
