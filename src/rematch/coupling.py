@@ -18,15 +18,19 @@ tolerance; domination bounds are expectation-level claims and are only
 ever checked in expectation.  Both are checked exactly, over every
 sample graph of positive probability; no check estimates by sampling.
 
-The exact pass (``coupling_expectations``) traces every run on every
-sample graph of positive probability, then groups the samples into
-footprint classes: samples on which every run makes the same selections
-and the selected edges have the same outcomes.  The decompositions, the
-checks and the counts read a sample only through those, so they run
-once per class, weighted by the class probability.  Probabilities are
-floats, hence dyadic rationals, so every expectation is summed exactly
-as an integer over a power of two and rounded once: each ``e_*`` value
-is correctly rounded, whatever the grouping or the enumeration order.
+The exact pass (``coupling_expectations``) groups the sample graphs of
+positive probability into footprint classes: samples on which every run
+makes the same selections and the selected edges have the same
+outcomes.  A run reads only the outcomes of edges it has selected, so
+an index of the revealed outcomes, round by round, finds a sample's
+class without tracing it; every run is traced once per class.  The
+decompositions, the checks and the counts read a sample only through
+its class, so they run once per class too, weighted by the class
+probability; each takes its donor and first-selection rounds once for
+all horizons.  Probabilities are floats, hence dyadic rationals, so
+every expectation is summed exactly as an integer over a power of two
+and rounded once: each ``e_*`` value is correctly rounded, whatever the
+grouping or the enumeration order.
 
 This module is the one owner of the lemma rules: which checks apply to
 an instance (``default_lemmas``), the charging lemma and factor
@@ -121,88 +125,92 @@ def _new_masks(sels, real: int) -> list[int]:
     return new
 
 
-def _vertex_masks(tables, edge_masks: list[int]) -> list[int]:
-    vmask = tables.vmask
-    out = []
-    for mask in edge_masks:
-        vm = 0
-        while mask:
-            low = mask & -mask
-            vm |= vmask[low.bit_length() - 1]
-            mask ^= low
-        out.append(vm)
-    return out
+def _touched(vmask: list[int], mask: int) -> int:
+    """The vertex mask of the edges in ``mask``."""
+    vm = 0
+    while mask:
+        low = mask & -mask
+        vm |= vmask[low.bit_length() - 1]
+        mask ^= low
+    return vm
 
 
-def _unit_masks(tables, vnew: list[int], first: dict[int, int], o_mask: int, t: int):
-    """(aug: {i: mask}, adj: {(i, j): mask}) of the opt successes ``o_mask`` at horizon t."""
-    vmask = tables.vmask
-    aug: dict[int, int] = {}
-    adj: dict[tuple[int, int], int] = {}
-    x = o_mask
-    while x:
-        low = x & -x
-        e = low.bit_length() - 1
-        x ^= low
-        i = first[e]
-        donor = next((j + 1 for j in range(t) if vmask[e] & vnew[j]), None)
-        if donor is None:
-            aug[i] = aug.get(i, 0) | low
-        else:
-            key = (i, donor)
-            adj[key] = adj.get(key, 0) | low
-    return aug, adj
-
-
-def _cap_masks(tables, structure, s_le: int, first: dict[int, int], o_mask: int):
-    """(overlap, occupied, remainder: {i: mask}) of the opt successes ``o_mask``
-    against the reference successes ``s_le`` at the same horizon."""
-    occ_counts = [(s_le & tables.inc[v]).bit_count() for v in range(tables.n)]
-    heavy = [2 * occ_counts[v] >= tables.cap[v] and occ_counts[v] > 0
-             for v in range(tables.n)]
-    many_to_one = isinstance(structure, ManyToOne)
-    left = set()
-    if many_to_one:  # a left endpoint blocks once touched at all
-        vindex = {v.id: i for i, v in enumerate(tables.instance.vertices)}
-        left = {vindex[u] for u in structure.left}
-    overlap = 0
-    occupied = 0
-    remainder: dict[int, int] = {}
-    x = o_mask
-    while x:
-        low = x & -x
-        e = low.bit_length() - 1
-        x ^= low
-        if not many_to_one and (low & s_le):
-            overlap |= low
-        elif any(occ_counts[v] > 0 if v in left else heavy[v] for v in tables.ev[e]):
-            occupied |= low
-        else:
-            i = first[e]
-            remainder[i] = remainder.get(i, 0) | low
-    return overlap, occupied, remainder
-
-
-def _decompositions(tables, unit: bool, ref_sels, opt_sels, real: int, horizons):
-    """Yield (t, opt success mask, reference new-success masks, classes) per horizon.
+def _decompositions(tables, unit: bool, ref_sels, opt_sels, real: int, horizons,
+                    new: list[int] | None = None):
+    """Yield (t, opt success mask, classes) per horizon.
 
     ``classes`` is (aug, adj) when ``unit`` and (overlap, occupied,
-    remainder) otherwise.  The whole-run prefixes every horizon slices,
-    the reference's new-success masks with their vertex masks and the
-    opt run's first-selection rounds, are built once per call; a single
-    horizon is the call ``next(_decompositions(..., (t,)))``.
+    remainder) otherwise.  The opt run's first-selection rounds and, for
+    the unit rule, each opt success's donor round (the first round whose
+    new reference successes ``new`` touch it) are found once per call;
+    horizon t calls an edge adjacent iff its donor round is at most t.
+    The capacitated rule blocks, per horizon, each vertex the reference
+    successes fill to half its capacity, and on many-to-one instances
+    each touched left vertex.
     """
-    new = _new_masks(ref_sels, real)
-    vnew = _vertex_masks(tables, new) if unit else None
+    vmask = tables.vmask
     first = _first_selection(opt_sels)
-    structure = tables.instance.structure
+    if unit:
+        if new is None:
+            new = _new_masks(ref_sels, real)
+        donor: dict[int, int] = {}
+        rest = 0
+        for sel in opt_sels:
+            rest |= sel & real
+        for j, mask in enumerate(new, 1):
+            vm = _touched(vmask, mask)
+            x = rest if vm else 0
+            while x:
+                low = x & -x
+                e = low.bit_length() - 1
+                x ^= low
+                if vmask[e] & vm:
+                    donor[e] = j
+                    rest ^= low
+    else:
+        inst = tables.instance
+        many_to_one = isinstance(inst.structure, ManyToOne)
+        left = sum(1 << v for v, vert in enumerate(inst.vertices)
+                   if vert.id in inst.structure.left) if many_to_one else 0
     for t in horizons:
         o_mask = opt_sels[t - 1] & real
         if unit:
-            classes = _unit_masks(tables, vnew, first, o_mask, t)
-        else:
-            classes = _cap_masks(tables, structure, ref_sels[t - 1] & real, first, o_mask)
-        yield t, o_mask, new, classes
+            aug: dict[int, int] = {}
+            adj: dict[tuple[int, int], int] = {}
+            x = o_mask
+            while x:
+                low = x & -x
+                e = low.bit_length() - 1
+                x ^= low
+                i, j = first[e], donor.get(e, t + 1)
+                if j > t:
+                    aug[i] = aug.get(i, 0) | low
+                else:
+                    adj[i, j] = adj.get((i, j), 0) | low
+            yield t, o_mask, (aug, adj)
+            continue
+        s_le = ref_sels[t - 1] & real
+        blocked = 0
+        touched = _touched(vmask, s_le)
+        while touched:
+            low = touched & -touched
+            v = low.bit_length() - 1
+            touched ^= low
+            if left & low or 2 * (s_le & tables.inc[v]).bit_count() >= tables.cap[v]:
+                blocked |= low
+        overlap = 0 if many_to_one else o_mask & s_le
+        occupied = 0
+        remainder: dict[int, int] = {}
+        x = o_mask & ~overlap
+        while x:
+            low = x & -x
+            e = low.bit_length() - 1
+            x ^= low
+            if vmask[e] & blocked:
+                occupied |= low
+            else:
+                remainder[first[e]] = remainder.get(first[e], 0) | low
+        yield t, o_mask, (overlap, occupied, remainder)
 
 
 def _is_partition(whole: int, classes) -> bool:
@@ -266,7 +274,7 @@ def decompose(ref_trace: Trace, opt_trace: Trace, t: int) -> Decomposition:
     inst = ref_trace.instance
     if not inst.unit_capacities():
         raise ValidationError("unit decomposition needs unit capacities")
-    _, o_mask, _, (aug, adj) = next(_decompositions(
+    _, o_mask, (aug, adj) = next(_decompositions(
         build_tables(inst), True, ref_trace.selection_masks(),
         opt_trace.selection_masks(), ref_trace.sample_mask, (t,)))
     return Decomposition(
@@ -281,7 +289,7 @@ def decompose_capacitated(ref_trace: Trace, opt_trace: Trace, t: int) -> Decompo
     inst = ref_trace.instance
     if isinstance(inst.structure, Hypergraph):
         raise ValidationError("capacitated decomposition covers general/many-to-one")
-    _, o_mask, _, (overlap, occ, rem) = next(_decompositions(
+    _, o_mask, (overlap, occ, rem) = next(_decompositions(
         build_tables(inst), False, ref_trace.selection_masks(),
         opt_trace.selection_masks(), ref_trace.sample_mask, (t,)))
     kind = "many_to_one" if isinstance(inst.structure, ManyToOne) else "capacitated"
@@ -377,20 +385,61 @@ def default_lemmas(instance: Instance) -> list[str]:
 # exact coupling engine
 
 
+def _footprints(run_all, reals, T: int):
+    """Yield each sample's footprint key: every run's T selection masks
+    (``run_all(real)``, run after run), then ``real`` on their union.
+
+    The index maps (t, U_t, real & U_t) to U_{t+1} and (T, U_T, real &
+    U_T) to the key, U_t being the union of every run's selections in
+    rounds <= t (U_1 is the same for every sample).  A sample takes at
+    most T lookups; ``run_all`` runs only on a path not indexed yet.
+    """
+    index: dict[tuple, object] = {}
+    root = None
+    for real in reals:
+        node = root
+        t = 0
+        while node is not None and t < T:
+            t += 1
+            node = index.get((t, node, real & node))
+        if node is None:
+            sels = run_all(real)
+            unions = []
+            union = 0
+            for t in range(T):
+                for sel in sels[t::T]:
+                    union |= sel
+                unions.append(union)
+            node = (*sels, real & union)
+            for t, (u, nxt) in enumerate(zip(unions, unions[1:] + [node]), 1):
+                index[t, u, real & u] = nxt
+            root = unions[0]
+        yield node
+
+
 @lru_cache(maxsize=64)
 def coupling_expectations(instance: Instance) -> CouplingSummary:
     """One exact pass over the sample graphs of positive probability.
 
-    *Group.*  Every run (sm, gc, opt, opt-commit, opt-follower) is traced
-    on each sample, and the sample's probability is added to its
-    footprint class: every run's selection masks together with the
-    sample's outcomes on the union of those masks.  The rest of the pass
-    reads a sample only through ``selection & real``, so all samples of a
-    class give the same decompositions, checks and counts.
+    *Group.*  Each sample's probability is added to its footprint class:
+    every run's (sm, gc, opt, opt-commit, opt-follower) selection masks
+    together with the sample's outcomes on the union of those masks.
+    ``_footprints`` finds the class by walking an index of outcome paths:
+    with U_t the union of every run's selections in rounds <= t, it maps
+    (t, U_t, real & U_t) to U_{t+1}.  This is sound because every run
+    reads only the outcomes of edges it has already selected
+    (``test_runs_read_only_the_outcomes_of_edges_they_selected``), so
+    samples that agree on U_t make the same round-(t+1) selections.  The
+    runs are traced only for a sample whose path is not indexed yet: once
+    per class.  The rest of the pass reads a sample only through
+    ``selection & real``, so all samples of a class give the same
+    decompositions, checks and counts.
 
-    *Evaluate.*  Once per class: decompositions at every horizon, the
-    partition and commit checks, the charging worst cases (which need no
-    weight) and the counts, weighted by the class probability.
+    *Evaluate.*  Once per class: decompositions at every horizon, each
+    from the donor and first-selection rounds computed once per run
+    pair, the partition and commit checks, the charging worst cases
+    (which need no weight) and the counts, weighted by the class
+    probability.
 
     Each probability is a float, hence a dyadic rational; it is scaled to
     an integer over the instance's largest power-of-two denominator 2^K,
@@ -423,20 +472,19 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
             samples.append((smp.mask, num, den.bit_length() - 1))
     K = max((k for _, _, k in samples), default=0)
 
-    # group: footprint key -> summed scaled probability
-    footprints: dict[tuple, int] = {}
-    for real, num, k in samples:
+    def run_all(real: int) -> list[int]:
         opt_sels = table.replay(real)
         sels = opt_sels + table_c.replay(real) + kernels.sm_trace(tables, real)
         if with_gc:
             sels += kernels.gc_trace(tables, real)
         if with_follower:
             sels += follower_masks(tables, opt_sels, real)
-        union = 0
-        for sel in sels:
-            union |= sel
-        sels.append(real & union)
-        key = tuple(sels)
+        return sels
+
+    # group: footprint key -> summed scaled probability
+    footprints: dict[tuple, int] = {}
+    keys = _footprints(run_all, [real for real, _, _ in samples], T)
+    for (_, num, k), key in zip(samples, keys):
         footprints[key] = footprints.get(key, 0) + (num << (K - k))
 
     # evaluate: once per class, with exact integer sums
@@ -465,16 +513,17 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 c = (sels[t - 1] & real).bit_count()
                 if c:
                     row[t - 1] += w * c
+        news = {name: _new_masks(runs[name], real) for name in run_names}
         for name in run_names:
             row = new_sums[name]
-            for t, mask in enumerate(_new_masks(runs[name], real)):
+            for t, mask in enumerate(news[name]):
                 if mask:
                     row[t] += w * mask.bit_count()
 
         for name in refs:
             aug_w, adj_w = aug_sums[name], adj_sums[name]
-            for t, o_mask, new, (aug, adj) in _decompositions(
-                    tables, True, runs[name], opt_sels, real, horizons):
+            for t, o_mask, (aug, adj) in _decompositions(
+                    tables, True, runs[name], opt_sels, real, horizons, news[name]):
                 partition_ok &= _is_partition(o_mask, [*aug.values(), *adj.values()])
                 for i, mask in aug.items():
                     key = (t, i)
@@ -482,10 +531,10 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 for (i, j), mask in adj.items():
                     key3 = (t, i, j)
                     adj_w[key3] = adj_w.get(key3, 0) + w * mask.bit_count()
-                _charge(charging_worst[name], t, charging_factor, new, adj=adj)
+                _charge(charging_worst[name], t, charging_factor, news[name], adj=adj)
         if with_cap:
             sm_sels = runs["sm"]
-            for t, o_mask, _, (overlap, occ, rem) in _decompositions(
+            for t, o_mask, (overlap, occ, rem) in _decompositions(
                     tables, False, sm_sels, opt_sels, real, horizons):
                 partition_ok &= _is_partition(o_mask, [overlap, occ, *rem.values()])
                 for i, mask in rem.items():

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from .errors import ValidationError
 from .model import (Edge, General, Hypergraph, Instance, ManyToOne, Vertex,
-                    check_rounds_limit)
+                    check_edges_limit, check_rounds_limit)
 from .rng import CounterRng
 
 
@@ -94,11 +94,12 @@ def gen_separation() -> Instance:
 def gen_complete_bipartite(n: int, p: float, rounds: int = 1) -> Instance:
     """K_{n,n} with uniform edge probability; single round by default.
 
-    The rounds are checked against ``ROUNDS_LIMIT`` before the n^2 edges
-    are built."""
+    The rounds are checked against ``ROUNDS_LIMIT``, and the n^2 edges
+    against ``EDGES_LIMIT``, before anything is built."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     check_rounds_limit(rounds)
+    check_edges_limit(n * n)
     vertices = [Vertex(i) for i in range(2 * n)]
     edges = []
     for i in range(n):

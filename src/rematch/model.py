@@ -27,12 +27,19 @@ from .rng import uniform01
 
 ENUMERATION_LIMIT = 16
 ROUNDS_LIMIT = 10**6
+EDGES_LIMIT = 2**18  # K_{512,512}: simulating it peaks at 276 MB; 10^6 edges at 1.2 GB
 
 
 def check_rounds_limit(rounds: int) -> None:
     """Raise ``LimitExceededError`` past ``ROUNDS_LIMIT``; call it before allocating."""
     if rounds > ROUNDS_LIMIT:
         raise LimitExceededError(f"{rounds} rounds exceed limit {ROUNDS_LIMIT}")
+
+
+def check_edges_limit(edges: int) -> None:
+    """Raise ``LimitExceededError`` past ``EDGES_LIMIT``; call it before building edges."""
+    if edges > EDGES_LIMIT:
+        raise LimitExceededError(f"{edges} edges exceed limit {EDGES_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,7 @@ class Instance:
     @classmethod
     def from_json(cls, data: Mapping) -> "Instance":
         try:
+            check_edges_limit(len(data["edges"]))
             vertices = [Vertex(int(v["id"]), int(v.get("capacity", 1))) for v in data["vertices"]]
             raw_edges = sorted(data["edges"], key=lambda e: int(e["id"]))
             edges = [Edge(int(e["id"]), [int(u) for u in e["endpoints"]], float(e["p"])) for e in raw_edges]

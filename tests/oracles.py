@@ -29,8 +29,8 @@ from itertools import combinations
 from rematch import coupling, kernels
 from rematch.kernels import lex_less
 from rematch.matching import WeightedSubproblem, max_weight_matching
-from rematch.model import (Hypergraph, Instance, build_tables, enumerate_samples,
-                           feasible, sample)
+from rematch.model import (Hypergraph, Instance, ManyToOne, build_tables,
+                           enumerate_samples, feasible, sample)
 from rematch.montecarlo import RewardStats, make_runner
 from rematch.policies import PolicyId, build_dp, follower_masks
 from rematch.rng import sub_seed
@@ -313,6 +313,65 @@ def monte_carlo_list_reduce(instance: Instance, policy: PolicyId, trials: int,
 # reference exact coupling pass: one sample at a time, exact sums
 
 
+def _first_rounds(sels) -> dict:
+    """Edge -> the 1-based round in which ``sels`` first selects it."""
+    first = {}
+    for r, sel in enumerate(sels, 1):
+        for e in range(sel.bit_length()):
+            if sel >> e & 1:
+                first.setdefault(e, r)
+    return first
+
+
+def unit_classes_loop(tables, new, opt_sels, o_mask: int, t: int):
+    """(aug, adj) of the opt successes ``o_mask`` at horizon t as first
+    written: each edge's donor is found by scanning the reference's new
+    successes ``new`` of rounds 1..t for one sharing a vertex with it."""
+    first = _first_rounds(opt_sels)
+    aug, adj = {}, {}
+    for e in range(tables.m):
+        if not o_mask >> e & 1:
+            continue
+        ends = set(tables.ev[e])
+        donor = None
+        for j in range(1, t + 1):
+            if any(new[j - 1] >> f & 1 and ends & set(tables.ev[f]) for f in range(tables.m)):
+                donor = j
+                break
+        i = first[e]
+        if donor is None:
+            aug[i] = aug.get(i, 0) | 1 << e
+        else:
+            adj[i, donor] = adj.get((i, donor), 0) | 1 << e
+    return aug, adj
+
+
+def cap_classes_loop(tables, s_le: int, opt_sels, o_mask: int):
+    """(overlap, occupied, remainder) of the opt successes ``o_mask``
+    against the reference successes ``s_le`` as first written: occupancy
+    counted at every vertex, a vertex heavy when occupied to at least
+    half its capacity, and on many-to-one instances any touched left
+    vertex blocking, with no overlap class."""
+    inst = tables.instance
+    many_to_one = isinstance(inst.structure, ManyToOne)
+    occ = [(s_le & tables.inc[v]).bit_count() for v in range(tables.n)]
+    heavy = [occ[v] > 0 and 2 * occ[v] >= tables.cap[v] for v in range(tables.n)]
+    left = {v for v, vert in enumerate(inst.vertices)
+            if many_to_one and vert.id in inst.structure.left}
+    first = _first_rounds(opt_sels)
+    overlap, occupied, remainder = 0, 0, {}
+    for e in range(tables.m):
+        if not o_mask >> e & 1:
+            continue
+        if not many_to_one and s_le >> e & 1:
+            overlap |= 1 << e
+        elif any(occ[v] > 0 if v in left else heavy[v] for v in tables.ev[e]):
+            occupied |= 1 << e
+        else:
+            remainder[first[e]] = remainder.get(first[e], 0) | 1 << e
+    return overlap, occupied, remainder
+
+
 def reference_coupling_expectations(instance: Instance) -> dict:
     """The fields of ``coupling.coupling_expectations``, summed per sample
     in ``Fraction``: every ``e_*`` value is exact (round it with
@@ -372,8 +431,10 @@ def reference_coupling_expectations(instance: Instance) -> dict:
             out["e_opt_succ"][t - 1] += prob * (opt_sels[t - 1] & real).bit_count()
         for name in refs:
             aug_sums, adj_sums = out["e_aug"][name], out["e_adj"][name]
-            for t, o_mask, new, (aug, adj) in coupling._decompositions(
-                    tables, True, runs[name], opt_sels, real, horizons):
+            new = coupling._new_masks(runs[name], real)
+            for t in horizons:
+                o_mask = opt_sels[t - 1] & real
+                aug, adj = unit_classes_loop(tables, new, opt_sels, o_mask, t)
                 out["partition_ok"] &= coupling._is_partition(
                     o_mask, [*aug.values(), *adj.values()])
                 for i, mask in aug.items():
@@ -383,14 +444,15 @@ def reference_coupling_expectations(instance: Instance) -> dict:
                 coupling._charge(out["charging_worst"][name], t, charging_factor, new, adj=adj)
         if not hyper:
             rem_sums = out["e_remainder"]
-            for t, o_mask, _, (overlap, occ, rem) in coupling._decompositions(
-                    tables, False, runs["sm"], opt_sels, real, horizons):
+            for t in horizons:
+                o_mask = opt_sels[t - 1] & real
+                s_le = runs["sm"][t - 1] & real
+                overlap, occ, rem = cap_classes_loop(tables, s_le, opt_sels, o_mask)
                 out["partition_ok"] &= coupling._is_partition(
                     o_mask, [overlap, occ, *rem.values()])
                 for i, mask in rem.items():
                     rem_sums[t, i] = rem_sums.get((t, i), zero) + prob * mask.bit_count()
-                coupling._charge(out["occ_charging_worst"], t, occ_factor, occ=occ,
-                                 s_le=runs["sm"][t - 1] & real)
+                coupling._charge(out["occ_charging_worst"], t, occ_factor, occ=occ, s_le=s_le)
     return out
 
 

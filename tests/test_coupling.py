@@ -1,18 +1,22 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import expectation, reference_coupling_expectations
-from rematch.coupling import (coupling_expectations, decompose, decompose_capacitated,
-                              verify_charging, verify_domination)
+from rematch import kernels, suites
+from rematch.coupling import (_footprints, _references, coupling_expectations, decompose,
+                              decompose_capacitated, verify_charging, verify_domination)
 from rematch.errors import ValidationError
-from rematch.generators import (gen_complete_bipartite, gen_double_star, gen_random,
-                                gen_separation)
-from rematch.model import (Edge, Instance, ManyToOne, SampleGraph, Trace, Vertex,
-                           enumerate_samples, sample)
-from rematch.policies import build_dp, run_opt, run_sm
+from rematch.generators import (PROFILES, gen_complete_bipartite, gen_double_star,
+                                gen_random, gen_separation)
+from rematch.model import (Edge, Hypergraph, Instance, ManyToOne, SampleGraph, Trace,
+                           Vertex, build_tables, enumerate_samples, sample)
+from rematch.policies import build_dp, follower_masks, run_opt, run_sm
 from rematch.rng import sub_seed
 
 # a path-plus-tail where the committing reference grabs the high-probability
@@ -213,3 +217,73 @@ def test_grouped_pass_rounds_the_exact_per_sample_sums():
             assert getattr(got, name) == want[name], (label, name)
         assert got.partition_ok and got.commit_ok, label
     assert any(w != 1.0 for w in inst.weights)
+
+
+@lru_cache(maxsize=8)
+def _all_runs(inst):
+    """Every run of the exact pass on one sample, each policy run directly:
+    opt, opt-commit, sm, then gc and the opt-follower where the pass runs
+    them (gc not on hypergraphs, the follower at unit capacities only)."""
+    tables = build_tables(inst)
+    tables.build_enumeration()
+    table, table_c = build_dp(inst, commit=False), build_dp(inst, commit=True)
+    hyper = isinstance(inst.structure, Hypergraph)
+    with_follower = bool(_references(inst)) and not hyper
+
+    def run_all(real):
+        opt_sels = table.replay(real)
+        sels = opt_sels + table_c.replay(real) + kernels.sm_trace(tables, real)
+        if not hyper:
+            sels += kernels.gc_trace(tables, real)
+        if with_follower:
+            sels += follower_masks(tables, opt_sels, real)
+        return sels
+    return run_all
+
+
+def _direct_footprint(run_all, real):
+    sels = run_all(real)
+    union = 0
+    for sel in sels:
+        union |= sel
+    return (*sels, real & union)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=st.one_of(
+           st.builds(gen_random, st.sampled_from(sorted(PROFILES)), st.integers(0, 10**6)),
+           st.builds(gen_double_star, st.integers(2, 5), st.just(0.1)),
+           st.just(gen_complete_bipartite(3, 0.5, rounds=2))),
+       order=st.randoms(use_true_random=False))
+def test_footprint_index_returns_the_direct_footprint(inst, order):
+    # The path index runs the policies only on a sample whose outcome path
+    # is new; in any enumeration order, every positive sample must still
+    # get the footprint that running every policy on it gives.
+    run_all = _all_runs(inst)
+    reals = [smp.mask for smp, prob in enumerate_samples(inst) if prob > 0.0]
+    order.shuffle(reals)
+    keys = list(_footprints(run_all, reals, inst.rounds))
+    assert keys == [_direct_footprint(run_all, real) for real in reals]
+
+
+def test_exact_pass_runs_the_policies_once_per_footprint_class(monkeypatch):
+    # sm_trace runs once per class, and on some instance a class holds
+    # more than one sample, so the pass runs it fewer times than samples
+    instances = [inst for profile, seed in (("unit-small", suites.UNIT_SEED),
+                                            ("cap-small", suites.CAP_SEED),
+                                            ("mto-small", suites.MTO_SEED),
+                                            ("hyper3-small", suites.HYPER_SEED))
+                 for inst in suites._suite_instances(profile, 3, seed)]
+    counts = []
+    for inst in instances:
+        run_all = _all_runs(inst)
+        reals = [smp.mask for smp, prob in enumerate_samples(inst) if prob > 0.0]
+        counts.append((len({_direct_footprint(run_all, r) for r in reals}), len(reals)))
+    calls = []
+    sm_trace = kernels.sm_trace
+    monkeypatch.setattr(kernels, "sm_trace", lambda *args: calls.append(1) or sm_trace(*args))
+    for inst, (classes, samples) in zip(instances, counts):
+        calls.clear()
+        coupling_expectations.__wrapped__(inst)
+        assert len(calls) == classes <= samples
+    assert any(classes < samples for classes, samples in counts)

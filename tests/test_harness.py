@@ -11,11 +11,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rematch import cli, generators
+from rematch import cli, generators, model
 from rematch.errors import LimitExceededError, SolverError, ValidationError
 from rematch.generators import (PROFILES, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
-from rematch.model import ROUNDS_LIMIT, Hypergraph, Instance, ManyToOne
+from rematch.model import EDGES_LIMIT, ROUNDS_LIMIT, Hypergraph, Instance, ManyToOne
 from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId
 from rematch.rng import sub_seed
@@ -76,6 +76,24 @@ def test_generators_check_rounds_before_building(monkeypatch):
         gen_double_star(10**8, 0.1)  # T = n^2
     with pytest.raises(LimitExceededError):
         gen_complete_bipartite(10**4, 0.5, ROUNDS_LIMIT + 1)
+
+
+def test_edge_count_is_checked_before_building(monkeypatch):
+    # n^2 edges past EDGES_LIMIT fail before any vertex or edge exists,
+    # from the generator, from instance JSON and through the CLI (exit 3)
+    def unbuilt(*args):
+        raise AssertionError("built before the edge check")
+
+    for module in (generators, model):
+        monkeypatch.setattr(module, "Vertex", unbuilt)
+        monkeypatch.setattr(module, "Edge", unbuilt)
+    side = math.isqrt(EDGES_LIMIT)
+    with pytest.raises(LimitExceededError):
+        gen_complete_bipartite(side + 1, 0.5)
+    data = {"vertices": [{"id": 0}], "edges": [{}] * (EDGES_LIMIT + 1), "rounds": 1}
+    with pytest.raises(LimitExceededError):
+        Instance.from_json(data)
+    assert run_cli(["gen", "--family", "complete-bipartite", "--n", "100000"]) == (3, "")
 
 
 def test_random_profiles_respect_contracts():
