@@ -12,8 +12,9 @@ Hot kernels (the expectimax DP and per-sample policy simulation) live
 in ``rematch.kernels``, in pure Python on integer bitmasks.
 """
 
-from .coupling import (Decomposition, LemmaReport, coupling_expectations, decompose,
-                       decompose_capacitated, verify_charging, verify_domination)
+from .coupling import (Decomposition, LemmaReport, LemmaRules, coupling_expectations,
+                       decompose, decompose_capacitated, lemma_rules, verify_charging,
+                       verify_domination)
 from .errors import (DomainError, LimitExceededError, RematchError, SolverError,
                      UnknownEdgeError, ValidationError)
 from .factorlp import (DualCertificate, FactorLp, approximation_factor, build_primal,

@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .errors import (DomainError, LimitExceededError, RematchError, SolverError,
                      ValidationError)
-from .model import Instance
+from .model import INSTANCE_BYTES_LIMIT, Instance
 from .montecarlo import monte_carlo
 from .policies import PolicyId, opt_value
 from .rng import sub_seed
 from . import coupling, factorlp, generators, suites
 
 _LEMMA_CHOICES = ("charging",) + tuple(
-    "domination-" + variant.replace("_", "-") for variant in coupling._DOMINATION_VARIANTS)
+    "domination-" + variant.replace("_", "-") for variant in coupling.DOMINATION_VARIANTS)
 
 
 class UsageError(RematchError):
@@ -58,6 +59,10 @@ def _add_family_args(p: _Parser) -> None:
 def _load_instance(args) -> Instance:
     if args.instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
+            # the parse is unbounded, so refuse a file no admitted instance needs
+            size = os.fstat(fh.fileno()).st_size
+            if size > INSTANCE_BYTES_LIMIT:
+                raise LimitExceededError(f"{size} bytes exceed limit {INSTANCE_BYTES_LIMIT}")
             try:
                 data = json.load(fh)
             except (ValueError, RecursionError) as exc:  # bad encoding, JSON or nesting
@@ -130,7 +135,7 @@ def _run_verify(args, out) -> int:
     all_ok = True
     for inst in instances:
         t = args.t if args.t is not None else inst.rounds
-        lemmas = (coupling.default_lemmas(inst) if args.lemma == "all" else
+        lemmas = (coupling.lemma_rules(inst).lemmas if args.lemma == "all" else
                   [args.lemma.removeprefix("domination-").replace("-", "_")])
         for lemma in lemmas:
             if lemma == "charging":

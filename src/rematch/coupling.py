@@ -32,10 +32,9 @@ every expectation is summed exactly as an integer over a power of two
 and rounded once: each ``e_*`` value is correctly rounded, whatever the
 grouping or the enumeration order.
 
-This module is the one owner of the lemma rules: which checks apply to
-an instance (``default_lemmas``), the charging lemma and factor
-(``charging_rule``) and the domination rows (``_DOMINATION_VARIANTS``),
-read by ``verify``, the CLI and the acceptance suites alike.
+This module is the one owner of the lemma rules: ``lemma_rules`` works
+out an instance's kind and returns every rule that depends on it, read
+by the exact pass, ``verify``, the CLI and the acceptance suites alike.
 """
 
 from __future__ import annotations
@@ -333,52 +332,67 @@ class CouplingSummary:
 
 
 # ---------------------------------------------------------------------
-# lemma rules: which charging and domination checks apply to an instance
+# lemma rules: the one place that works out an instance's kind
 
 
-def _references(instance: Instance) -> list[str]:
-    """The committing runs the unit decomposition is taken against.
+# domination variant -> (reference run, shape of its rows); the factor of
+# each variant that applies to an instance is in its ``LemmaRules``
+DOMINATION_VARIANTS = {
+    "sm": ("sm", "per_round"),
+    "sm_refined": ("sm", "tail"),
+    "gc": ("gc", "per_round"),
+    "gc_refined": ("gc", "tail"),
+    "capacitated": ("sm", "remainder"),
+    "many_to_one": ("sm", "remainder"),
+    "hypergraph": ("sm", "per_round"),
+}
 
-    Empty when capacities are not all 1.  Hypergraph selections are
-    vertex-disjoint whatever the declared capacities (``Tables.cap``
-    collapses them to 1), so a hypergraph always counts as unit; it has
-    no greedy-commit run.
+
+@dataclass(frozen=True)
+class LemmaRules:
+    """Every rule of the coupling argument that depends on the instance's kind."""
+
+    references: tuple[str, ...]            # runs the unit decomposition is taken against
+    runs: tuple[str, ...]                  # committing runs the pass traces besides opt's
+    charging: tuple[str, float]            # (lemma, factor) that verify_charging reports
+    charging_references: tuple[str, ...]   # runs verify_charging may charge against
+    occupancy: tuple[str, float] | None    # (lemma, factor) of the occupied class vs sm
+    lemmas: tuple[str, ...]                # what `rematch verify --lemma all` checks
+    domination: tuple[tuple[str, float], ...]  # (variant, factor) of the rows that apply
+    # criterion 4's (reference, factor): E[opt successes at t] <= factor *
+    # E[reference successes at t]; a factor of None is the reference's LP u(t)
+    ratio_bounds: tuple[tuple[str, float | None], ...]
+
+
+def lemma_rules(instance: Instance) -> LemmaRules:
+    """The lemma and ratio rules of ``instance``'s kind.
+
+    A hypergraph is unit whatever its declared capacities (``Tables.cap``
+    collapses them to 1): factor k against sm, its only committing run.
     """
-    if isinstance(instance.structure, Hypergraph):
-        return ["sm"]
-    return ["sm", "gc"] if instance.unit_capacities() else []
-
-
-def _occupancy_rule(instance: Instance) -> tuple[str, float]:
-    """(lemma, factor) charging the occupied class against all reference successes."""
-    if isinstance(instance.structure, ManyToOne):
-        return "charging_many_to_one", 3.0
-    return "charging_capacitated", 4.0
-
-
-def charging_rule(instance: Instance) -> tuple[str, float]:
-    """(lemma, factor) of the charging bound :func:`verify_charging` checks.
-
-    Unit capacities charge adjacent opt edges against each donor round
-    at factor 2 (hypergraphs: k); other instances use the occupancy rule.
-    """
-    if isinstance(instance.structure, Hypergraph):
-        return "charging_hypergraph", float(instance.structure.k)
+    st = instance.structure
+    if isinstance(st, Hypergraph):
+        k = float(st.k)
+        return LemmaRules(
+            references=("sm",), runs=("sm",), charging=("charging_hypergraph", k),
+            charging_references=("sm",), occupancy=None, lemmas=("charging", "hypergraph"),
+            domination=(("hypergraph", k),), ratio_bounds=(("sm", 2 * k),))
+    if isinstance(st, ManyToOne):
+        occupancy, remainder, theorem = ("charging_many_to_one", 3.0), ("many_to_one", 4.0), 7.0
+    else:
+        occupancy, remainder, theorem = ("charging_capacitated", 4.0), ("capacitated", 6.0), 11.0
+    ratio_bounds = (("sm", theorem), ("gc", 3.0), ("sm", None), ("gc", None))
     if instance.unit_capacities():
-        return "charging", 2.0
-    return _occupancy_rule(instance)
-
-
-def default_lemmas(instance: Instance) -> list[str]:
-    """The checks ``rematch verify --lemma all`` runs: "charging", then
-    the domination variants that apply to the instance."""
-    if isinstance(instance.structure, Hypergraph):
-        return ["charging", "hypergraph"]
-    if not instance.unit_capacities():
-        if isinstance(instance.structure, ManyToOne):
-            return ["charging", "many_to_one"]
-        return ["charging", "capacitated"]
-    return ["charging", "sm", "sm_refined", "gc", "gc_refined"]
+        unit = (("sm", 2.0), ("sm_refined", 2.0), ("gc", 1.0), ("gc_refined", 1.0))
+        return LemmaRules(
+            references=("sm", "gc"), runs=("sm", "gc", "opt_follower"),
+            charging=("charging", 2.0), charging_references=("sm", "gc"), occupancy=occupancy,
+            lemmas=("charging", *(v for v, _ in unit)), domination=(*unit, remainder),
+            ratio_bounds=ratio_bounds)
+    return LemmaRules(  # the occupancy rule charges against sm
+        references=(), runs=("sm", "gc"), charging=occupancy, charging_references=("sm",),
+        occupancy=occupancy, lemmas=("charging", remainder[0]), domination=(remainder,),
+        ratio_bounds=ratio_bounds)
 
 
 # ---------------------------------------------------------------------
@@ -453,13 +467,9 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     tables.build_enumeration()
     T = instance.rounds
     horizons = list(range(1, T + 1))
-    hyper = isinstance(instance.structure, Hypergraph)
-    refs = _references(instance)
-    with_gc = not hyper
-    with_cap = not hyper
-    with_follower = bool(refs) and not hyper
-    run_names = ["sm"] + (["gc"] if with_gc else []) + (
-        ["opt_follower"] if with_follower else [])
+    rules = lemma_rules(instance)
+    refs = list(rules.references)
+    run_names = list(rules.runs)
 
     table = build_dp(instance, commit=False)
     table_c = build_dp(instance, commit=True)
@@ -475,9 +485,9 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     def run_all(real: int) -> list[int]:
         opt_sels = table.replay(real)
         sels = opt_sels + table_c.replay(real) + kernels.sm_trace(tables, real)
-        if with_gc:
+        if "gc" in run_names:
             sels += kernels.gc_trace(tables, real)
-        if with_follower:
+        if "opt_follower" in run_names:
             sels += follower_masks(tables, opt_sels, real)
         return sels
 
@@ -495,11 +505,9 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     adj_sums = {r: {} for r in refs}
     rem_sums: dict[tuple[int, int], int] = {}
     charging_worst = {r: {} for r in refs}
-    occ_charging_worst = {} if with_cap else None
+    occ_charging_worst = None if rules.occupancy is None else {}
     partition_ok = True
     commit_ok = True
-    charging_factor = charging_rule(instance)[1]
-    occ_factor = _occupancy_rule(instance)[1]
 
     for footprint, w in footprints.items():
         real = footprint[-1]
@@ -531,8 +539,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 for (i, j), mask in adj.items():
                     key3 = (t, i, j)
                     adj_w[key3] = adj_w.get(key3, 0) + w * mask.bit_count()
-                _charge(charging_worst[name], t, charging_factor, news[name], adj=adj)
-        if with_cap:
+                _charge(charging_worst[name], t, rules.charging[1], news[name], adj=adj)
+        if rules.occupancy is not None:
             sm_sels = runs["sm"]
             for t, o_mask, (overlap, occ, rem) in _decompositions(
                     tables, False, sm_sels, opt_sels, real, horizons):
@@ -540,7 +548,7 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 for i, mask in rem.items():
                     key = (t, i)
                     rem_sums[key] = rem_sums.get(key, 0) + w * mask.bit_count()
-                _charge(occ_charging_worst, t, occ_factor, occ=occ,
+                _charge(occ_charging_worst, t, rules.occupancy[1], occ=occ,
                         s_le=sm_sels[t - 1] & real)
 
     scale = 1 << K  # int / int true division rounds correctly
@@ -559,7 +567,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
         e_opt_succ=[total / scale for total in succ["opt"]],
         e_aug={r: rounded(aug_sums[r]) for r in refs},
         e_adj={r: rounded(adj_sums[r]) for r in refs},
-        e_remainder=rounded(rem_sums) if with_cap else None, e_reward=e_reward,
+        e_remainder=None if rules.occupancy is None else rounded(rem_sums),
+        e_reward=e_reward,
         opt_value=table.root_value, opt_commit_value=table_c.root_value,
         charging_worst=charging_worst, occ_charging_worst=occ_charging_worst,
         partition_ok=partition_ok, commit_ok=commit_ok)
@@ -588,38 +597,20 @@ class LemmaReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-_DOMINATION_VARIANTS = {
-    # variant: (reference, factor, shape)
-    "sm": ("sm", 2.0, "per_round"),
-    "sm_refined": ("sm", 2.0, "tail"),
-    "gc": ("gc", 1.0, "per_round"),
-    "gc_refined": ("gc", 1.0, "tail"),
-    "capacitated": ("sm", 6.0, "remainder"),
-    "many_to_one": ("sm", 4.0, "remainder"),
-    "hypergraph": ("sm", None, "per_round"),
-}
-
-
-def _check_variant(instance: Instance, variant: str) -> None:
-    """Reject a variant the exact pass keeps no expectation table for."""
-    if variant not in _DOMINATION_VARIANTS:
+def _domination_factor(instance: Instance, variant: str) -> float:
+    """The factor of ``variant`` on ``instance``; reject a variant that does not apply."""
+    if variant not in DOMINATION_VARIANTS:
         raise ValidationError(f"unknown domination variant {variant!r}")
-    ref, _, shape = _DOMINATION_VARIANTS[variant]
-    hyper = isinstance(instance.structure, Hypergraph)
-    if shape == "remainder":
-        applies = not hyper
-    else:
-        applies = ref in _references(instance) and (hyper or variant != "hypergraph")
-    if not applies:
+    factor = dict(lemma_rules(instance).domination).get(variant)
+    if factor is None:
         raise ValidationError(f"domination variant {variant!r} does not apply to this instance")
+    return factor
 
 
-def _exact_pairs(summary: CouplingSummary, t: int, variant: str):
+def _exact_pairs(summary: CouplingSummary, t: int, variant: str, factor: float):
     """Yield (index descriptor, lhs, rhs) per row of one domination variant
     at horizon t, in expectation."""
-    ref, factor, shape = _DOMINATION_VARIANTS[variant]
-    if variant == "hypergraph":
-        factor = float(summary.instance.structure.k)
+    ref, shape = DOMINATION_VARIANTS[variant]
     new = summary.e_new[ref]
     if shape == "tail":
         aug, adj = summary.e_aug[ref], summary.e_adj[ref]
@@ -636,9 +627,9 @@ def _exact_pairs(summary: CouplingSummary, t: int, variant: str):
 
 def domination_violations(summary: CouplingSummary, variant: str) -> int:
     """Rows of a domination variant violated beyond ``EXACT_TOL``, over all horizons."""
-    _check_variant(summary.instance, variant)
+    factor = _domination_factor(summary.instance, variant)
     return sum(lhs > rhs + EXACT_TOL for t in summary.horizons
-               for _, lhs, rhs in _exact_pairs(summary, t, variant))
+               for _, lhs, rhs in _exact_pairs(summary, t, variant, factor))
 
 
 def _check_mode(mode: str) -> None:
@@ -652,10 +643,10 @@ def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exa
     """Expectation-level domination inequalities from the exact pass; never
     asserted per sample."""
     _check_mode(mode)
-    _check_variant(instance, variant)
+    factor = _domination_factor(instance, variant)
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
-    rows = list(_exact_pairs(coupling_expectations(instance), t, variant))
+    rows = list(_exact_pairs(coupling_expectations(instance), t, variant, factor))
     lhs = [r[1] for r in rows]
     rhs = [r[2] for r in rows]
     verdict = all(a <= b + EXACT_TOL for a, b in zip(lhs, rhs))
@@ -665,16 +656,17 @@ def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exa
 
 def verify_charging(instance: Instance, t: int, mode: str = "exact",
                     reference: str = "sm") -> LemmaReport:
-    """Per-sample charging bounds (combinatorial, zero tolerance), by
-    :func:`charging_rule`: the worst sample of the exact pass per index."""
+    """Per-sample charging bounds (combinatorial, zero tolerance), by the
+    instance's ``LemmaRules.charging``: the worst sample of the exact pass
+    per index."""
     _check_mode(mode)
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
-    refs = _references(instance)
-    if reference not in (refs or ["sm"]):  # the occupancy rule charges against sm
+    rules = lemma_rules(instance)
+    if reference not in rules.charging_references:
         raise ValidationError(f"no charging check against {reference!r} on this instance")
     summary = coupling_expectations(instance)
-    if refs:
+    if rules.references:
         worst = summary.charging_worst[reference]
         indices = [{"t": t, "j": j} for j in range(1, t + 1)]
         pairs = [worst.get((t, j), (0.0, 0.0)) for j in range(1, t + 1)]
@@ -684,4 +676,4 @@ def verify_charging(instance: Instance, t: int, mode: str = "exact",
     lhs = [p[0] for p in pairs]
     rhs = [p[1] for p in pairs]
     verdict = all(a <= b for a, b in zip(lhs, rhs))
-    return LemmaReport(charging_rule(instance)[0], "exact", indices, lhs, rhs, verdict)
+    return LemmaReport(rules.charging[0], "exact", indices, lhs, rhs, verdict)

@@ -180,11 +180,12 @@ def solve_lp(lp: FactorLp) -> float:
 
 def u_value(t: int, variant: str = "sm") -> float:
     """Closed-form LP optimum u = 2 t^t / (t^t - (t-a)^t), computed as one
-    int/int division, which Python rounds correctly at every t."""
+    int/int division, which Python rounds correctly at every t >= 1 (at gc
+    t = 1, (t-a)^t = -1 gives the optimum 1)."""
     _check_variant(variant)
+    if t < 1:
+        raise DomainError("horizon t must be >= 1")
     a = 1 if variant == "sm" else 2
-    if t < a:
-        raise DomainError(f"u(t) for variant {variant!r} needs t >= {a}")
     return 2 * t ** t / (t ** t - (t - a) ** t)
 
 

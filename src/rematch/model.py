@@ -28,6 +28,9 @@ from .rng import uniform01
 ENUMERATION_LIMIT = 16
 ROUNDS_LIMIT = 10**6
 EDGES_LIMIT = 2**18  # K_{512,512}: simulating it peaks at 276 MB; 10^6 edges at 1.2 GB
+# instance JSON at indent=2 spends about 230 bytes per edge (its record and
+# its endpoints' vertex records) and 30 per round weight: 99.1 MB in all
+INSTANCE_BYTES_LIMIT = 256 * EDGES_LIMIT + 32 * ROUNDS_LIMIT
 
 
 def check_rounds_limit(rounds: int) -> None:

@@ -77,6 +77,9 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
                 threads: int = 1) -> RewardStats:
     """Mean weighted reward with standard error, plus per-round success means.
 
+    Weighted rewards are summed over 2^e, e >= 0 the largest weight's exponent,
+    so no sum overflows; short of underflow the scaling is exact, bit for bit.
+
     ``threads`` must be at least 1 and does not change the result; trials
     always run serially, because a thread pool was measured slower under
     the GIL.
@@ -87,6 +90,7 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
         raise ValidationError("threads must be >= 1")
     policy = PolicyId(policy)
     runner = make_runner(instance, policy)
+    shift = 0 if policy is PolicyId.OFFLINE_MAX else max(math.frexp(max(instance.weights))[1], 0)
 
     total = 0.0
     total_sq = 0.0
@@ -94,6 +98,7 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
     round_sq: list[float] = []
     for i in range(trials):
         value, per_round = runner(sample(instance, sub_seed(seed, i)))
+        value = math.ldexp(value, -shift)
         total += value
         total_sq += value * value
         grow = len(per_round) - len(round_sum)
@@ -111,7 +116,7 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
         var = max((s2 - n * mean * mean) / (n - 1), 0.0)
         return mean, math.sqrt(var / n)
 
-    mean, se = stats(total, total_sq, trials)
+    mean, se = (math.ldexp(x, shift) for x in stats(total, total_sq, trials))
     per_mean, per_se = [], []
     for r in range(len(round_sum)):
         mu, s_e = stats(round_sum[r], round_sq[r], trials)

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 
 from .coupling import (EXACT_TOL, CouplingSummary, coupling_expectations,
-                       domination_violations)
+                       domination_violations, lemma_rules)
 from .errors import ValidationError
 from .factorlp import (build_primal, dual_certificate, solve_lp, u_limit,
                        u_value, verify_dual_feasible, primal_embedding)
@@ -36,6 +36,12 @@ KERNEL_SEED = 808
 
 UNIT_COUNT = 200
 GENERAL_COUNT = 100
+# the exact lemma suites of criteria 2 and 3: profile -> (count, seed, label),
+# the label naming the suite and, in criterion 3, its domination variant
+SUITES = {"unit-small": (UNIT_COUNT, UNIT_SEED, "unit"),
+          "cap-small": (GENERAL_COUNT, CAP_SEED, "capacitated"),
+          "mto-small": (GENERAL_COUNT, MTO_SEED, "many_to_one"),
+          "hyper3-small": (GENERAL_COUNT, HYPER_SEED, "hypergraph")}
 # relative gap allowed between a replayed policy's exact expected reward
 # and the DP root value it was derived from
 EVALUATION_RTOL = 1e-12
@@ -78,11 +84,9 @@ def criterion_1_lp_certificates() -> CriterionResult:
         u200 = u_value(200, variant)
         lim = u_limit(variant)
         tail_ok = abs(u200 - lim) <= 0.02
-        lo = 2 if variant == "sm" else 3
-        increasing = all(u_value(t, variant) < u_value(t + 1, variant)
-                         for t in range(lo, 200))
+        increasing = all(u_value(t, variant) < u_value(t + 1, variant) for t in range(1, 200))
         floor = 0.316 if variant == "sm" else 0.43
-        factors_ok = all(1.0 / u_value(t, variant) >= floor for t in range(lo, 201))
+        factors_ok = all(1.0 / u_value(t, variant) >= floor for t in range(1, 201))
         ok &= tail_ok and increasing and factors_ok
         tail[variant] = {"u200": u200, "limit": lim, "within": tail_ok,
                          "increasing": increasing, "factor_floor_ok": factors_ok}
@@ -93,17 +97,19 @@ def criterion_1_lp_certificates() -> CriterionResult:
 # criteria 2 and 3: exact lemma suites
 
 
-def _suite_instances(profile: str, count: int, seed: int) -> list[Instance]:
+def _suite_instances(profile: str) -> list[Instance]:
+    count, seed, _ = SUITES[profile]
     return [gen_random(profile, sub_seed(seed, i)) for i in range(count)]
 
 
-def criterion_2_unit_lemmas(count: int = UNIT_COUNT, seed: int = UNIT_SEED) -> CriterionResult:
+def criterion_2_unit_lemmas() -> CriterionResult:
+    count, seed, _ = SUITES["unit-small"]
     summaries = []
     totals = {"sm": 0, "sm_refined": 0, "gc": 0, "gc_refined": 0}
     charging_bad = 0
     partition_bad = 0
     commit_bad = 0
-    for inst in _suite_instances("unit-small", count, seed):
+    for inst in _suite_instances("unit-small"):
         s = coupling_expectations(inst)
         summaries.append(s)
         for variant in totals:
@@ -120,19 +126,17 @@ def criterion_2_unit_lemmas(count: int = UNIT_COUNT, seed: int = UNIT_SEED) -> C
     return CriterionResult(2, "lemma-exact-unit", ok, details, data=summaries)
 
 
-def criterion_3_generalized(count: int = GENERAL_COUNT) -> CriterionResult:
+def criterion_3_generalized() -> CriterionResult:
     data: dict[str, list[CouplingSummary]] = {}
     details: dict = {}
     ok = True
-    plans = (("cap-small", CAP_SEED, "capacitated"),
-             ("mto-small", MTO_SEED, "many_to_one"),
-             ("hyper3-small", HYPER_SEED, "hypergraph"))
-    for profile, seed, label in plans:
+    for profile in ("cap-small", "mto-small", "hyper3-small"):
+        count, seed, label = SUITES[profile]
         summaries = []
         dom_bad = 0
         charge_bad = 0
         part_bad = 0
-        for inst in _suite_instances(profile, count, seed):
+        for inst in _suite_instances(profile):
             s = coupling_expectations(inst)
             summaries.append(s)
             part_bad += 0 if s.partition_ok else 1
@@ -151,20 +155,15 @@ def criterion_3_generalized(count: int = GENERAL_COUNT) -> CriterionResult:
 # criterion 4: round-by-round ratio bounds
 
 
-def _round_ratio_bound(t: int, variant: str) -> float:
-    if variant == "gc" and t == 1:
-        return 1.0  # LP optimum at t=1; the closed form needs t >= 2
-    return u_value(t, variant)
-
-
-def _ratio_violations(s: CouplingSummary, bounds: list[tuple[str, object]]) -> int:
+def _ratio_violations(s: CouplingSummary) -> int:
+    """Horizons and ``LemmaRules.ratio_bounds`` at which E[opt successes]
+    exceeds the bound times E[reference successes]."""
     bad = 0
+    bounds = lemma_rules(s.instance).ratio_bounds
     for t in s.horizons:
         o = s.e_opt_succ[t - 1]
         for ref, factor in bounds:
-            if ref not in s.e_succ:
-                continue
-            cap = factor(t) if callable(factor) else factor
+            cap = u_value(t, ref) if factor is None else factor
             denom = s.e_succ[ref][t - 1]
             if denom <= EXACT_TOL:
                 bad += 0 if o <= EXACT_TOL else 1
@@ -180,37 +179,26 @@ def criterion_4_ratio_bounds(unit: list[CouplingSummary] | None = None,
         unit = criterion_2_unit_lemmas().data
     if generalized is None:
         generalized = criterion_3_generalized().data
-    stated = [("gc", 3.0),
-              ("sm", lambda t: _round_ratio_bound(t, "sm")),
-              ("gc", lambda t: _round_ratio_bound(t, "gc"))]
-    bad_unit = sum(_ratio_violations(s, stated) for s in unit)
-    bad_gen = 0
-    theorem = {"capacitated": 11.0, "many_to_one": 7.0}
-    for label, summaries in generalized.items():
-        for s in summaries:
-            if label == "hypergraph":
-                factor = 2.0 * s.instance.structure.k
-                bad_gen += _ratio_violations(s, [("sm", factor)])
-            else:
-                bad_gen += _ratio_violations(s, [("sm", theorem[label])] + stated)
-    # embedding feasibility and the empirical-factor bound on the unit suite
+    bad_unit = sum(_ratio_violations(s) for s in unit)
+    bad_gen = sum(_ratio_violations(s) for summaries in generalized.values()
+                  for s in summaries)
+    # embedding feasibility and the empirical-factor bound on the unit suite;
+    # each unit-decomposition reference (sm, gc) names the variant of its LP
     embed_bad = 0
     for s in unit:
-        for variant, ref in (("sm", "sm"), ("gc", "gc")):
-            if ref not in s.references:
-                continue
+        for ref in s.references:
             for t in s.horizons:
                 succ = s.e_succ[ref][t - 1]
                 if succ <= EXACT_TOL:
                     continue
                 x, objective = primal_embedding(
-                    t, variant, s.e_aug[ref], s.e_adj[ref], s.e_new[ref], succ)
-                lp = build_primal(t, variant)
+                    t, ref, s.e_aug[ref], s.e_adj[ref], s.e_new[ref], succ)
+                lp = build_primal(t, ref)
                 if lp.check_point(x, tol=EXACT_TOL):
                     embed_bad += 1
                 if abs(objective - s.e_opt_succ[t - 1] / succ) > EXACT_TOL:
                     embed_bad += 1
-                if objective > _round_ratio_bound(t, variant) + 1e-6:
+                if objective > u_value(t, ref) + 1e-6:
                     embed_bad += 1
     ok = bad_unit == 0 and bad_gen == 0 and embed_bad == 0
     return CriterionResult(4, "ratio-bounds", ok, {
@@ -279,7 +267,8 @@ def criterion_5_separation(unit: list[CouplingSummary] | None = None,
 # criterion 6: the double-star gap at desk scale
 
 
-def criterion_6_upper_bound(trials: int = 100000, seed: int = UPPER_SEED) -> CriterionResult:
+def criterion_6_upper_bound() -> CriterionResult:
+    trials, seed = 100000, UPPER_SEED
     inst = gen_double_star(6, 0.1)
     sm_ok = True
     for smp, prob in enumerate_samples(inst):
@@ -303,7 +292,8 @@ def criterion_6_upper_bound(trials: int = 100000, seed: int = UPPER_SEED) -> Cri
 # criterion 7: offline benchmark vs any online policy
 
 
-def criterion_7_offline(trials: int = 20000, seed: int = OFFLINE_SEED) -> CriterionResult:
+def criterion_7_offline() -> CriterionResult:
+    trials, seed = 20000, OFFLINE_SEED
     inst = gen_complete_bipartite(10, 0.1)
     stats = monte_carlo(inst, PolicyId.OFFLINE_MAX, trials, seed)
     online_bound = max_weight_matching(
@@ -319,11 +309,11 @@ def criterion_7_offline(trials: int = 20000, seed: int = OFFLINE_SEED) -> Criter
 # criterion 8: matching-kernel properties
 
 
-def _random_unit_instance(rng: CounterRng, max_edges: int = 10) -> Instance:
+def _random_unit_instance(rng: CounterRng) -> Instance:
     nv = rng.randint(4, 8)
     pairs = [(u, w) for u in range(nv) for w in range(u + 1, nv)]
     rng.shuffle(pairs)
-    m = rng.randint(1, min(max_edges, len(pairs)))
+    m = rng.randint(1, min(10, len(pairs)))
     edges = [Edge(i, pairs[i], 0.5) for i in range(m)]
     return Instance([Vertex(i) for i in range(nv)], edges, 1)
 
@@ -358,8 +348,8 @@ def _random_hyper_instance(rng: CounterRng) -> Instance:
                     structure=Hypergraph(3))
 
 
-def criterion_8_kernels(seed: int = KERNEL_SEED) -> CriterionResult:
-    rng = CounterRng(seed)
+def criterion_8_kernels() -> CriterionResult:
+    rng = CounterRng(KERNEL_SEED)
     greedy_bad = 0
     for k in range(1000):
         inst = _random_unit_instance(rng) if k % 2 == 0 else _random_cap_instance(rng)
@@ -409,7 +399,7 @@ def criterion_8_kernels(seed: int = KERNEL_SEED) -> CriterionResult:
         "greedy_half_violations": greedy_bad,
         "hypergraph_violations": hyper_bad,
         "degree_halving_violations": halving_bad,
-        "seed": seed})
+        "seed": KERNEL_SEED})
 
 
 # ---------------------------------------------------------------------

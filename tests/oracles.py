@@ -29,8 +29,8 @@ from itertools import combinations
 from rematch import coupling, kernels
 from rematch.kernels import lex_less
 from rematch.matching import WeightedSubproblem, max_weight_matching
-from rematch.model import (Hypergraph, Instance, ManyToOne, build_tables,
-                           enumerate_samples, feasible, sample)
+from rematch.model import (Instance, ManyToOne, build_tables, enumerate_samples, feasible,
+                           sample)
 from rematch.montecarlo import RewardStats, make_runner
 from rematch.policies import PolicyId, build_dp, follower_masks
 from rematch.rng import sub_seed
@@ -380,26 +380,21 @@ def reference_coupling_expectations(instance: Instance) -> dict:
     tables.build_enumeration()
     T = instance.rounds
     horizons = range(1, T + 1)
-    hyper = isinstance(instance.structure, Hypergraph)
-    refs = coupling._references(instance)
-    with_gc = not hyper
-    with_follower = bool(refs) and not hyper
-    run_names = ["sm"] + (["gc"] if with_gc else []) + (
-        ["opt_follower"] if with_follower else [])
+    rules = coupling.lemma_rules(instance)
+    refs = rules.references
+    run_names = list(rules.runs)
     table = build_dp(instance, commit=False)
     table_c = build_dp(instance, commit=True)
-    charging_factor = coupling.charging_rule(instance)[1]
-    occ_factor = coupling._occupancy_rule(instance)[1]
     zero = Fraction(0)
     out = {
         "e_new": {name: [zero] * T for name in run_names},
         "e_succ": {name: [zero] * T for name in run_names},
         "e_opt_succ": [zero] * T,
         "e_aug": {r: {} for r in refs}, "e_adj": {r: {} for r in refs},
-        "e_remainder": None if hyper else {},
+        "e_remainder": None if rules.occupancy is None else {},
         "e_reward": {name: zero for name in ["sm", "opt", "opt_commit"] + run_names[1:]},
         "charging_worst": {r: {} for r in refs},
-        "occ_charging_worst": None if hyper else {},
+        "occ_charging_worst": None if rules.occupancy is None else {},
         "partition_ok": True, "commit_ok": True,
     }
     weights = [Fraction(w) for w in instance.weights]
@@ -413,11 +408,11 @@ def reference_coupling_expectations(instance: Instance) -> dict:
         prob = Fraction(prob)
         real = smp.mask
         runs = {"sm": kernels.sm_trace(tables, real)}
-        if with_gc:
+        if "gc" in run_names:
             runs["gc"] = kernels.gc_trace(tables, real)
         opt_sels = table.replay(real)
         optc_sels = table_c.replay(real)
-        if with_follower:
+        if "opt_follower" in run_names:
             runs["opt_follower"] = follower_masks(tables, opt_sels, real)
         for name, sels in [*runs.items(), ("opt", opt_sels), ("opt_commit", optc_sels)]:
             out["e_reward"][name] += prob * reward(sels, real)
@@ -441,8 +436,9 @@ def reference_coupling_expectations(instance: Instance) -> dict:
                     aug_sums[t, i] = aug_sums.get((t, i), zero) + prob * mask.bit_count()
                 for (i, j), mask in adj.items():
                     adj_sums[t, i, j] = adj_sums.get((t, i, j), zero) + prob * mask.bit_count()
-                coupling._charge(out["charging_worst"][name], t, charging_factor, new, adj=adj)
-        if not hyper:
+                coupling._charge(out["charging_worst"][name], t, rules.charging[1], new,
+                                 adj=adj)
+        if rules.occupancy is not None:
             rem_sums = out["e_remainder"]
             for t in horizons:
                 o_mask = opt_sels[t - 1] & real
@@ -452,7 +448,8 @@ def reference_coupling_expectations(instance: Instance) -> dict:
                     o_mask, [overlap, occ, *rem.values()])
                 for i, mask in rem.items():
                     rem_sums[t, i] = rem_sums.get((t, i), zero) + prob * mask.bit_count()
-                coupling._charge(out["occ_charging_worst"], t, occ_factor, occ=occ, s_le=s_le)
+                coupling._charge(out["occ_charging_worst"], t, rules.occupancy[1], occ=occ,
+                                 s_le=s_le)
     return out
 
 

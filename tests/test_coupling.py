@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import make_instance
 from oracles import expectation, reference_coupling_expectations
 from rematch import kernels, suites
-from rematch.coupling import (_footprints, _references, coupling_expectations, decompose,
-                              decompose_capacitated, verify_charging, verify_domination)
+from rematch.coupling import (DOMINATION_VARIANTS, _footprints, coupling_expectations,
+                              decompose, decompose_capacitated, lemma_rules, verify_charging,
+                              verify_domination)
 from rematch.errors import ValidationError
 from rematch.generators import (PROFILES, gen_complete_bipartite, gen_double_star,
                                 gen_random, gen_separation)
@@ -163,6 +164,76 @@ def test_verify_domination_exact_all_variants_hold():
         assert verify_charging(inst, inst.rounds).verdict
 
 
+# one instance of each kind, with the rules of the paper written out by hand:
+# (references, runs, charging, charging references, occupancy, lemmas,
+#  domination rows, ratio bounds); a ratio factor of None is the LP's u(t)
+_UNIT = (("sm", 2.0), ("sm_refined", 2.0), ("gc", 1.0), ("gc_refined", 1.0))
+_RULE_KINDS = {
+    "unit general": (
+        make_instance([(0, 1, 0.6), (1, 2, 0.5), (2, 3, 0.4)], rounds=2),
+        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2.0), ("sm", "gc"),
+         ("charging_capacitated", 4.0),
+         ("charging", "sm", "sm_refined", "gc", "gc_refined"),
+         _UNIT + (("capacitated", 6.0),),
+         (("sm", 11.0), ("gc", 3.0), ("sm", None), ("gc", None)))),
+    "unit many-to-one": (
+        make_instance([(0, 2, 0.6), (1, 2, 0.5), (1, 3, 0.4)], rounds=2,
+                      structure=ManyToOne([0, 1])),
+        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2.0), ("sm", "gc"),
+         ("charging_many_to_one", 3.0),
+         ("charging", "sm", "sm_refined", "gc", "gc_refined"),
+         _UNIT + (("many_to_one", 4.0),),
+         (("sm", 7.0), ("gc", 3.0), ("sm", None), ("gc", None)))),
+    "capacitated general": (
+        make_instance([(0, 1, 0.6), (1, 2, 0.5), (2, 0, 0.4)], rounds=2, caps={1: 2}),
+        ((), ("sm", "gc"), ("charging_capacitated", 4.0), ("sm",),
+         ("charging_capacitated", 4.0), ("charging", "capacitated"),
+         (("capacitated", 6.0),),
+         (("sm", 11.0), ("gc", 3.0), ("sm", None), ("gc", None)))),
+    "capacitated many-to-one": (
+        make_instance([(0, 2, 0.6), (1, 2, 0.5), (1, 3, 0.4)], rounds=2, caps={2: 2},
+                      structure=ManyToOne([0, 1])),
+        ((), ("sm", "gc"), ("charging_many_to_one", 3.0), ("sm",),
+         ("charging_many_to_one", 3.0), ("charging", "many_to_one"),
+         (("many_to_one", 4.0),),
+         (("sm", 7.0), ("gc", 3.0), ("sm", None), ("gc", None)))),
+    # hypergraph selections are vertex-disjoint, so a capacity of 2 is unit
+    "hypergraph, a capacity-2 vertex": (
+        make_instance([(0, 1, 0.5), (0, 2, 0.6), (0, 1, 2, 0.4)], rounds=2, caps={0: 2},
+                      structure=Hypergraph(3)),
+        (("sm",), ("sm",), ("charging_hypergraph", 3.0), ("sm",), None,
+         ("charging", "hypergraph"), (("hypergraph", 3.0),), (("sm", 6.0),))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RULE_KINDS))
+def test_lemma_rules_per_kind(kind):
+    inst, want = _RULE_KINDS[kind]
+    rules = lemma_rules(inst)
+    assert (rules.references, rules.runs, rules.charging, rules.charging_references,
+            rules.occupancy, rules.lemmas, rules.domination, rules.ratio_bounds) == want
+    t = inst.rounds
+    for reference in rules.charging_references:
+        assert verify_charging(inst, t, reference=reference).lemma == rules.charging[0]
+    for reference in {"sm", "gc", "opt", "opt_follower"} - set(rules.charging_references):
+        with pytest.raises(ValidationError):
+            verify_charging(inst, t, reference=reference)
+    applies = {variant for variant, _ in rules.domination}
+    assert set(rules.lemmas[1:]) <= applies
+    for variant in DOMINATION_VARIANTS:
+        if variant in applies:
+            assert verify_domination(inst, t, variant).lemma == f"domination_{variant}"
+        else:
+            with pytest.raises(ValidationError):
+                verify_domination(inst, t, variant)
+    summary = coupling_expectations(inst)
+    assert summary.references == list(rules.references)
+    assert set(summary.e_succ) == set(rules.runs)
+    assert (summary.e_remainder is None) == (rules.occupancy is None)
+    # every ratio bound's reference is a run the pass traces
+    assert {ref for ref, _ in rules.ratio_bounds} <= set(rules.runs)
+
+
 def test_degenerate_probabilities_deterministic_world():
     inst = make_instance([(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)], rounds=2)
     for variant in ("sm", "sm_refined", "gc", "gc_refined"):
@@ -227,15 +298,14 @@ def _all_runs(inst):
     tables = build_tables(inst)
     tables.build_enumeration()
     table, table_c = build_dp(inst, commit=False), build_dp(inst, commit=True)
-    hyper = isinstance(inst.structure, Hypergraph)
-    with_follower = bool(_references(inst)) and not hyper
+    runs = lemma_rules(inst).runs
 
     def run_all(real):
         opt_sels = table.replay(real)
         sels = opt_sels + table_c.replay(real) + kernels.sm_trace(tables, real)
-        if not hyper:
+        if "gc" in runs:
             sels += kernels.gc_trace(tables, real)
-        if with_follower:
+        if "opt_follower" in runs:
             sels += follower_masks(tables, opt_sels, real)
         return sels
     return run_all
@@ -269,11 +339,8 @@ def test_footprint_index_returns_the_direct_footprint(inst, order):
 def test_exact_pass_runs_the_policies_once_per_footprint_class(monkeypatch):
     # sm_trace runs once per class, and on some instance a class holds
     # more than one sample, so the pass runs it fewer times than samples
-    instances = [inst for profile, seed in (("unit-small", suites.UNIT_SEED),
-                                            ("cap-small", suites.CAP_SEED),
-                                            ("mto-small", suites.MTO_SEED),
-                                            ("hyper3-small", suites.HYPER_SEED))
-                 for inst in suites._suite_instances(profile, 3, seed)]
+    instances = [inst for profile in suites.SUITES
+                 for inst in suites._suite_instances(profile)[:3]]
     counts = []
     for inst in instances:
         run_all = _all_runs(inst)

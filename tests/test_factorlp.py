@@ -62,11 +62,10 @@ def test_t1_optima():
 
 
 def test_solve_lp_is_the_exact_closed_form_u():
+    # every t in 1..SOLVE_LIMIT, gc t = 1 (optimum 1) included
     for t, variant in ALL_LPS:
         assert solve_lp(build_primal(t, variant)) == float(exact_u(t, variant))
-        if t >= (1 if variant == "sm" else 2):
-            assert solve_lp(build_primal(t, variant)) == pytest.approx(
-                u_value(t, variant), abs=1e-12)
+        assert u_value(t, variant) == solve_lp(build_primal(t, variant)), (variant, t)
 
 
 def test_solve_lp_matches_scipy_on_factor_lps():
@@ -126,8 +125,9 @@ def test_dual_certificate_domain():
         dual_certificate(1, "sm")
     with pytest.raises(DomainError):
         dual_certificate(2, "gc")
-    with pytest.raises(DomainError):
-        u_value(1, "gc")
+    for variant in ("sm", "gc"):
+        with pytest.raises(DomainError):
+            u_value(0, variant)
 
 
 def test_certificates_feasible_and_optimal():

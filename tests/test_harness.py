@@ -15,7 +15,8 @@ from rematch import cli, generators, model
 from rematch.errors import LimitExceededError, SolverError, ValidationError
 from rematch.generators import (PROFILES, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
-from rematch.model import EDGES_LIMIT, ROUNDS_LIMIT, Hypergraph, Instance, ManyToOne
+from rematch.model import (EDGES_LIMIT, INSTANCE_BYTES_LIMIT, ROUNDS_LIMIT, Hypergraph,
+                           Instance, ManyToOne)
 from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId
 from rematch.rng import sub_seed
@@ -154,6 +155,22 @@ def test_streamed_monte_carlo_matches_list_reduction():
             assert streamed == monte_carlo_list_reduce(inst, policy, 400, seed=23), policy
     offline = monte_carlo(weighted, PolicyId.OFFLINE_MAX, 400, seed=23)
     assert len(offline.per_round_mean) == 1
+
+
+def test_monte_carlo_sums_stay_finite_at_huge_weights():
+    sep = gen_separation()
+
+    def weighted(w):
+        return Instance(sep.vertices, sep.edges, sep.rounds, [w] * sep.rounds, sep.structure)
+    stats = monte_carlo(weighted(1e306), PolicyId.SM, 1000, seed=0)
+    assert math.isfinite(stats.mean) and math.isfinite(stats.stderr) and stats.stderr > 0
+    # scaling by a power of two is exact: weights 2^1017 give the unit-weight
+    # mean and stderr times 2^1017, bit for bit
+    unit = monte_carlo(sep, PolicyId.SM, 1000, seed=0)
+    huge = monte_carlo(weighted(2.0 ** 1017), PolicyId.SM, 1000, seed=0)
+    assert (huge.mean, huge.stderr) == (math.ldexp(unit.mean, 1017),
+                                        math.ldexp(unit.stderr, 1017))
+    assert huge.per_round_mean == unit.per_round_mean
 
 
 def test_monte_carlo_rejects_zero_trials():
@@ -448,6 +465,19 @@ def test_cli_exit_codes_hold_for_fuzzed_instances(tmp_path, text):
     for command in ("opt", "verify"):
         code, _ = run_cli([command, "--instance", str(path)])
         assert code in (0, 1, 2, 3), (command, text[:200])
+
+
+def test_cli_refuses_an_instance_file_over_the_byte_limit(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "huge.json"
+    with open(path, "wb") as fh:
+        fh.truncate(INSTANCE_BYTES_LIMIT + 1)  # sparse: nothing is written
+    parsed = []
+    monkeypatch.setattr(json, "load", lambda *args, **kw: parsed.append(1))
+    for command in (["simulate", "--policy", "sm", "--trials", "1"], ["opt"], ["verify"]):
+        code, out = run_cli([*command, "--instance", str(path)])
+        assert (code, out) == (3, ""), command
+        assert capsys.readouterr().err.startswith("resource limit:"), command
+    assert parsed == []
 
 
 def test_cli_reproduce_single_bundle():
