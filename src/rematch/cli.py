@@ -17,10 +17,11 @@ import json
 import os
 import sys
 import time
+from itertools import count
 
 from .errors import (DomainError, LimitExceededError, RematchError, SolverError,
                      ValidationError)
-from .model import INSTANCE_BYTES_LIMIT, Instance
+from .model import INSTANCE_BYTES_LIMIT, Instance, check_edges_limit
 from .montecarlo import monte_carlo
 from .policies import PolicyId, opt_value
 from .rng import sub_seed
@@ -59,12 +60,20 @@ def _add_family_args(p: _Parser) -> None:
 def _load_instance(args) -> Instance:
     if args.instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
-            # the parse is unbounded, so refuse a file no admitted instance needs
+            # refuse a file no admitted instance needs; the parse counts edges
             size = os.fstat(fh.fileno()).st_size
             if size > INSTANCE_BYTES_LIMIT:
                 raise LimitExceededError(f"{size} bytes exceed limit {INSTANCE_BYTES_LIMIT}")
+            edges = count(1)
+
+            def count_edges(pairs):  # refuse at the first edge record past the limit
+                obj = dict(pairs)
+                if "endpoints" in obj:
+                    check_edges_limit(next(edges))
+                return obj
+
             try:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=count_edges)
             except (ValueError, RecursionError) as exc:  # bad encoding, JSON or nesting
                 raise UsageError(f"instance {args.instance} is not JSON: {exc}") from exc
         return Instance.from_json(data)

@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
 from .errors import ValidationError
 from .model import (Hypergraph, Instance, ManyToOne, Trace,
-                    build_tables, enumerate_samples, mask_to_set)
+                    build_tables, dyadic, enumerate_samples, mask_to_set)
 from .policies import build_dp, follower_masks
 # benchmarks/perf/selftest.py requires these two bindings to patch
 from .model import sample as draw_sample  # noqa: F401
@@ -455,13 +454,11 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     (which need no weight) and the counts, weighted by the class
     probability.
 
-    Each probability is a float, hence a dyadic rational; it is scaled to
-    an integer over the instance's largest power-of-two denominator 2^K,
-    and every sum is an exact integer, rounded once by int/int division.
-    Every ``e_*`` value is therefore the correctly rounded expectation,
-    whatever the grouping or the enumeration order.  ``e_reward`` weights
-    the exact per-round success sums by the round weights in ``Fraction``
-    arithmetic and is rounded once too.
+    Each probability is a float, hence a dyadic rational: ``dyadic``
+    scales them, and the round weights of ``e_reward``, to integers over
+    a power of two, so every sum is exact and rounded once by int/int
+    division.  Every ``e_*`` value is therefore the correctly rounded
+    expectation, whatever the grouping or the enumeration order.
     """
     tables = build_tables(instance)
     tables.build_enumeration()
@@ -474,13 +471,10 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     table = build_dp(instance, commit=False)
     table_c = build_dp(instance, commit=True)
 
-    # scaled probabilities: prob = num / 2^k exactly, with 2^K the common denominator
-    samples = []
-    for smp, prob in enumerate_samples(instance):
-        if prob > 0.0:
-            num, den = prob.as_integer_ratio()
-            samples.append((smp.mask, num, den.bit_length() - 1))
-    K = max((k for _, _, k in samples), default=0)
+    # scaled probabilities: prob = num / 2^K exactly
+    reals, probs = zip(*((smp.mask, prob) for smp, prob in enumerate_samples(instance)
+                         if prob > 0.0))
+    nums, K = dyadic(probs)
 
     def run_all(real: int) -> list[int]:
         opt_sels = table.replay(real)
@@ -493,9 +487,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
 
     # group: footprint key -> summed scaled probability
     footprints: dict[tuple, int] = {}
-    keys = _footprints(run_all, [real for real, _, _ in samples], T)
-    for (_, num, k), key in zip(samples, keys):
-        footprints[key] = footprints.get(key, 0) + (num << (K - k))
+    for num, key in zip(nums, _footprints(run_all, reals, T)):
+        footprints[key] = footprints.get(key, 0) + num
 
     # evaluate: once per class, with exact integer sums
     names = ["opt", "opt_commit"] + run_names
@@ -556,9 +549,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     def rounded(sums: dict) -> dict:
         return {key: total / scale for key, total in sums.items()}
 
-    weights = [Fraction(w) for w in instance.weights]
-    e_reward = {name: float(sum(w * total for w, total in zip(weights, succ[name]))
-                            / scale)
+    weights, Kw = dyadic(instance.weights)
+    e_reward = {name: sum(w * total for w, total in zip(weights, succ[name])) / (scale << Kw)
                 for name in ["sm", "opt", "opt_commit"] + run_names[1:]}
     return CouplingSummary(
         instance=instance, horizons=horizons, references=refs,

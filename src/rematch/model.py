@@ -33,6 +33,15 @@ EDGES_LIMIT = 2**18  # K_{512,512}: simulating it peaks at 276 MB; 10^6 edges at
 INSTANCE_BYTES_LIMIT = 256 * EDGES_LIMIT + 32 * ROUNDS_LIMIT
 
 
+def dyadic(values: Iterable[float]) -> tuple[list[int], int]:
+    """(ints, K) with ``values[i] == ints[i] / 2**K`` exactly: every finite float
+    is dyadic, so int sums and products are exact, and dividing one by its power
+    of two (int / int) rounds it once, correctly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    K = max((den.bit_length() - 1 for _, den in ratios), default=0)
+    return [num << (K - den.bit_length() + 1) for num, den in ratios], K
+
+
 def check_rounds_limit(rounds: int) -> None:
     """Raise ``LimitExceededError`` past ``ROUNDS_LIMIT``; call it before allocating."""
     if rounds > ROUNDS_LIMIT:
@@ -184,12 +193,6 @@ class Instance:
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
-
-    def capacity(self, vertex_id: int) -> int:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v.capacity
-        raise ValidationError(f"unknown vertex {vertex_id}")
 
     def unit_capacities(self) -> bool:
         return all(v.capacity == 1 for v in self.vertices)

@@ -3,7 +3,8 @@
 Trial i draws its sample graph from sub_seed(seed, i), so the aggregate
 is a pure function of (instance, policy, trials, seed).  Trials run in
 this thread in index order, and each is added to the running sums as it
-finishes, so memory does not grow with the trial count.
+finishes, so memory does not grow with the trial count.  The sums are
+exact integers, rounded once into each reported mean and standard error.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ValidationError
-from .model import Instance, sample
+from .model import Instance, dyadic, sample
 from .policies import (PolicyId, build_dp, offline_max_matching,
                        run_alternating_scan, run_greedy_commit, run_opt,
                        run_opt_follower, run_sm)
@@ -47,13 +49,10 @@ class RewardStats:
 
 
 def make_runner(instance: Instance, policy: PolicyId):
-    """Per-sample callable producing (weighted reward, per-round success counts)."""
+    """Per-sample callable giving the per-round success counts (offline-max: one)."""
     policy = PolicyId(policy)
     if policy is PolicyId.OFFLINE_MAX:
-        def run_offline(smp):
-            size = offline_max_matching(instance, smp)
-            return float(size), [size]
-        return run_offline
+        return lambda smp: (offline_max_matching(instance, smp),)
     if policy in (PolicyId.OPT, PolicyId.OPT_COMMIT, PolicyId.OPT_FOLLOWER):
         table = build_dp(instance, commit=policy is PolicyId.OPT_COMMIT)
 
@@ -61,24 +60,38 @@ def make_runner(instance: Instance, policy: PolicyId):
             trace = run_opt(instance, smp, table)
             if policy is PolicyId.OPT_FOLLOWER:
                 trace = run_opt_follower(instance, smp, trace)
-            return trace.total_weighted_reward, list(trace.round_rewards)
+            return trace.round_rewards
         return run_dp
     plain = {PolicyId.SM: run_sm,
              PolicyId.GREEDY_COMMIT: run_greedy_commit,
              PolicyId.ALTERNATING_SCAN: run_alternating_scan}[policy]
+    return lambda smp: plain(instance, smp).round_rewards
 
-    def run_plain(smp):
-        trace = plain(instance, smp)
-        return trace.total_weighted_reward, list(trace.round_rewards)
-    return run_plain
+
+def _mean_stderr(total: int, total_sq: int, n: int, K: int) -> tuple[float, float]:
+    """Mean and standard error of the mean of n values X_i / 2^K, each rounded
+    once from the exact sums of X_i and X_i^2.  The exact variance of the mean
+    is shifted by an even power of two 4^e into [1/2, 4) and rounded, and its
+    square root is scaled back by 2^e: short of a subnormal result, this is
+    the square root of the correctly rounded variance."""
+    mean = total / (n << K)
+    num = n * total_sq - total * total  # 0 when n = 1
+    if not num:
+        return mean, 0.0
+    den = n * n * (n - 1) << 2 * K
+    e = (num.bit_length() - den.bit_length()) // 2
+    var = (num << -2 * e) / den if e < 0 else num / (den << 2 * e)
+    return mean, math.sqrt(var) * 2.0 ** e
 
 
 def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
                 threads: int = 1) -> RewardStats:
     """Mean weighted reward with standard error, plus per-round success means.
 
-    Weighted rewards are summed over 2^e, e >= 0 the largest weight's exponent,
-    so no sum overflows; short of underflow the scaling is exact, bit for bit.
+    A trial's reward is sum_t W_t c_t over 2^K, with ``dyadic`` integer
+    weights W_t (offline-max: one round of weight 1).  The counts, the
+    rewards and their squares are summed as ints, and each mean and
+    standard error is rounded once from them: no sum overflows or cancels.
 
     ``threads`` must be at least 1 and does not change the result; trials
     always run serially, because a thread pool was measured slower under
@@ -90,36 +103,18 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
         raise ValidationError("threads must be >= 1")
     policy = PolicyId(policy)
     runner = make_runner(instance, policy)
-    shift = 0 if policy is PolicyId.OFFLINE_MAX else max(math.frexp(max(instance.weights))[1], 0)
+    weights, K = dyadic((1.0,) if policy is PolicyId.OFFLINE_MAX else instance.weights)
 
-    total = 0.0
-    total_sq = 0.0
-    round_sum: list[float] = []
-    round_sq: list[float] = []
+    total_sq = 0
+    round_sum, round_sq = [0] * len(weights), [0] * len(weights)
     for i in range(trials):
-        value, per_round = runner(sample(instance, sub_seed(seed, i)))
-        value = math.ldexp(value, -shift)
-        total += value
+        counts = runner(sample(instance, sub_seed(seed, i)))
+        value = sum(map(mul, weights, counts))
         total_sq += value * value
-        grow = len(per_round) - len(round_sum)
-        if grow > 0:
-            round_sum += [0.0] * grow
-            round_sq += [0.0] * grow
-        for r, cnt in enumerate(per_round):
-            round_sum[r] += cnt
-            round_sq[r] += cnt * cnt
+        for r, c in enumerate(counts):
+            round_sum[r] += c
+            round_sq[r] += c * c
 
-    def stats(s, s2, n):
-        mean = s / n
-        if n < 2:
-            return mean, 0.0
-        var = max((s2 - n * mean * mean) / (n - 1), 0.0)
-        return mean, math.sqrt(var / n)
-
-    mean, se = (math.ldexp(x, shift) for x in stats(total, total_sq, trials))
-    per_mean, per_se = [], []
-    for r in range(len(round_sum)):
-        mu, s_e = stats(round_sum[r], round_sq[r], trials)
-        per_mean.append(mu)
-        per_se.append(s_e)
-    return RewardStats(policy.value, trials, seed, mean, se, per_mean, per_se)
+    mean, se = _mean_stderr(sum(map(mul, weights, round_sum)), total_sq, trials, K)
+    per_mean, per_se = zip(*(_mean_stderr(s, s2, trials, 0) for s, s2 in zip(round_sum, round_sq)))
+    return RewardStats(policy.value, trials, seed, mean, se, list(per_mean), list(per_se))

@@ -13,8 +13,9 @@ once a round can no longer change anything.  So is the expectimax DP
 after them, as first written, which rebuilds every action's candidate
 filters and outcome products at every state; the kernel must reproduce
 its tables exactly, insertion order included.  So is the Monte Carlo
-reduction as first written, which keeps every trial's result before
-summing; the streamed sums must match it bit for bit.  So, last, is the
+reduction, which keeps every trial's counts and computes each mean and
+variance in ``Fraction``; the streamed integer sums must round to the
+same floats, bit for bit.  So, last, is the
 exact coupling pass as first written, one sample at a time with no
 grouping, here summing in ``Fraction``: every expectation of the grouped
 pass must be its correct rounding.  And the dual-feasibility check as
@@ -276,37 +277,28 @@ def reference_dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, 
 
 def monte_carlo_list_reduce(instance: Instance, policy: PolicyId, trials: int,
                             seed: int) -> RewardStats:
+    """Every trial's per-round counts listed, then each mean and variance of
+    the mean computed in ``Fraction`` and rounded once; the standard error
+    is the square root of the rounded variance."""
     policy = PolicyId(policy)
     runner = make_runner(instance, policy)
+    counts = [runner(sample(instance, sub_seed(seed, i))) for i in range(trials)]
+    weights = [Fraction(1)] if policy is PolicyId.OFFLINE_MAX else [
+        Fraction(w) for w in instance.weights]
 
-    results = [runner(sample(instance, sub_seed(seed, i))) for i in range(trials)]
-
-    width = max(len(r[1]) for r in results)
-    total = 0.0
-    total_sq = 0.0
-    round_sum = [0.0] * width
-    round_sq = [0.0] * width
-    for value, per_round in results:
-        total += value
-        total_sq += value * value
-        for r, cnt in enumerate(per_round):
-            round_sum[r] += cnt
-            round_sq[r] += cnt * cnt
-
-    def stats(s, s2, n):
-        mean = s / n
+    def stats(values):
+        n = len(values)
+        mean = sum(values, Fraction(0)) / n
         if n < 2:
-            return mean, 0.0
-        var = max((s2 - n * mean * mean) / (n - 1), 0.0)
-        return mean, math.sqrt(var / n)
+            return float(mean), 0.0
+        var = sum(((x - mean) ** 2 for x in values), Fraction(0)) / (n - 1) / n
+        return float(mean), math.sqrt(float(var))
 
-    mean, se = stats(total, total_sq, trials)
-    per_mean, per_se = [], []
-    for r in range(width):
-        mu, s_e = stats(round_sum[r], round_sq[r], trials)
-        per_mean.append(mu)
-        per_se.append(s_e)
-    return RewardStats(policy.value, trials, seed, mean, se, per_mean, per_se)
+    mean, se = stats([sum(w * c for w, c in zip(weights, per_round)) for per_round in counts])
+    per_round = [stats([Fraction(per_round[r]) for per_round in counts])
+                 for r in range(len(weights))]
+    return RewardStats(policy.value, trials, seed, mean, se,
+                       [mu for mu, _ in per_round], [s_e for _, s_e in per_round])
 
 
 # ---------------------------------------------------------------------

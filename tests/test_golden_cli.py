@@ -51,6 +51,11 @@ def _cases() -> dict[str, list[str]]:
         cases[f"lp-{variant}"] = ["lp", "--t", "6", "--variant", variant,
                                   "--solve", "--check-dual"]
     # rejected inputs and resource limits: no stdout, and no traceback
+    # two certain edges and non-dyadic round weights: every trial earns the
+    # same reward, so every stderr is exactly 0.0
+    cases["simulate-constant-reward"] = [
+        "simulate", "--instance", str(GOLDEN / "constant-reward-instance.json"),
+        "--policy", "sm", "--trials", "1000", "--seed", "11"]
     cases["opt-nan-weight"] = ["opt", "--instance", str(GOLDEN / "nan-weight-instance.json")]
     cases["opt-rounds-1100"] = ["opt", "--family", "complete-bipartite", "--n", "2",
                                 "--p", "0.5", "--rounds", "1100"]

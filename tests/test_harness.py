@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,28 @@ def test_monte_carlo_sums_stay_finite_at_huge_weights():
     assert (huge.mean, huge.stderr) == (math.ldexp(unit.mean, 1017),
                                         math.ldexp(unit.stderr, 1017))
     assert huge.per_round_mean == unit.per_round_mean
+
+
+def test_monte_carlo_constant_reward_has_zero_stderr():
+    # one certain edge: every trial earns the same non-dyadic reward, so the
+    # exact variance is 0 (float sums of squares cancelled to ~1e-8 here)
+    for w in (3.3, 0.1, 0.7):
+        for rounds in (1, 3, 7):
+            inst = Instance([model.Vertex(0), model.Vertex(1)], [model.Edge(0, (0, 1), 1.0)],
+                            rounds, [w] * rounds)
+            for trials in (3, 10, 1000):
+                stats = monte_carlo(inst, PolicyId.SM, trials, seed=5)
+                assert stats.stderr == 0.0, (w, rounds, trials)
+                assert stats.per_round_stderr == [0.0] * rounds
+                assert stats == monte_carlo_list_reduce(inst, PolicyId.SM, trials, seed=5)
+
+
+def test_dyadic_is_exact():
+    values = [3.3, 0.1, 1e306, 5e-324, 0.0, 2.0 ** -60, 7.0]
+    ints, K = model.dyadic(values)
+    assert [Fraction(n, 2 ** K) for n in ints] == [Fraction(v) for v in values]
+    assert model.dyadic([]) == ([], 0)
+    assert model.dyadic([1.0, 2.0]) == ([1, 2], 0)
 
 
 def test_monte_carlo_rejects_zero_trials():
@@ -478,6 +501,22 @@ def test_cli_refuses_an_instance_file_over_the_byte_limit(tmp_path, monkeypatch,
         assert (code, out) == (3, ""), command
         assert capsys.readouterr().err.startswith("resource limit:"), command
     assert parsed == []
+
+
+def test_cli_refuses_edge_records_past_the_limit_while_parsing(tmp_path, monkeypatch):
+    # the fourth edge record exits 3 before the parser reaches the broken
+    # tail: the parse holds no more edge records than the limit admits
+    monkeypatch.setattr(model, "EDGES_LIMIT", 3)
+
+    def records(n):
+        return ", ".join(f'{{"id": {i}, "endpoints": [0, 1], "p": 0.5}}' for i in range(n))
+    path = tmp_path / "dense.json"
+    path.write_text('{"edges": [' + records(4) + ', {"id": 4, "endpoints": [')
+    assert run_cli(["simulate", "--policy", "sm", "--trials", "1",
+                    "--instance", str(path)]) == (3, "")
+    path.write_text('{"vertices": [{"id": 0}, {"id": 1}], "edges": [' + records(3)
+                    + '], "rounds": 1}')
+    assert run_cli(["opt", "--instance", str(path)])[0] == 0
 
 
 def test_cli_reproduce_single_bundle():
