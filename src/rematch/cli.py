@@ -25,7 +25,7 @@ from .model import INSTANCE_BYTES_LIMIT, Instance, check_edges_limit
 from .montecarlo import monte_carlo
 from .policies import PolicyId, opt_value
 from .rng import sub_seed
-from . import coupling, factorlp, generators, suites
+from . import coupling, factorlp, generators, model, suites
 
 _LEMMA_CHOICES = ("charging",) + tuple(
     "domination-" + variant.replace("_", "-") for variant in coupling.DOMINATION_VARIANTS)
@@ -60,20 +60,22 @@ def _add_family_args(p: _Parser) -> None:
 def _load_instance(args) -> Instance:
     if args.instance:
         with open(args.instance, "r", encoding="utf-8") as fh:
-            # refuse a file no admitted instance needs; the parse counts edges
+            # refuse a file no admitted instance needs; the parse counts objects
             size = os.fstat(fh.fileno()).st_size
             if size > INSTANCE_BYTES_LIMIT:
                 raise LimitExceededError(f"{size} bytes exceed limit {INSTANCE_BYTES_LIMIT}")
-            edges = count(1)
+            edges, others = count(1), count(1)
 
-            def count_edges(pairs):  # refuse at the first edge record past the limit
+            def count_objects(pairs):  # refuse at the first object past its limit
                 obj = dict(pairs)
                 if "endpoints" in obj:
                     check_edges_limit(next(edges))
+                elif next(others) > 2 * model.EDGES_LIMIT + 1:  # a matching's vertices, the top
+                    raise LimitExceededError(f"over {2 * model.EDGES_LIMIT + 1} non-edge objects")
                 return obj
 
             try:
-                data = json.load(fh, object_pairs_hook=count_edges)
+                data = json.load(fh, object_pairs_hook=count_objects)
             except (ValueError, RecursionError) as exc:  # bad encoding, JSON or nesting
                 raise UsageError(f"instance {args.instance} is not JSON: {exc}") from exc
         return Instance.from_json(data)

@@ -460,6 +460,12 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     division.  Every ``e_*`` value is therefore the correctly rounded
     expectation, whatever the grouping or the enumeration order.
     """
+    # scaled probabilities: prob = num / 2^K exactly; listed first, so the
+    # enumeration limit refuses an instance before any DP is solved
+    reals, probs = zip(*((smp.mask, prob) for smp, prob in enumerate_samples(instance)
+                         if prob > 0.0))
+    nums, K = dyadic(probs)
+
     tables = build_tables(instance)
     tables.build_enumeration()
     T = instance.rounds
@@ -470,11 +476,6 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
 
     table = build_dp(instance, commit=False)
     table_c = build_dp(instance, commit=True)
-
-    # scaled probabilities: prob = num / 2^K exactly
-    reals, probs = zip(*((smp.mask, prob) for smp, prob in enumerate_samples(instance)
-                         if prob > 0.0))
-    nums, K = dyadic(probs)
 
     def run_all(real: int) -> list[int]:
         opt_sels = table.replay(real)

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import LimitExceededError, UnknownEdgeError, ValidationError
 from .rng import uniform01
 
-ENUMERATION_LIMIT = 16
+ENUMERATION_LIMIT = 2**16  # listed items: sample graphs or feasible selections
 ROUNDS_LIMIT = 10**6
 EDGES_LIMIT = 2**18  # K_{512,512}: simulating it peaks at 276 MB; 10^6 edges at 1.2 GB
 # instance JSON at indent=2 spends about 230 bytes per edge (its record and
@@ -406,13 +406,6 @@ def sample(instance: Instance, seed: int) -> SampleGraph:
     return SampleGraph(instance.num_edges, mask)
 
 
-def _check_enumeration_limit(m: int) -> None:
-    """Raise ``LimitExceededError`` when 2^m masks are too many to list."""
-    if m > ENUMERATION_LIMIT:
-        raise LimitExceededError(
-            f"enumeration over {m} edges exceeds limit {ENUMERATION_LIMIT}")
-
-
 def enumerate_samples(instance: Instance) -> Iterator[tuple[SampleGraph, float]]:
     """Yield all 2^m sample graphs with their probabilities (summing to 1).
 
@@ -420,7 +413,8 @@ def enumerate_samples(instance: Instance) -> Iterator[tuple[SampleGraph, float]]
     can rely on seeing every mask exactly once, in ascending mask order.
     """
     m = instance.num_edges
-    _check_enumeration_limit(m)
+    if 1 << m > ENUMERATION_LIMIT:
+        raise LimitExceededError(f"enumeration of 2^{m} samples exceeds limit {ENUMERATION_LIMIT}")
     ps = [e.p for e in instance.edges]
     for mask in range(1 << m):
         prob = 1.0
@@ -430,8 +424,7 @@ def enumerate_samples(instance: Instance) -> Iterator[tuple[SampleGraph, float]]
 
 
 def feasible(instance: Instance, selection) -> bool:
-    """True iff per-vertex load respects capacity (hyperedges: vertex-disjoint),
-    by :meth:`Tables.mask_feasible`."""
+    """True iff per-vertex load respects capacity (hyperedges: vertex-disjoint)."""
     if isinstance(selection, RoundSelection):
         chosen = selection.chosen
     else:
@@ -440,7 +433,9 @@ def feasible(instance: Instance, selection) -> bool:
     for e in chosen:
         if not (0 <= e < m):
             raise UnknownEdgeError(f"unknown edge id {e}")
-    return build_tables(instance).mask_feasible(sum(1 << e for e in chosen))
+    tables = build_tables(instance)
+    mask = sum(1 << e for e in chosen)
+    return all((mask & inc).bit_count() <= cap for inc, cap in zip(tables.inc, tables.cap))
 
 
 def weighted_reward(trace: Trace, weights: Sequence[float]) -> float:
@@ -516,35 +511,33 @@ class Tables:
                 classes.append(tuple(prefix))
         return tuple(classes)
 
-    def mask_feasible(self, mask: int) -> bool:
-        for v in range(self.n):
-            if (mask & self.inc[v]).bit_count() > self.cap[v]:
-                return False
-        return True
-
     def build_enumeration(self) -> None:
-        """Populate the feasible-selection list and its extension masks."""
+        """List ``feas``, the feasible selections in ascending order, and per
+        selection ``ext``, the edges outside it with no saturated endpoint.
+
+        From ``[0]``, each edge e in turn is added to every listed selection
+        it fits; those masks have e as their highest bit, so the list stays
+        ascending.  ``ENUMERATION_LIMIT`` caps its length.
+        """
         if self.feas is not None:
             return
-        _check_enumeration_limit(self.m)
-        flags = bytearray(1 << self.m)
-        feas = []
-        for mask in range(1 << self.m):
-            if self.mask_feasible(mask):
-                flags[mask] = 1
-                feas.append(mask)
-        ext = []
-        for mask in feas:
-            x = 0
-            rest = self.all_mask & ~mask
-            while rest:
-                low = rest & -rest
-                if flags[mask | low]:
-                    x |= low
-                rest ^= low
-            ext.append(x)
+        inc, cap = self.inc, self.cap
+        feas, blocked = [0], [0]  # blocked: the edges at a saturated vertex
+        for e in range(self.m):
+            bit = 1 << e
+            for i in range(len(feas)):
+                if not blocked[i] & bit:
+                    mask, full = feas[i] | bit, blocked[i]
+                    for v in self.ev[e]:
+                        if (mask & inc[v]).bit_count() == cap[v]:
+                            full |= inc[v]
+                    feas.append(mask)
+                    blocked.append(full)
+            if len(feas) > ENUMERATION_LIMIT:
+                raise LimitExceededError(
+                    f"over {ENUMERATION_LIMIT} feasible selections exceed the enumeration limit")
         self.feas = feas
-        self.ext = ext
+        self.ext = [self.all_mask & ~(mask | b) for mask, b in zip(feas, blocked)]
 
 
 @lru_cache(maxsize=2048)

@@ -22,7 +22,7 @@ from .matching import WeightedSubproblem, _bipartite_sides, max_weight_matching
 from .model import (ENUMERATION_LIMIT, Hypergraph, Instance, KnowledgeState,
                     SampleGraph, Tables, Trace, build_tables, mask_to_set)
 
-DP_LIMIT = 12
+DP_STATES_LIMIT = 2**21  # admits ds11, bounded by 1,581,228 states; it solves in 121 MB
 # the solve recurses one frame per round
 DP_ROUNDS_LIMIT = 900
 
@@ -55,10 +55,13 @@ def run_sm(instance: Instance, sample: SampleGraph) -> Trace:
 
 
 def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
-    """Committed successes plus a max-expected-weight matching each round."""
+    """Committed successes plus a max-expected-weight matching each round,
+    ties broken toward the lexicographically smallest augmentation up to 16
+    edges.  Beyond, each round solves an exact matching, and past 20 available
+    edges the assignment solver breaks ties in its own order instead."""
     if isinstance(instance.structure, Hypergraph):
         raise ValidationError("greedy-commit covers general/many-to-one structures")
-    if instance.num_edges <= ENUMERATION_LIMIT:
+    if 1 << instance.num_edges <= ENUMERATION_LIMIT:
         tables = build_tables(instance)
         tables.build_enumeration()
         sels = kernels.gc_trace(tables, sample.mask)
@@ -206,23 +209,23 @@ class DpValueTable:
 def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTable:
     """Solve the expectimax DP over orbit states (see :class:`DpValueTable`).
 
-    The solve recurses one frame per round, so the horizon must stay
-    within ``DP_ROUNDS_LIMIT``.  The instance is admitted by its
-    per-round orbit-state bound: a class of k interchangeable edges has
-    C(k+2, 2) orbits of success/fail/unknown labels and every other edge
-    3 labels, and the product must stay within 3^``DP_LIMIT``.  Without
-    classes that is m <= ``DP_LIMIT``.  The selection enumeration then
-    applies ``ENUMERATION_LIMIT`` to m.
+    The instance is admitted by a bound on its total orbit states: per
+    round, a class of k interchangeable edges has C(k+2, 2) orbits of
+    success/fail/unknown labels and every other edge 3 labels, and T
+    rounds times that product must stay within ``DP_STATES_LIMIT``.  The
+    solve also recurses one frame per round, so the horizon must stay
+    within ``DP_ROUNDS_LIMIT``.  Listing the feasible selections then
+    applies ``ENUMERATION_LIMIT`` to their number.
     """
     if instance.rounds > DP_ROUNDS_LIMIT:
         raise LimitExceededError(
             f"DP over {instance.rounds} rounds exceeds limit {DP_ROUNDS_LIMIT}")
     tables = build_tables(instance)
     ks = [len(cls) - 1 for cls in tables.classes]
-    bound = math.prod(math.comb(k + 2, 2) for k in ks) * 3 ** (tables.m - sum(ks))
-    if bound > 3 ** DP_LIMIT:
-        raise LimitExceededError(
-            f"DP over {bound} orbit states per round exceeds limit 3^{DP_LIMIT}")
+    per_round = math.prod(math.comb(k + 2, 2) for k in ks) * 3 ** (tables.m - sum(ks))
+    if instance.rounds * per_round > DP_STATES_LIMIT:
+        raise LimitExceededError(f"DP over {instance.rounds} rounds of {per_round} orbit "
+                                 f"states exceeds limit {DP_STATES_LIMIT} states")
     tables.build_enumeration()
     root, values = kernels.dp_solve(tables, commit, prune)
     return DpValueTable(instance, tables, commit, prune, root, values)

@@ -6,10 +6,12 @@ feasibility goes through the public checker, and the policy-value
 oracle recurses over raw histories with no memoization, no action
 pruning and no bitmask machinery.
 
-The round loops at the end are the exception: they are the committing
-kernels and the alternating scan as first written, recomputing every
-round from scratch, and serve as references for the versions that stop
-once a round can no longer change anything.  So is the expectimax DP
+The loops at the end are the exception.  The first is the feasible
+selection table as first written, a scan of all 2^m masks; the listing
+by extension must give the same lists, bit for bit.  The round loops
+are the committing kernels and the alternating scan as first written,
+recomputing every round from scratch, and serve as references for the
+versions that stop once a round can no longer change anything.  So is the expectimax DP
 after them, as first written, which rebuilds every action's candidate
 filters and outcome products at every state; the kernel must reproduce
 its tables exactly, insertion order included.  So is the Monte Carlo
@@ -105,6 +107,26 @@ def expectation(inst: Instance, statistic) -> float:
         if prob > 0.0:
             total += prob * statistic(smp)
     return total
+
+
+# ---------------------------------------------------------------------
+# reference feasible-selection table: every mask scanned
+
+
+def feasible_selections_scan(inst: Instance) -> tuple[list[int], list[int]]:
+    """(feas, ext): every feasible mask in ascending order, and per mask the
+    edges outside it whose addition keeps it feasible."""
+    m = inst.num_edges
+    flags = bytearray(1 << m)
+    feas = []
+    for mask in range(1 << m):
+        if feasible(inst, [e for e in range(m) if mask >> e & 1]):
+            flags[mask] = 1
+            feas.append(mask)
+    ext = []
+    for mask in feas:
+        ext.append(sum(1 << e for e in range(m) if not mask >> e & 1 and flags[mask | 1 << e]))
+    return feas, ext
 
 
 # ---------------------------------------------------------------------

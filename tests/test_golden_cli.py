@@ -45,6 +45,7 @@ def _cases() -> dict[str, list[str]]:
     ds6 = ["--family", "double-star", "--n", "6", "--eps", "0.1"]
     cases["opt-ds6"] = ["opt", *ds6]
     cases["opt-ds8"] = ["opt", "--family", "double-star", "--n", "8", "--eps", "0.1"]
+    cases["opt-ds9"] = ["opt", "--family", "double-star", "--n", "9", "--eps", "0.1"]
     cases["simulate-opt-ds6"] = ["simulate", *ds6, "--policy", "opt", "--trials", "50",
                                  "--seed", "11"]
     for variant in ("sm", "gc"):
@@ -59,6 +60,8 @@ def _cases() -> dict[str, list[str]]:
     cases["opt-nan-weight"] = ["opt", "--instance", str(GOLDEN / "nan-weight-instance.json")]
     cases["opt-rounds-1100"] = ["opt", "--family", "complete-bipartite", "--n", "2",
                                 "--p", "0.5", "--rounds", "1100"]
+    cases["opt-k33-rounds-900"] = ["opt", "--family", "complete-bipartite", "--n", "3",
+                                   "--p", "0.5", "--rounds", "900"]
     cases["gen-double-star-1001"] = ["gen", "--family", "double-star", "--n", "1001"]
     cases["lp-t-1000000-check-dual"] = ["lp", "--t", "1000000", "--check-dual"]
     return cases

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rematch import cli, generators, model
+from rematch import cli, generators, kernels, model
 from rematch.errors import LimitExceededError, SolverError, ValidationError
 from rematch.generators import (PROFILES, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
@@ -412,9 +412,13 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
              "-o", str(path)])
     code, _ = run_cli(["verify", "--instance", str(path)])
     assert code == 3
-    # resource limit: ds9 passes the DP's orbit bound, not the enumeration limit
-    code, out = run_cli(["opt", "--family", "double-star", "--n", "9"])
+    # resource limit: K_3,3 at T = 900 passes the rounds limit, not the
+    # DP's total states (900 * 3^9)
+    capsys.readouterr()
+    code, out = run_cli(["opt", "--family", "complete-bipartite", "--n", "3",
+                         "--p", "0.5", "--rounds", "900"])
     assert (code, out) == (3, "")
+    assert "states" in capsys.readouterr().err
     # verification failure: force a failing report
     from rematch.coupling import LemmaReport
 
@@ -435,6 +439,15 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("verification failure:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+def test_cli_verify_refuses_ds9_before_solving_a_dp(monkeypatch):
+    # ds9 (17 edges) passes the DP's admission; the exact pass checks the
+    # sample enumeration limit before it solves either DP
+    solved = []
+    monkeypatch.setattr(kernels, "dp_solve", lambda *args: solved.append(1))
+    code, out = run_cli(["verify", "--family", "double-star", "--n", "9"])
+    assert (code, out, solved) == (3, "", [])
 
 
 _FUZZ_BASES = tuple(inst.dumps() for inst in (
@@ -517,6 +530,26 @@ def test_cli_refuses_edge_records_past_the_limit_while_parsing(tmp_path, monkeyp
     path.write_text('{"vertices": [{"id": 0}, {"id": 1}], "edges": [' + records(3)
                     + '], "rounds": 1}')
     assert run_cli(["opt", "--instance", str(path)])[0] == 0
+
+
+def test_cli_refuses_other_records_past_the_limit_while_parsing(tmp_path, monkeypatch):
+    # every object without "endpoints" counts against 2 * EDGES_LIMIT + 1, the
+    # vertex records of the largest legal matching and the top level: the
+    # eighth vertex record exits 3 before the parser reaches the broken tail
+    monkeypatch.setattr(model, "EDGES_LIMIT", 3)
+
+    def vertices(n):
+        return ", ".join(f'{{"id": {i}}}' for i in range(n))
+    path = tmp_path / "vertices.json"
+    path.write_text('{"vertices": [' + vertices(8) + ', {"id": ')
+    for command in (["simulate", "--policy", "sm", "--trials", "1"], ["opt"], ["verify"]):
+        assert run_cli([*command, "--instance", str(path)]) == (3, ""), command
+    # six vertices and three edges: seven other objects with the top level
+    path.write_text('{"vertices": [' + vertices(6) + '], "edges": ['
+                    + ", ".join(f'{{"id": {i}, "endpoints": [{2 * i}, {2 * i + 1}], "p": 0.5}}'
+                                for i in range(3)) + '], "rounds": 1}')
+    code, out = run_cli(["opt", "--instance", str(path)])
+    assert (code, json.loads(out)["value"]) == (0, 1.5)
 
 
 def test_cli_reproduce_single_bundle():

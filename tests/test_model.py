@@ -2,12 +2,17 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import expectation
+from oracles import expectation, feasible_selections_scan
+from rematch import suites
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
+from rematch.generators import (RandomProfile, gen_complete_bipartite, gen_double_star,
+                                gen_random)
 from rematch.model import (ROUNDS_LIMIT, Edge, Hypergraph, Instance, KnowledgeState,
-                           ManyToOne, SampleGraph, Trace, Vertex,
+                           ManyToOne, SampleGraph, Tables, Trace, Vertex,
                            enumerate_samples, feasible, sample, weighted_reward)
 from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId, run_sm
@@ -110,6 +115,65 @@ def test_enumerate_limit():
     inst = make_instance([(i, i + 1, 0.5) for i in range(17)])
     with pytest.raises(LimitExceededError):
         list(enumerate_samples(inst))
+
+
+def _assert_listing_matches_scan(inst, label):
+    tables = Tables(inst)  # fresh: the cached tables may be listed already
+    tables.build_enumeration()
+    assert (tables.feas, tables.ext) == feasible_selections_scan(inst), label
+
+
+def test_feasible_selection_listing_matches_scan():
+    cap11 = RandomProfile("bench-cap11", "general", (6, 6), (11, 11), (1, 3), (3, 3))
+    instances = [inst for profile in suites.SUITES for inst in suites._suite_instances(profile)]
+    instances += [gen_random(cap11, draw) for draw in range(1, 9)]
+    instances += [gen_double_star(n, 0.1) for n in range(2, 9)]
+    instances += [gen_complete_bipartite(n, 0.5) for n in (3, 4)]
+    for k, inst in enumerate(instances):
+        _assert_listing_matches_scan(inst, k)
+
+
+@st.composite
+def _small_instances(draw):
+    kind = draw(st.sampled_from(("general", "capacitated", "many_to_one", "hypergraph")))
+    nv = draw(st.integers(2, 7))
+    caps = {v: draw(st.integers(1, 3)) for v in range(nv)} if kind != "general" else {}
+    structure = None
+    if kind == "many_to_one":
+        nl = draw(st.integers(1, nv - 1))
+        ends = st.tuples(st.integers(0, nl - 1), st.integers(nl, nv - 1))
+    else:
+        ends = st.lists(st.integers(0, nv - 1), min_size=2,
+                        max_size=3 if kind == "hypergraph" else 2, unique=True)
+    edges = [(*e, 0.5) for e in draw(st.lists(ends, min_size=1, max_size=12))]
+    if kind == "many_to_one":
+        left = {e[0] for e in edges}
+        caps.update((v, 1) for v in left)
+        structure = ManyToOne(left)
+    elif kind == "hypergraph":
+        structure = Hypergraph(3)
+    return make_instance(edges, caps=caps, structure=structure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_small_instances())
+def test_feasible_selection_listing_matches_scan_on_drawn_instances(inst):
+    _assert_listing_matches_scan(inst, inst)
+
+
+def test_listing_caps_feasible_selections_not_edges():
+    # 40 spokes of one hub: 40 edges but only 41 feasible selections
+    star = make_instance([(0, i, 0.5) for i in range(1, 41)])
+    tables = Tables(star)
+    tables.build_enumeration()
+    assert tables.feas == [0] + [1 << e for e in range(40)]
+    # 16 disjoint edges give 2^16 selections, the limit; 17 give twice that
+    disjoint = [(2 * i, 2 * i + 1, 0.5) for i in range(17)]
+    tables = Tables(make_instance(disjoint[:16]))
+    tables.build_enumeration()
+    assert len(tables.feas) == 2**16
+    with pytest.raises(LimitExceededError, match="feasible selections"):
+        Tables(make_instance(disjoint)).build_enumeration()
 
 
 def test_feasible():

@@ -10,6 +10,7 @@ from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value
                      expectation, gc_trace_large_loop, gc_trace_loop, reference_dp_solve,
                      sm_trace_loop)
 from rematch import kernels
+from rematch.coupling import _footprints
 from rematch.errors import LimitExceededError, ValidationError
 from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
                                 gen_complete_bipartite, gen_double_star, gen_random,
@@ -17,11 +18,12 @@ from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
 from rematch.model import (Edge, Hypergraph, Instance, KnowledgeState, ManyToOne,
                            SampleGraph, Vertex, build_tables, enumerate_samples,
                            mask_to_set, sample)
-from rematch.policies import (DP_LIMIT, DP_ROUNDS_LIMIT, _gc_trace_large, _kuhn_size,
+from rematch.policies import (DP_ROUNDS_LIMIT, DP_STATES_LIMIT, _gc_trace_large, _kuhn_size,
                               _unit_bipartite_ends, build_dp, follower_masks,
                               offline_max_matching, opt_value, run_alternating_scan,
                               run_greedy_commit, run_opt, run_opt_follower, run_sm)
 from rematch.rng import CounterRng, sub_seed
+from rematch.suites import _suite_instances
 
 ONE_EDGE = make_instance([(0, 1, 1.0)], rounds=3)
 
@@ -399,17 +401,31 @@ def test_run_opt_rejects_inconsistent_sample():
         run_opt(inst, SampleGraph.from_mask(1, 0), table)
 
 
-def test_dp_limit():
-    # no classes: 3^13 orbit states per round
-    inst = make_instance([(i, i + 1, 0.5) for i in range(DP_LIMIT + 1)], rounds=1)
-    with pytest.raises(LimitExceededError, match="orbit states"):
-        opt_value(inst, commit=False)
+def test_dp_limit(monkeypatch):
+    # T rounds times the per-round orbit bound: 3^13 = 1,594,323 states
+    # for 13 edges without classes at T = 1, twice that at T = 2
+    path = [(i, i + 1, 0.5) for i in range(13)]
+    assert 3**13 <= DP_STATES_LIMIT < 2 * 3**13
+    assert opt_value(make_instance(path, rounds=1), commit=False) == pytest.approx(3.5)
+    with pytest.raises(LimitExceededError, match="states"):
+        opt_value(make_instance(path, rounds=2), commit=False)
     # one class of 13 spokes: C(15, 2) = 105 orbit states per round
-    star = make_instance([(0, i, 0.5) for i in range(1, DP_LIMIT + 2)], rounds=2)
+    star = make_instance([(0, i, 0.5) for i in range(1, 14)], rounds=2)
     assert len(build_tables(star).classes) == 1
     assert opt_value(star, commit=False) == pytest.approx(0.5 + 0.75)  # reselect or retry
-    # ds9 (17 edges) passes the orbit bound and stops at the enumeration limit
-    with pytest.raises(LimitExceededError, match="enumeration over 17 edges"):
+    # K_3,3 at T = 900 is within the rounds limit but not the states limit
+    with pytest.raises(LimitExceededError, match="states"):
+        build_dp(gen_complete_bipartite(3, 0.5, rounds=900), commit=False)
+    # ds9 (17 edges, 82 feasible selections) is admitted and listed
+    class Admitted(Exception):
+        pass
+
+    def admitted(tables, commit, prune):
+        assert len(tables.feas) == 82
+        raise Admitted
+
+    monkeypatch.setattr(kernels, "dp_solve", admitted)
+    with pytest.raises(Admitted):
         build_dp(gen_double_star(9, 0.1), commit=False)
     # the solve recurses once per round
     with pytest.raises(LimitExceededError, match="rounds"):
@@ -604,6 +620,28 @@ def test_gc_trace_large_matches_reference_loop_on_k55():
             smp = sample(inst, sub_seed(31, i))
             want = gc_trace_large_loop(inst, smp.mask)
             assert run_greedy_commit(inst, smp).selection_masks() == tuple(want)
+
+
+def test_greedy_commit_kernels_agree():
+    # the scan over listed selections and the per-round exact matching, on
+    # every positive-probability sample.  Both kernels read only the outcomes
+    # of the edges they select, so one sample per footprint class (the
+    # selections and the outcomes on their union) stands for its class.
+    instances = [inst for profile in ("unit-small", "cap-small", "mto-small")
+                 for inst in _suite_instances(profile)]
+    instances += [gen_complete_bipartite(3, 0.5, rounds=4),
+                  gen_complete_bipartite(4, 0.5, rounds=3)]
+    for k, inst in enumerate(instances):
+        tables = build_tables(inst)
+        tables.build_enumeration()
+
+        def both(real):
+            sels = kernels.gc_trace(tables, real)
+            assert _gc_trace_large(inst, real) == sels, (k, real)
+            return sels
+
+        reals = [smp.mask for smp, prob in enumerate_samples(inst) if prob > 0.0]
+        assert len(list(_footprints(both, reals, inst.rounds))) == len(reals)
 
 
 def test_alternating_scan_matches_reference_loop():
