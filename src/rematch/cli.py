@@ -223,23 +223,14 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "reproduce":
-            names = sorted(suites.BUNDLES) if args.bundle == "all" else [args.bundle]
-            if args.bundle == "all":
-                t0 = time.perf_counter()
-                results = suites.run_all()
-                print(f"# run_all took {time.perf_counter() - t0:.1f}s", file=sys.stderr)
-            else:
-                results = []
-                for name in names:
-                    t0 = time.perf_counter()
-                    results.append(suites.BUNDLES[name]())
-                    print(f"# {name} took {time.perf_counter() - t0:.1f}s",
-                          file=sys.stderr)
+            names = list(suites.BUNDLES) if args.bundle == "all" else [args.bundle]
             all_ok = True
-            for res in results:
+            for name in names:  # in criterion order
+                t0 = time.perf_counter()
+                res = suites.BUNDLES[name]()
+                print(f"# {name} took {time.perf_counter() - t0:.1f}s", file=sys.stderr)
                 all_ok &= res.ok
-                _dump({"criterion": res.number, "key": res.key, "ok": res.ok,
-                       "details": res.details}, out)
+                _dump(res.to_json(), out)
             return 0 if all_ok else 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,8 +1,12 @@
 """Named experiment bundles, one per acceptance criterion.
 
-Each bundle returns a :class:`CriterionResult` whose ``details`` are
-JSON-serializable and deterministic for fixed seeds; the test suite and
-the ``reproduce`` CLI subcommand both run these.
+Each bundle takes no arguments and returns a :class:`CriterionResult`
+whose ``details`` are JSON-serializable and deterministic for fixed
+seeds; the test suite and the ``reproduce`` CLI subcommand both run
+these, one bundle at a time.  Criteria 2 to 5 read the exact coupling
+pass over the four lemma ``SUITES`` from :func:`_suite_summaries`, which
+runs it once per suite and process, so a bundle run alone prints the
+same line as in ``reproduce --bundle all``.
 """
 
 from __future__ import annotations
@@ -10,18 +14,18 @@ from __future__ import annotations
 import io
 import math
 from contextlib import redirect_stdout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .coupling import (EXACT_TOL, CouplingSummary, coupling_expectations,
                        domination_violations, lemma_rules)
-from .errors import ValidationError
 from .factorlp import (build_primal, dual_certificate, solve_lp, u_limit,
                        u_value, verify_dual_feasible, primal_embedding)
-from .generators import gen_complete_bipartite, gen_double_star, gen_random, gen_separation
+from .generators import (RandomProfile, gen_complete_bipartite, gen_double_star, gen_random,
+                         gen_separation)
 from .matching import (WeightedSubproblem, degree_halving_subgraph, greedy_matching,
                        greedy_hypergraph_matching, max_weight_matching)
-from .model import (Edge, Hypergraph, Instance, KnowledgeState, Vertex,
-                    build_tables, enumerate_samples)
+from .model import Instance, KnowledgeState, build_tables, enumerate_samples
 from .montecarlo import monte_carlo
 from .policies import PolicyId, build_dp, run_sm
 from .rng import CounterRng, sub_seed
@@ -42,6 +46,8 @@ SUITES = {"unit-small": (UNIT_COUNT, UNIT_SEED, "unit"),
           "cap-small": (GENERAL_COUNT, CAP_SEED, "capacitated"),
           "mto-small": (GENERAL_COUNT, MTO_SEED, "many_to_one"),
           "hyper3-small": (GENERAL_COUNT, HYPER_SEED, "hypergraph")}
+# the suites of criterion 3, each checked against its own domination variant
+_GENERALIZED = ("cap-small", "mto-small", "hyper3-small")
 # relative gap allowed between a replayed policy's exact expected reward
 # and the DP root value it was derived from
 EVALUATION_RTOL = 1e-12
@@ -53,7 +59,11 @@ class CriterionResult:
     key: str
     ok: bool
     details: dict
-    data: object = field(default=None, repr=False)
+
+    def to_json(self) -> dict:
+        """The ``reproduce`` stdout record."""
+        return {"criterion": self.number, "key": self.key, "ok": self.ok,
+                "details": self.details}
 
     def line(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'} criterion {self.number} ({self.key})"
@@ -102,53 +112,50 @@ def _suite_instances(profile: str) -> list[Instance]:
     return [gen_random(profile, sub_seed(seed, i)) for i in range(count)]
 
 
+@lru_cache(maxsize=len(SUITES))
+def _suite_summaries(profile: str) -> tuple[CouplingSummary, ...]:
+    """The exact coupling pass over every instance of a ``SUITES`` profile.
+
+    Memoized per process: this is the one place that runs the pass over a
+    lemma suite, and criteria 2 to 5 all read it.
+    """
+    return tuple(coupling_expectations(inst) for inst in _suite_instances(profile))
+
+
+def _suite_violations(profile: str, variants) -> dict:
+    """How many of a suite's checks fail: the domination rows of each
+    variant, and the instances failing the charging, partition or commit check."""
+    summaries = _suite_summaries(profile)
+    return {"domination": {v: sum(domination_violations(s, v) for s in summaries)
+                           for v in variants},
+            "charging": sum(not s.charging_ok() for s in summaries),
+            "partition": sum(not s.partition_ok for s in summaries),
+            "commit": sum(not s.commit_ok for s in summaries)}
+
+
 def criterion_2_unit_lemmas() -> CriterionResult:
     count, seed, _ = SUITES["unit-small"]
-    summaries = []
-    totals = {"sm": 0, "sm_refined": 0, "gc": 0, "gc_refined": 0}
-    charging_bad = 0
-    partition_bad = 0
-    commit_bad = 0
-    for inst in _suite_instances("unit-small"):
-        s = coupling_expectations(inst)
-        summaries.append(s)
-        for variant in totals:
-            totals[variant] += domination_violations(s, variant)
-        charging_bad += 0 if s.charging_ok() else 1
-        partition_bad += 0 if s.partition_ok else 1
-        commit_bad += 0 if s.commit_ok else 1
-    ok = (not any(totals.values()) and charging_bad == 0 and partition_bad == 0
-          and commit_bad == 0)
-    details = {"instances": count, "seed": seed, "domination_violations": totals,
-               "charging_violations": charging_bad,
-               "partition_violations": partition_bad,
-               "commit_violations": commit_bad}
-    return CriterionResult(2, "lemma-exact-unit", ok, details, data=summaries)
+    bad = _suite_violations("unit-small", ("sm", "sm_refined", "gc", "gc_refined"))
+    ok = (not any(bad["domination"].values()) and bad["charging"] == 0
+          and bad["partition"] == 0 and bad["commit"] == 0)
+    return CriterionResult(2, "lemma-exact-unit", ok, {
+        "instances": count, "seed": seed, "domination_violations": bad["domination"],
+        "charging_violations": bad["charging"], "partition_violations": bad["partition"],
+        "commit_violations": bad["commit"]})
 
 
 def criterion_3_generalized() -> CriterionResult:
-    data: dict[str, list[CouplingSummary]] = {}
     details: dict = {}
     ok = True
-    for profile in ("cap-small", "mto-small", "hyper3-small"):
+    for profile in _GENERALIZED:
         count, seed, label = SUITES[profile]
-        summaries = []
-        dom_bad = 0
-        charge_bad = 0
-        part_bad = 0
-        for inst in _suite_instances(profile):
-            s = coupling_expectations(inst)
-            summaries.append(s)
-            part_bad += 0 if s.partition_ok else 1
-            charge_bad += 0 if s.charging_ok() else 1
-            dom_bad += domination_violations(s, label)
-        ok &= dom_bad == 0 and charge_bad == 0 and part_bad == 0
-        data[label] = summaries
+        bad = _suite_violations(profile, (label,))
+        ok &= bad["domination"][label] == 0 and bad["charging"] == 0 and bad["partition"] == 0
         details[label] = {"instances": count, "seed": seed,
-                          "domination_violations": dom_bad,
-                          "charging_violations": charge_bad,
-                          "partition_violations": part_bad}
-    return CriterionResult(3, "lemma-exact-generalized", ok, details, data=data)
+                          "domination_violations": bad["domination"][label],
+                          "charging_violations": bad["charging"],
+                          "partition_violations": bad["partition"]}
+    return CriterionResult(3, "lemma-exact-generalized", ok, details)
 
 
 # ---------------------------------------------------------------------
@@ -172,16 +179,11 @@ def _ratio_violations(s: CouplingSummary) -> int:
     return bad
 
 
-def criterion_4_ratio_bounds(unit: list[CouplingSummary] | None = None,
-                             generalized: dict[str, list[CouplingSummary]] | None = None
-                             ) -> CriterionResult:
-    if unit is None:
-        unit = criterion_2_unit_lemmas().data
-    if generalized is None:
-        generalized = criterion_3_generalized().data
+def criterion_4_ratio_bounds() -> CriterionResult:
+    unit = _suite_summaries("unit-small")
     bad_unit = sum(_ratio_violations(s) for s in unit)
-    bad_gen = sum(_ratio_violations(s) for summaries in generalized.values()
-                  for s in summaries)
+    bad_gen = sum(_ratio_violations(s) for profile in _GENERALIZED
+                  for s in _suite_summaries(profile))
     # embedding feasibility and the empirical-factor bound on the unit suite;
     # each unit-decomposition reference (sm, gc) names the variant of its LP
     embed_bad = 0
@@ -210,13 +212,8 @@ def criterion_4_ratio_bounds(unit: list[CouplingSummary] | None = None,
 # criterion 5: commit separation, sandwich, follower coupling
 
 
-def criterion_5_separation(unit: list[CouplingSummary] | None = None,
-                           generalized: dict[str, list[CouplingSummary]] | None = None
-                           ) -> CriterionResult:
-    if unit is None:
-        unit = criterion_2_unit_lemmas().data
-    if generalized is None:
-        generalized = criterion_3_generalized().data
+def criterion_5_separation() -> CriterionResult:
+    unit = _suite_summaries("unit-small")
     sep = gen_separation()
     table = build_dp(sep, commit=False)
     table_c = build_dp(sep, commit=True)
@@ -231,7 +228,7 @@ def criterion_5_separation(unit: list[CouplingSummary] | None = None,
 
     sandwich_bad = 0
     follower_bad = 0
-    all_summaries = list(unit) + [x for v in generalized.values() for x in v]
+    all_summaries = [s for profile in SUITES for s in _suite_summaries(profile)]
     sep_summary = coupling_expectations(sep)
     for s in all_summaries + [sep_summary]:
         if s.opt_commit_value < 0.5 * s.opt_value - EXACT_TOL:
@@ -308,51 +305,19 @@ def criterion_7_offline() -> CriterionResult:
 # ---------------------------------------------------------------------
 # criterion 8: matching-kernel properties
 
-
-def _random_unit_instance(rng: CounterRng) -> Instance:
-    nv = rng.randint(4, 8)
-    pairs = [(u, w) for u in range(nv) for w in range(u + 1, nv)]
-    rng.shuffle(pairs)
-    m = rng.randint(1, min(10, len(pairs)))
-    edges = [Edge(i, pairs[i], 0.5) for i in range(m)]
-    return Instance([Vertex(i) for i in range(nv)], edges, 1)
-
-
-def _random_cap_instance(rng: CounterRng) -> Instance:
-    nv = rng.randint(3, 6)
-    pairs = [(u, w) for u in range(nv) for w in range(u + 1, nv)]
-    rng.shuffle(pairs)
-    m = rng.randint(1, min(8, len(pairs)))
-    edges = [Edge(i, pairs[i], 0.5) for i in range(m)]
-    verts = [Vertex(i, rng.randint(1, 3)) for i in range(nv)]
-    return Instance(verts, edges, 1)
-
-
-def _random_hyper_instance(rng: CounterRng) -> Instance:
-    nv = rng.randint(4, 7)
-    edges = []
-    seen = set()
-    for _ in range(rng.randint(1, 8)):
-        size = rng.randint(2, 3)
-        ids = set()
-        while len(ids) < size:
-            ids.add(rng.randint(0, nv - 1))
-        key = tuple(sorted(ids))
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(Edge(len(edges), key, 0.5))
-    if not edges:
-        edges = [Edge(0, (0, 1), 0.5)]
-    return Instance([Vertex(i) for i in range(nv)], edges, 1,
-                    structure=Hypergraph(3))
+# one-round instances for the matching kernels; each edge weight is drawn
+# separately, so the edges' p play no part
+KERNEL_UNIT = RandomProfile("kernel-unit", "general", (4, 8), (1, 10), (1, 1), (1, 1))
+KERNEL_CAP = RandomProfile("kernel-cap", "general", (3, 6), (1, 8), (1, 3), (1, 1))
+KERNEL_HYPER = RandomProfile("kernel-hyper3", "hypergraph", (4, 7), (1, 8), (1, 1), (1, 1))
+_MAX_SEED = (1 << 64) - 1  # each instance seed is the stream's next 64-bit word
 
 
 def criterion_8_kernels() -> CriterionResult:
     rng = CounterRng(KERNEL_SEED)
     greedy_bad = 0
     for k in range(1000):
-        inst = _random_unit_instance(rng) if k % 2 == 0 else _random_cap_instance(rng)
+        inst = gen_random(KERNEL_UNIT if k % 2 == 0 else KERNEL_CAP, rng.randint(0, _MAX_SEED))
         weights = {e.id: rng.uniform(0.0, 1.0) for e in inst.edges}
         sub = WeightedSubproblem(inst, weights)
         g = greedy_matching(sub).total_weight(weights)
@@ -361,7 +326,7 @@ def criterion_8_kernels() -> CriterionResult:
             greedy_bad += 1
     hyper_bad = 0
     for _ in range(500):
-        inst = _random_hyper_instance(rng)
+        inst = gen_random(KERNEL_HYPER, rng.randint(0, _MAX_SEED))
         weights = {e.id: rng.uniform(0.0, 1.0) for e in inst.edges}
         g = greedy_hypergraph_matching(
             WeightedSubproblem(inst, weights)).total_weight(weights)
@@ -409,19 +374,19 @@ def criterion_8_kernels() -> CriterionResult:
 def criterion_9_determinism() -> CriterionResult:
     from . import cli
 
-    def run(argv) -> bytes:
+    def run(argv) -> bytes | None:
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = cli.main(argv)
-        if code != 0:
-            raise ValidationError(f"cli exited {code} during determinism check")
-        return buf.getvalue().encode()
+        return buf.getvalue().encode() if code == 0 else None
 
-    sim = ["simulate", "--family", "double-star", "--n", "4", "--eps", "0.1",
-           "--policy", "alternating-scan", "--trials", "2000", "--seed", "42"]
-    rep = ["reproduce", "--bundle", "offline-vs-online"]
-    sim_ok = run(sim) == run(sim)
-    rep_ok = run(rep) == run(rep)
+    def identical(argv) -> bool:
+        first = run(argv)
+        return first is not None and run(argv) == first  # exiting non-zero fails the check
+
+    sim_ok = identical(["simulate", "--family", "double-star", "--n", "4", "--eps", "0.1",
+                        "--policy", "alternating-scan", "--trials", "2000", "--seed", "42"])
+    rep_ok = identical(["reproduce", "--bundle", "offline-vs-online"])
     return CriterionResult(9, "determinism", sim_ok and rep_ok, {
         "simulate_identical": sim_ok, "reproduce_identical": rep_ok})
 
@@ -437,17 +402,3 @@ BUNDLES = {
     "kernel-properties": criterion_8_kernels,
     "determinism": criterion_9_determinism,
 }
-
-
-def run_all() -> list[CriterionResult]:
-    """All nine bundles, sharing the expensive suite data."""
-    r1 = criterion_1_lp_certificates()
-    r2 = criterion_2_unit_lemmas()
-    r3 = criterion_3_generalized()
-    r4 = criterion_4_ratio_bounds(r2.data, r3.data)
-    r5 = criterion_5_separation(r2.data, r3.data)
-    r6 = criterion_6_upper_bound()
-    r7 = criterion_7_offline()
-    r8 = criterion_8_kernels()
-    r9 = criterion_9_determinism()
-    return [r1, r2, r3, r4, r5, r6, r7, r8, r9]

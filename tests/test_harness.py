@@ -503,6 +503,63 @@ def test_cli_exit_codes_hold_for_fuzzed_instances(tmp_path, text):
         assert code in (0, 1, 2, 3), (command, text[:200])
 
 
+# argv values no parser or generator should trip on: non-finite, zero,
+# negative, fractional where an int is due, and past every limit
+_ODD_NUMBERS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-7.5", "1.5", "1e308", "1001",
+                str(ROUNDS_LIMIT + 1), str(10**30), "x")
+
+
+def _number(regular):
+    return st.one_of(st.none(), regular.map(str), st.sampled_from(_ODD_NUMBERS))
+
+
+def _flags(draw, **choices) -> list[str]:
+    argv = []
+    for flag, strategy in choices.items():
+        value = draw(strategy)
+        if value is not None:
+            argv += [f"--{flag.replace('_', '-')}", value]
+    return argv
+
+
+@st.composite
+def _lp_argv(draw):
+    argv = ["lp", "--t", str(draw(st.integers(-5, 10**7))),
+            "--variant", draw(st.sampled_from(("sm", "gc")))]
+    return argv + draw(st.sampled_from(([], ["--solve"], ["--check-dual"],
+                                        ["--solve", "--check-dual"])))
+
+
+@st.composite
+def _gen_argv(draw):
+    # the sizes that pass the limits stay small (n <= 12, T <= 5), so each
+    # example runs in milliseconds; the rest must exit before building
+    family = draw(st.sampled_from(("double-star", "separation", "complete-bipartite",
+                                   "random")))
+    return ["gen", "--family", family] + _flags(
+        draw, n=_number(st.integers(-3, 12)), p=_number(st.floats(-2.0, 2.0)),
+        eps=_number(st.floats(-1.0, 1.0)), rounds=_number(st.integers(-3, 5)),
+        profile=st.one_of(st.none(), st.sampled_from(sorted(PROFILES))),
+        gen_seed=_number(st.integers(-(2**70), 2**70)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(_lp_argv(), _gen_argv()))
+@example(argv=["lp", "--t", "143", "--check-dual"])  # the largest float dual
+@example(argv=["lp", "--t", "144", "--variant", "gc", "--check-dual"])
+@example(argv=["gen", "--family", "complete-bipartite", "--n", "2", "--p", "nan"])
+@example(argv=["gen", "--family", "double-star", "--n", "1001"])
+def test_cli_exit_codes_hold_for_fuzzed_lp_and_gen_argv(capsys, argv):
+    capsys.readouterr()
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code in (1, 3):  # a refused input prints one stderr line and no result
+        assert out == "" and len(err.splitlines()) == 1, argv
+
+
 def test_cli_refuses_an_instance_file_over_the_byte_limit(tmp_path, monkeypatch, capsys):
     path = tmp_path / "huge.json"
     with open(path, "wb") as fh:
