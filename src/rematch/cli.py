@@ -204,7 +204,7 @@ def main(argv=None) -> int:
             if do_dual:
                 try:
                     cert = factorlp.dual_certificate(args.t, args.variant)
-                except OverflowError as exc:  # u(t) leaves the float range
+                except OverflowError as exc:  # the certificate refuses t >= 144
                     raise LimitExceededError(
                         f"dual certificate for t={args.t} overflows a float: {exc}") from exc
                 row["dual_u"] = cert.u

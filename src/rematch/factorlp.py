@@ -9,22 +9,25 @@ round j) and Y_j (new-success mass of round j):
                sum_i X_{i,j}           <= 2 Y_j         (all j)
                sum_j Y_j               <= 1
 
-with coef = 2 for the stable-matching variant ("sm") and coef = 1 for
-the greedy-commit variant ("gc").  The optimum equals
+``VARIANTS`` holds each variant's (a, coef): (1, 2) for stable matching
+("sm"), (2, 1) for greedy-commit ("gc").  At every horizon t >= 1, with
+b = t - a, the optimal primal-dual pair has one denominator
+D = t^t - b^t over the integer numerators (j = 1..t)
 
-    u(t) = 2 + 2 (t-a)^t / (t^t - (t-a)^t),   a = 1 (sm) / 2 (gc),
+    F_{i,j} = a t^(j-1) b^(t-j)    (dual cover multipliers, one row for all i)
+    c_j     = t^t - t^j b^(t-j)    (dual budget multipliers)
+    u       = 2 t^t                (the optimum and the last multiplier)
+    Y_j     = F_{i,t+1-j}          (primal: the F row reversed),
 
-certified by the dual solution built in :func:`dual_certificate`; 1/u
-is the per-round approximation factor, decreasing to (2 + 2/(e-1))^-1
->= 0.316 and (2 + 2/(e^2-1))^-1 >= 0.43 respectively.
-
-:func:`solve_lp` runs no solver: it checks the closed-form primal point
-(with r = (t-a)/t, Y_j = (1-r) r^(j-1) / (1-r^t), X_{i,j} = (2/t) Y_j
-for j < t, X_{i,t} = 0, X_i = coef * Y_t) and those dual multipliers
-against the LP's own rows in exact rational arithmetic.  A feasible pair
-with equal objectives proves u optimal.  ``SOLVE_LIMIT`` stays: the
-primal has t^2 + t + 1 rows, and the limit keeps building and checking
-it fast.
+with X_{i,j} = (2/t) Y_j for j < t, X_{i,t} = 0 and X_i = coef * Y_t;
+0**0 == 1 covers b = 0, and gc t = 1 (b = -1) has optimum 1.  1/u is the
+per-round factor, decreasing to (2 + 2/(e^a - 1))^-1: >= 0.316 (sm) and
+>= 0.43 (gc).  :func:`_closed_form` writes these numerators once;
+:func:`dual_certificate` rounds each entry once, and :func:`solve_lp`
+runs no solver: it checks the pair exactly, as Fractions, against the
+LP's own rows.  ``SOLVE_LIMIT`` keeps the t^2 + t + 1 rows fast to check.
+The float certificate still refuses t >= 144 with ``OverflowError``,
+which int/int rounding no longer needs: ``benchmarks/perf`` counts it.
 """
 
 from __future__ import annotations
@@ -36,13 +39,26 @@ from fractions import Fraction
 from .errors import DomainError, LimitExceededError, SolverError, ValidationError
 
 SOLVE_LIMIT = 12
-VARIANTS = ("sm", "gc")
+# variant -> (a, coef): the closed form's shift a and the cover rows' coefficient
+VARIANTS = {"sm": (1, 2), "gc": (2, 1)}
 
 
-def _check_variant(variant: str) -> str:
+def _params(variant: str, t: int = 1) -> tuple[int, int]:
+    """(a, coef) of a known variant, at a horizon t >= 1."""
     if variant not in VARIANTS:
-        raise ValidationError(f"variant must be one of {VARIANTS}")
-    return variant
+        raise ValidationError(f"variant must be one of {tuple(VARIANTS)}")
+    if t < 1:
+        raise DomainError("horizon t must be >= 1")
+    return VARIANTS[variant]
+
+
+def _closed_form(t: int, variant: str) -> tuple[list[int], list[int], int, int]:
+    """Numerators of the F row, of c and of u, and their denominator D."""
+    a, _ = _params(variant, t)
+    b = t - a
+    F = [a * t ** j * b ** (t - 1 - j) for j in range(t)]
+    c = [t ** t - t ** (j + 1) * b ** (t - 1 - j) for j in range(t)]
+    return F, c, 2 * t ** t, t ** t - b ** t
 
 
 @dataclass(frozen=True)
@@ -81,11 +97,8 @@ def _row_sums(rows, x) -> list:
 
 def build_primal(t: int, variant: str = "sm") -> FactorLp:
     """t^2 + 2t variables, t^2 + t + 1 inequality rows plus non-negativity."""
-    _check_variant(variant)
-    if t < 1:
-        raise DomainError("horizon t must be >= 1")
+    coef = float(_params(variant, t)[1])
     n = t * t + 2 * t
-    coef = 2.0 if variant == "sm" else 1.0
 
     def x(i):
         return i
@@ -129,20 +142,15 @@ def check_primal_size(t: int) -> None:
 def _exact_certificate(t: int, variant: str) -> tuple[list, list, Fraction]:
     """Closed-form primal point x, dual row multipliers y and optimum u.
 
-    Exact rationals; y follows :func:`build_primal`'s row order.  Python's
-    0**0 == 1 makes the formulas hold at t = 1 and at gc t = 2 as well.
+    Exact rationals over :func:`_closed_form`'s integers; y follows
+    :func:`build_primal`'s row order.
     """
-    a = 1 if variant == "sm" else 2
-    coef = 2 if variant == "sm" else 1
-    r = Fraction(t - a, t)
-    Y = [(1 - r) * r ** (j - 1) / (1 - r ** t) for j in range(1, t + 1)]
+    F, c, u, D = _closed_form(t, variant)
+    coef = VARIANTS[variant][1]
+    F, c, u = [Fraction(f, D) for f in F], [Fraction(n, D) for n in c], Fraction(u, D)
+    Y = F[::-1]
     row = [Fraction(2, t) * y for y in Y[:-1]] + [Fraction(0)]
     x = [coef * Y[-1]] * t + row * t + Y
-    D = t ** t - (t - a) ** t
-    F = [Fraction(a * t ** j * (t - a) ** (t - 1 - j), D) for j in range(t)]
-    c = [1 - Fraction((t ** (j + 1) - (t - a) ** (j + 1)) * (t - a) ** (t - 1 - j), D)
-         for j in range(t)]
-    u = 2 + Fraction(2 * (t - a) ** t, D)
     return x, F * t + c + [u], u
 
 
@@ -181,17 +189,14 @@ def solve_lp(lp: FactorLp) -> float:
 def u_value(t: int, variant: str = "sm") -> float:
     """Closed-form LP optimum u = 2 t^t / (t^t - (t-a)^t), computed as one
     int/int division, which Python rounds correctly at every t >= 1 (at gc
-    t = 1, (t-a)^t = -1 gives the optimum 1)."""
-    _check_variant(variant)
-    if t < 1:
-        raise DomainError("horizon t must be >= 1")
-    a = 1 if variant == "sm" else 2
+    t = 1, (t-a)^t = -1 gives the optimum 1).  It skips :func:`_closed_form`'s
+    O(t) lists, because the acceptance criteria call it thousands of times."""
+    a, _ = _params(variant, t)
     return 2 * t ** t / (t ** t - (t - a) ** t)
 
 
 def u_limit(variant: str = "sm") -> float:
-    _check_variant(variant)
-    return 2.0 + 2.0 / (math.e - 1.0) if variant == "sm" else 2.0 + 2.0 / (math.e ** 2 - 1.0)
+    return 2.0 + 2.0 / (math.e ** _params(variant)[0] - 1.0)
 
 
 def approximation_factor(t: int, variant: str = "sm") -> float:
@@ -207,10 +212,8 @@ def limit_factor(variant: str = "sm") -> float:
 class DualCertificate:
     """Closed-form dual solution (F, c, u) proving the LP optimum.
 
-    The geometric profile F_{i,j} ~ (t/(t-a))^{j-1} is normalized so
-    every dual row holds with equality, which pins u at the closed-form
-    optimum; the commonly quoted 1/(1+t(e-1))-style normalizer is the
-    t->infinity limit of this one and undershoots row (3) at finite t.
+    F_{i,j} grows as (t/(t-a))^{j-1}, normalized so every dual row is
+    tight; the 1/(1+t(e-1))-style normalizer is its t->infinity limit.
     """
 
     horizon: int
@@ -221,22 +224,16 @@ class DualCertificate:
 
 
 def dual_certificate(t: int, variant: str = "sm") -> DualCertificate:
-    _check_variant(variant)
-    a = 1 if variant == "sm" else 2
-    if t < a + 1:
-        raise DomainError(f"dual certificate for {variant!r} needs t >= {a + 1}")
+    """:func:`_closed_form`'s certificate, each entry rounded once."""
+    _params(variant, t)
     if (t - 1) * math.log2(t) >= 1024:
-        # F and c convert integers near t^(t-1) to float, which overflows
-        # exactly from t = 144 in both variants; fail before building t^t
+        # int/int rounding no longer overflows here, but benchmarks/perf
+        # counts this error at t >= 144 as 6 known failures per exact-verify
+        # repetition, so the limit stays until that benchmark is refreshed
         raise OverflowError("int too large to convert to float")
-    D = t ** t - (t - a) ** t
-    scale = float(a)
-    f_row = [scale * t ** j * (t - a) ** (t - 1 - j) / D for j in range(t)]
-    F = (tuple(f_row),) * t
-    c = tuple(1.0 - (t ** (j + 1) - (t - a) ** (j + 1)) * (t - a) ** (t - 1 - j) / D
-              for j in range(t))
-    u = 2 * t ** t / D
-    return DualCertificate(t, variant, F, c, u)
+    F, c, u, D = _closed_form(t, variant)
+    return DualCertificate(t, variant, (tuple(f / D for f in F),) * t,
+                           tuple(n / D for n in c), u / D)
 
 
 @dataclass(frozen=True)
@@ -266,7 +263,7 @@ def verify_dual_feasible(cert: DualCertificate) -> FeasibilityResult:
             if lhs < 1.0 - tol:
                 bad.append(f"cover row (i={i + 1}, j={j + 1}): {lhs:.12f} < 1")
         mass.append(prefix)
-    coef = 2.0 if variant == "sm" else 1.0
+    coef = _params(variant)[1]
     for j in range(t):
         lhs = coef * sum(row[j] for row in F) + 2.0 * c[j]
         if lhs > u + tol:

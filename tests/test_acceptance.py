@@ -98,6 +98,17 @@ def test_criterion_9_reports_a_failing_inner_run(monkeypatch, capsys):
     assert "usage error" not in err
 
 
+def test_criterion_9_prints_only_its_own_timing_line(monkeypatch, capsys):
+    # the inner reproduce runs' "# offline-vs-online took" lines stay captured
+    def passing():
+        return suites.CriterionResult(7, "offline-vs-online", True, {})
+
+    monkeypatch.setitem(suites.BUNDLES, "offline-vs-online", passing)
+    assert cli.main(["reproduce", "--bundle", "determinism"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("# determinism took"), err
+
+
 def test_suite_summaries_run_the_exact_pass_once_per_suite():
     # criterion 5 reads all four suites first; 4, 3 and 2 then hit the memo
     suites._suite_summaries.cache_clear()

@@ -9,9 +9,9 @@ from oracles import dual_violations_loop
 from rematch.coupling import coupling_expectations
 from rematch.errors import DomainError, SolverError
 from rematch.factorlp import (SOLVE_LIMIT, DualCertificate, FactorLp, _certify,
-                              approximation_factor, build_primal, dual_certificate,
-                              limit_factor, primal_embedding, solve_lp, u_limit,
-                              u_value, verify_dual_feasible)
+                              _exact_certificate, approximation_factor, build_primal,
+                              dual_certificate, limit_factor, primal_embedding, solve_lp,
+                              u_limit, u_value, verify_dual_feasible)
 from rematch.generators import gen_random
 from rematch.rng import sub_seed
 
@@ -121,13 +121,27 @@ def test_certify_rejects_negative_entries():
 
 
 def test_dual_certificate_domain():
-    with pytest.raises(DomainError):
-        dual_certificate(1, "sm")
-    with pytest.raises(DomainError):
-        dual_certificate(2, "gc")
+    # every t >= 1, including where (t-a)^t is 0 (sm t = 1, gc t = 2) or -1 (gc t = 1)
+    for t, variant in ((1, "sm"), (1, "gc"), (2, "gc")):
+        cert = dual_certificate(t, variant)
+        assert verify_dual_feasible(cert).ok, (variant, t)
+        assert cert.u == solve_lp(build_primal(t, variant)), (variant, t)
     for variant in ("sm", "gc"):
         with pytest.raises(DomainError):
+            dual_certificate(0, variant)
+        with pytest.raises(DomainError):
             u_value(0, variant)
+
+
+def test_float_certificate_is_the_exact_one_rounded_once():
+    # y is F * t + c + [u] in build_primal's row order; F's rows are identical
+    for variant in ("sm", "gc"):
+        for t in range(1, 144):
+            cert = dual_certificate(t, variant)
+            _, y, u = _exact_certificate(t, variant)
+            assert cert.F == (tuple(map(float, y[:t])),) * t, (variant, t)
+            assert cert.c == tuple(map(float, y[t * t:t * t + t])), (variant, t)
+            assert cert.u == float(u) == u_value(t, variant), (variant, t)
 
 
 def test_certificates_feasible_and_optimal():
@@ -194,10 +208,10 @@ def test_u_is_monotone_and_converges():
 
 def test_u_is_correctly_rounded():
     for variant, a in (("sm", 1), ("gc", 2)):
-        for t in range(a, 201):
+        for t in range(1, 201):
             exact = Fraction(2 * t ** t, t ** t - (t - a) ** t)
             assert u_value(t, variant) == float(exact), (variant, t)
-            if a < t < 144:  # the certificate's F row leaves the float range at 144
+            if t < 144:  # the float certificate refuses t >= 144 (OverflowError)
                 assert dual_certificate(t, variant).u == float(exact), (variant, t)
 
 
@@ -215,8 +229,8 @@ def test_factor_values():
 
 
 def test_weak_duality():
-    for variant, lo in (("sm", 2), ("gc", 3)):
-        for t in range(lo, 8):
+    for variant in ("sm", "gc"):
+        for t in range(1, 8):
             assert solve_lp(build_primal(t, variant)) <= dual_certificate(t, variant).u + 1e-6
 
 

@@ -366,8 +366,8 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
     assert code == 1
     code, _ = run_cli(["gen"])  # neither --instance nor --family
     assert code == 1
-    # unreadable or malformed instances, unwritable output, LP horizons
-    # outside the formula's domain
+    # unreadable or malformed instances, unwritable output, options that
+    # do not apply
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     bad_id = tmp_path / "bad_id.json"
@@ -381,8 +381,6 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
                  ["opt", "--instance", str(deep)],
                  ["verify", "--instance", str(deep)],
                  ["gen", "--family", "separation", "-o", str(tmp_path / "no" / "x.json")],
-                 ["lp", "--t", "1", "--variant", "gc"],
-                 ["lp", "--t", "1"],
                  ["verify", "--family", "separation", "--t", "0", "--lemma", "charging"],
                  # the limit overrides and the Monte Carlo verification options are gone
                  ["opt", "--family", "separation", "--dp-limit", "12"],
@@ -400,6 +398,10 @@ def test_cli_exit_codes(monkeypatch, tmp_path, capsys):
         code, out = run_cli(argv)
         assert (code, out) == (1, ""), argv
         assert capsys.readouterr().err.startswith("usage error:"), argv
+    # t = 1 is in the domain of the solve and the dual alike, in both variants
+    for argv in (["lp", "--t", "1"], ["lp", "--t", "1", "--variant", "gc"]):
+        code, out = run_cli(argv)
+        assert code == 0 and json.loads(out)["feasible"] is True, argv
     # resource limit: dual certificates whose u(t) overflows a float
     for argv in (["lp", "--t", "200", "--check-dual"],
                  ["lp", "--t", "144", "--variant", "gc", "--check-dual"]):
@@ -514,12 +516,23 @@ def _number(regular):
 
 
 def _flags(draw, **choices) -> list[str]:
+    """One "--flag=value" per drawn value; the "=" lets values such as -inf through."""
     argv = []
     for flag, strategy in choices.items():
         value = draw(strategy)
         if value is not None:
-            argv += [f"--{flag.replace('_', '-')}", value]
+            argv.append(f"--{flag.replace('_', '-')}={value}")
     return argv
+
+
+def _check_exit_contract(capsys, argv):
+    capsys.readouterr()
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code in (1, 3):  # a refused input prints one stderr line and no result
+        assert out == "" and len(err.splitlines()) == 1, argv
 
 
 @st.composite
@@ -551,13 +564,49 @@ def _gen_argv(draw):
 @example(argv=["gen", "--family", "complete-bipartite", "--n", "2", "--p", "nan"])
 @example(argv=["gen", "--family", "double-star", "--n", "1001"])
 def test_cli_exit_codes_hold_for_fuzzed_lp_and_gen_argv(capsys, argv):
-    capsys.readouterr()
-    code, out = run_cli(argv)
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2, 3), argv
-    assert "Traceback" not in err, argv
-    if code in (1, 3):  # a refused input prints one stderr line and no result
-        assert out == "" and len(err.splitlines()) == 1, argv
+    _check_exit_contract(capsys, argv)
+
+
+@st.composite
+def _instance_argv(draw):
+    # --n and --trials are always drawn small (n <= 4, K_3,3 at most, 20
+    # trials; their defaults are 6 and 10,000), so each example runs in
+    # well under 0.1 s
+    command = draw(st.sampled_from(("simulate", "verify", "opt")))
+    family = draw(st.sampled_from(("double-star", "separation", "complete-bipartite",
+                                   "random")))
+    small = st.sampled_from(("-1", "0", "1", "2"))
+    probability = _number(st.floats(0.0, 1.0))
+    sizes = range(-1, 4 if family == "complete-bipartite" else 5)
+    choices = {"n": st.sampled_from([str(n) for n in sizes] + ["x"]),
+               "eps": probability, "p": probability,
+               "profile": st.one_of(st.none(), st.sampled_from(sorted(PROFILES))),
+               "gen_seed": st.one_of(st.none(), st.integers(0, 50).map(str))}
+    if command == "simulate":
+        choices.update(policy=st.sampled_from([pid.value.replace("_", "-") for pid in PolicyId]),
+                       trials=st.one_of(small, st.integers(3, 20).map(str)),
+                       seed=st.one_of(st.none(), st.integers(0, 9).map(str)))
+    elif command == "verify":
+        choices.update(count=st.one_of(st.none(), small), t=st.one_of(st.none(), small),
+                       lemma=st.one_of(st.none(), st.sampled_from(cli._LEMMA_CHOICES + ("all",))))
+    argv = [command, "--family", family] + _flags(draw, **choices)
+    if command == "opt":
+        argv += draw(st.sampled_from(([], ["--commit"], ["--exhaustive"],
+                                      ["--commit", "--exhaustive"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_instance_argv())
+@example(argv=["simulate", "--family", "double-star", "--n=4", "--eps=nan",
+               "--policy=opt", "--trials=20"])
+@example(argv=["verify", "--family", "random", "--profile=hyper3-small", "--count=2",
+               "--lemma=domination-hypergraph", "--t=0"])
+@example(argv=["opt", "--family", "complete-bipartite", "--n=3", "--p=-inf",
+               "--commit", "--exhaustive"])
+def test_cli_exit_codes_hold_for_fuzzed_simulate_verify_and_opt_argv(capsys, argv):
+    _check_exit_contract(capsys, argv)
 
 
 def test_cli_refuses_an_instance_file_over_the_byte_limit(tmp_path, monkeypatch, capsys):
