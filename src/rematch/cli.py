@@ -134,8 +134,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_profile(profile: str, t: int | None, lemma: str | None, structure) -> None:
+    """Refuse a horizon or domination variant that some draw of the profile
+    would refuse, before the first report: reports stream, so a refusal at
+    a later draw would follow printed results.  Every draw has the first
+    draw's structure, capacities in the profile's range and at least its
+    fewest rounds."""
+    prof = generators.PROFILES[profile]
+    if t is not None and t > prof.rounds[0]:
+        raise UsageError(f"horizon {t} exceeds {prof.rounds[0]}, the fewest rounds "
+                         f"profile {profile} draws")
+    if lemma not in (None, "charging") and any(
+            lemma not in dict(coupling.kind_rules(structure, cap == 1).domination)
+            for cap in prof.capacities):
+        raise UsageError(f"domination variant {lemma!r} does not apply to every "
+                         f"instance of profile {profile}")
+
+
 def _run_verify(args, out) -> int:
-    if args.profile and not args.instance:
+    named = (None if args.lemma == "all" else
+             args.lemma.removeprefix("domination-").replace("-", "_"))
+    drawn = args.profile and not args.instance
+    if drawn:
         if args.count < 1:
             raise UsageError("--count must be >= 1")
         # drawn one at a time, so reports stream and memory stays flat
@@ -144,10 +164,11 @@ def _run_verify(args, out) -> int:
     else:
         instances = [_load_instance(args)]
     all_ok = True
-    for inst in instances:
+    for i, inst in enumerate(instances):
+        if drawn and i == 0:
+            _check_profile(args.profile, args.t, named, inst.structure)
         t = args.t if args.t is not None else inst.rounds
-        lemmas = (coupling.lemma_rules(inst).lemmas if args.lemma == "all" else
-                  [args.lemma.removeprefix("domination-").replace("-", "_")])
+        lemmas = coupling.lemma_rules(inst).lemmas if named is None else [named]
         for lemma in lemmas:
             if lemma == "charging":
                 report = coupling.verify_charging(inst, t)

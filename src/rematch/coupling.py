@@ -45,9 +45,9 @@ from functools import lru_cache
 
 from . import kernels
 from .errors import ValidationError
-from .model import (Hypergraph, Instance, ManyToOne, Trace,
-                    build_tables, dyadic, enumerate_samples, mask_to_set)
-from .policies import build_dp, follower_masks
+from .model import (Hypergraph, Instance, ManyToOne, Structure, Trace, build_tables,
+                    check_samples_limit, dyadic, enumerate_samples, mask_to_set)
+from .policies import build_dp, check_dp_limits, follower_masks
 # benchmarks/perf/selftest.py requires these two bindings to patch
 from .model import sample as draw_sample  # noqa: F401
 from .policies import run_opt  # noqa: F401
@@ -364,12 +364,17 @@ class LemmaRules:
 
 
 def lemma_rules(instance: Instance) -> LemmaRules:
-    """The lemma and ratio rules of ``instance``'s kind.
+    """The lemma and ratio rules of ``instance``'s kind (see :func:`kind_rules`)."""
+    return kind_rules(instance.structure, instance.unit_capacities())
+
+
+def kind_rules(st: Structure, unit: bool) -> LemmaRules:
+    """The lemma and ratio rules of the instances of structure ``st`` whose
+    capacities are all 1 (``unit``) or not.
 
     A hypergraph is unit whatever its declared capacities (``Tables.cap``
     collapses them to 1): factor k against sm, its only committing run.
     """
-    st = instance.structure
     if isinstance(st, Hypergraph):
         k = float(st.k)
         return LemmaRules(
@@ -381,12 +386,12 @@ def lemma_rules(instance: Instance) -> LemmaRules:
     else:
         occupancy, remainder, theorem = ("charging_capacitated", 4.0), ("capacitated", 6.0), 11.0
     ratio_bounds = (("sm", theorem), ("gc", 3.0), ("sm", None), ("gc", None))
-    if instance.unit_capacities():
-        unit = (("sm", 2.0), ("sm_refined", 2.0), ("gc", 1.0), ("gc_refined", 1.0))
+    if unit:
+        rows = (("sm", 2.0), ("sm_refined", 2.0), ("gc", 1.0), ("gc_refined", 1.0))
         return LemmaRules(
             references=("sm", "gc"), runs=("sm", "gc", "opt_follower"),
             charging=("charging", 2.0), charging_references=("sm", "gc"), occupancy=occupancy,
-            lemmas=("charging", *(v for v, _ in unit)), domination=(*unit, remainder),
+            lemmas=("charging", *(v for v, _ in rows)), domination=(*rows, remainder),
             ratio_bounds=ratio_bounds)
     return LemmaRules(  # the occupancy rule charges against sm
         references=(), runs=("sm", "gc"), charging=occupancy, charging_references=("sm",),
@@ -460,8 +465,10 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     division.  Every ``e_*`` value is therefore the correctly rounded
     expectation, whatever the grouping or the enumeration order.
     """
-    # scaled probabilities: prob = num / 2^K exactly; listed first, so the
-    # enumeration limit refuses an instance before any DP is solved
+    # the limits first, cheapest first, so a refused instance lists no sample
+    # and solves no DP; then the scaled probabilities: prob = num / 2^K exactly
+    check_samples_limit(instance.num_edges)
+    check_dp_limits(instance)
     reals, probs = zip(*((smp.mask, prob) for smp, prob in enumerate_samples(instance)
                          if prob > 0.0))
     nums, K = dyadic(probs)
@@ -631,14 +638,18 @@ def _check_mode(mode: str) -> None:
         raise ValidationError(f"unknown mode {mode!r}")
 
 
+def _check_horizon(instance: Instance, t: int) -> None:
+    if not (1 <= t <= instance.rounds):
+        raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
+
+
 def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exact"
                       ) -> LemmaReport:
     """Expectation-level domination inequalities from the exact pass; never
     asserted per sample."""
     _check_mode(mode)
     factor = _domination_factor(instance, variant)
-    if not (1 <= t <= instance.rounds):
-        raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
+    _check_horizon(instance, t)
     rows = list(_exact_pairs(coupling_expectations(instance), t, variant, factor))
     lhs = [r[1] for r in rows]
     rhs = [r[2] for r in rows]
@@ -653,8 +664,7 @@ def verify_charging(instance: Instance, t: int, mode: str = "exact",
     instance's ``LemmaRules.charging``: the worst sample of the exact pass
     per index."""
     _check_mode(mode)
-    if not (1 <= t <= instance.rounds):
-        raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
+    _check_horizon(instance, t)
     rules = lemma_rules(instance)
     if reference not in rules.charging_references:
         raise ValidationError(f"no charging check against {reference!r} on this instance")

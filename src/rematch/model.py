@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LimitExceededError, UnknownEdgeError, ValidationError
-from .rng import uniform01
+from .rng import draw_mask, lane_table
 
 ENUMERATION_LIMIT = 2**16  # listed items: sample graphs or feasible selections
 ROUNDS_LIMIT = 10**6
@@ -46,6 +46,13 @@ def check_rounds_limit(rounds: int) -> None:
     """Raise ``LimitExceededError`` past ``ROUNDS_LIMIT``; call it before allocating."""
     if rounds > ROUNDS_LIMIT:
         raise LimitExceededError(f"{rounds} rounds exceed limit {ROUNDS_LIMIT}")
+
+
+def check_samples_limit(edges: int) -> None:
+    """Raise ``LimitExceededError`` if listing the 2^edges samples passes ``ENUMERATION_LIMIT``."""
+    if 1 << edges > ENUMERATION_LIMIT:
+        raise LimitExceededError(
+            f"enumeration of 2^{edges} samples exceeds limit {ENUMERATION_LIMIT}")
 
 
 def check_edges_limit(edges: int) -> None:
@@ -128,6 +135,16 @@ class Instance:
             h = hash((self.vertices, self.edges, self.rounds, self.weights, self.structure))
             object.__setattr__(self, "_hash", h)
             return h
+
+    def _edge_lanes(self) -> tuple[int, int, int, int, int]:
+        # the rng.lane_table of the edge probabilities, kept like the hash:
+        # sample() draws from it, and offline-max needs no Tables
+        try:
+            return self.__dict__["_lanes"]
+        except KeyError:
+            lanes = lane_table([e.p for e in self.edges])
+            object.__setattr__(self, "_lanes", lanes)
+            return lanes
 
     # -- validation ---------------------------------------------------
 
@@ -349,13 +366,11 @@ class Trace:
     @classmethod
     def from_selection_masks(cls, instance: Instance, policy: str,
                              selection_masks: Sequence[int], real_mask: int) -> "Trace":
-        rewards = []
-        total = 0.0
-        for t, sel in enumerate(selection_masks):
-            count = (sel & real_mask).bit_count()
-            rewards.append(count)
-            total += instance.weights[t] * count
-        return cls(instance, policy, tuple(selection_masks), tuple(rewards), total, real_mask)
+        rewards = tuple([(sel & real_mask).bit_count() for sel in selection_masks])
+        total = 0.0  # in round order: sum() rounds differently from 3.12 on
+        for w, count in zip(instance.weights, rewards):
+            total += w * count
+        return cls(instance, policy, tuple(selection_masks), rewards, total, real_mask)
 
     @property
     def rounds(self) -> int:
@@ -398,12 +413,14 @@ class Trace:
 
 
 def sample(instance: Instance, seed: int) -> SampleGraph:
-    """Realize each edge independently with probability p_e; deterministic in (instance, seed)."""
-    mask = 0
-    for e in instance.edges:
-        if uniform01(seed, e.id) < e.p:
-            mask |= 1 << e.id
-    return SampleGraph(instance.num_edges, mask)
+    """Realize each edge independently with probability p_e; deterministic in (instance, seed).
+
+    Edge e is realized iff ``rng.uniform01(seed, e) < p_e``; ``rng.draw_mask``
+    draws every edge at once from the instance's lane table, built in O(m)
+    on the first draw and kept with the instance.  Any int seed is reduced
+    mod 2^64.
+    """
+    return SampleGraph(len(instance.edges), draw_mask(instance._edge_lanes(), seed))
 
 
 def enumerate_samples(instance: Instance) -> Iterator[tuple[SampleGraph, float]]:
@@ -413,8 +430,7 @@ def enumerate_samples(instance: Instance) -> Iterator[tuple[SampleGraph, float]]
     can rely on seeing every mask exactly once, in ascending mask order.
     """
     m = instance.num_edges
-    if 1 << m > ENUMERATION_LIMIT:
-        raise LimitExceededError(f"enumeration of 2^{m} samples exceeds limit {ENUMERATION_LIMIT}")
+    check_samples_limit(m)
     ps = [e.p for e in instance.edges]
     for mask in range(1 << m):
         prob = 1.0

@@ -2,15 +2,19 @@
 
 Trial i draws its sample graph from sub_seed(seed, i), so the aggregate
 is a pure function of (instance, policy, trials, seed).  Trials run in
-this thread in index order, and each is added to the running sums as it
-finishes, so memory does not grow with the trial count.  The sums are
-exact integers, rounded once into each reported mean and standard error.
+this thread in index order.  Their per-round count tuples are tallied:
+each distinct tuple is held once with its multiplicity, and the tally is
+folded into the running sums and cleared whenever it holds
+``TALLY_LIMIT`` counts, so memory does not grow with the trial count.
+The sums are exact integers, rounded once into each reported mean and
+standard error, so the grouping does not change a bit of the result.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 
@@ -20,6 +24,8 @@ from .policies import (PolicyId, build_dp, offline_max_matching,
                        run_alternating_scan, run_greedy_commit, run_opt,
                        run_opt_follower, run_sm)
 from .rng import sub_seed
+
+TALLY_LIMIT = 2**18  # per-round counts held in the tally before it is folded
 
 
 @dataclass
@@ -107,13 +113,24 @@ def monte_carlo(instance: Instance, policy: PolicyId, trials: int, seed: int,
 
     total_sq = 0
     round_sum, round_sq = [0] * len(weights), [0] * len(weights)
+    tally: Counter[tuple[int, ...]] = Counter()
+    held = max(1, TALLY_LIMIT // len(weights))  # distinct count tuples
+
+    def fold() -> None:
+        nonlocal total_sq
+        for counts, n in tally.items():
+            value = sum(map(mul, weights, counts))
+            total_sq += n * value * value
+            for r, c in enumerate(counts):
+                round_sum[r] += n * c
+                round_sq[r] += n * c * c
+        tally.clear()
+
     for i in range(trials):
-        counts = runner(sample(instance, sub_seed(seed, i)))
-        value = sum(map(mul, weights, counts))
-        total_sq += value * value
-        for r, c in enumerate(counts):
-            round_sum[r] += c
-            round_sq[r] += c * c
+        tally[runner(sample(instance, sub_seed(seed, i)))] += 1
+        if len(tally) >= held:
+            fold()
+    fold()
 
     mean, se = _mean_stderr(sum(map(mul, weights, round_sum)), total_sq, trials, K)
     per_mean, per_se = zip(*(_mean_stderr(s, s2, trials, 0) for s, s2 in zip(round_sum, round_sq)))

@@ -206,16 +206,14 @@ class DpValueTable:
         return len(self._values)
 
 
-def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTable:
-    """Solve the expectimax DP over orbit states (see :class:`DpValueTable`).
+def check_dp_limits(instance: Instance) -> None:
+    """Raise ``LimitExceededError`` unless :func:`build_dp` admits the instance.
 
-    The instance is admitted by a bound on its total orbit states: per
-    round, a class of k interchangeable edges has C(k+2, 2) orbits of
-    success/fail/unknown labels and every other edge 3 labels, and T
-    rounds times that product must stay within ``DP_STATES_LIMIT``.  The
-    solve also recurses one frame per round, so the horizon must stay
-    within ``DP_ROUNDS_LIMIT``.  Listing the feasible selections then
-    applies ``ENUMERATION_LIMIT`` to their number.
+    The bound is on its total orbit states: per round, a class of k
+    interchangeable edges has C(k+2, 2) orbits of success/fail/unknown
+    labels and every other edge 3 labels, and T rounds times that product
+    must stay within ``DP_STATES_LIMIT``.  The solve also recurses one
+    frame per round, so the horizon must stay within ``DP_ROUNDS_LIMIT``.
     """
     if instance.rounds > DP_ROUNDS_LIMIT:
         raise LimitExceededError(
@@ -226,6 +224,16 @@ def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTab
     if instance.rounds * per_round > DP_STATES_LIMIT:
         raise LimitExceededError(f"DP over {instance.rounds} rounds of {per_round} orbit "
                                  f"states exceeds limit {DP_STATES_LIMIT} states")
+
+
+def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTable:
+    """Solve the expectimax DP over orbit states (see :class:`DpValueTable`).
+
+    The instance must pass :func:`check_dp_limits`; listing the feasible
+    selections then applies ``ENUMERATION_LIMIT`` to their number.
+    """
+    check_dp_limits(instance)
+    tables = build_tables(instance)
     tables.build_enumeration()
     root, values = kernels.dp_solve(tables, commit, prune)
     return DpValueTable(instance, tables, commit, prune, root, values)

@@ -6,9 +6,11 @@ feasibility goes through the public checker, and the policy-value
 oracle recurses over raw histories with no memoization, no action
 pruning and no bitmask machinery.
 
-The loops at the end are the exception.  The first is the feasible
-selection table as first written, a scan of all 2^m masks; the listing
-by extension must give the same lists, bit for bit.  The round loops
+The loops at the end are the exception.  The first is the sampler as
+first written, one ``uniform01`` draw per edge; the lane draw of
+``model.sample`` must give the same masks, bit for bit.  The next is
+the feasible selection table as first written, a scan of all 2^m
+masks; the listing by extension must give the same lists, bit for bit.  The round loops
 are the committing kernels and the alternating scan as first written,
 recomputing every round from scratch, and serve as references for the
 versions that stop once a round can no longer change anything.  So is the expectimax DP
@@ -36,7 +38,7 @@ from rematch.model import (Instance, ManyToOne, build_tables, enumerate_samples,
                            sample)
 from rematch.montecarlo import RewardStats, make_runner
 from rematch.policies import PolicyId, build_dp, follower_masks
-from rematch.rng import sub_seed
+from rematch.rng import sub_seed, uniform01
 
 
 def all_feasible_subsets(inst: Instance, edge_ids):
@@ -107,6 +109,19 @@ def expectation(inst: Instance, statistic) -> float:
         if prob > 0.0:
             total += prob * statistic(smp)
     return total
+
+
+# ---------------------------------------------------------------------
+# reference sampler: one draw per edge
+
+
+def sample_loop(inst: Instance, seed: int) -> int:
+    """The sample mask: edge e realized iff uniform01(seed, e) < p_e."""
+    mask = 0
+    for e in inst.edges:
+        if uniform01(seed, e.id) < e.p:
+            mask |= 1 << e.id
+    return mask
 
 
 # ---------------------------------------------------------------------

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import expectation, reference_coupling_expectations
-from rematch import kernels, suites
+from rematch import coupling, kernels, suites
 from rematch.coupling import (DOMINATION_VARIANTS, _footprints, coupling_expectations,
                               decompose, decompose_capacitated, lemma_rules, verify_charging,
                               verify_domination)
-from rematch.errors import ValidationError
+from rematch.errors import LimitExceededError, ValidationError
 from rematch.generators import (PROFILES, gen_complete_bipartite, gen_double_star,
                                 gen_random, gen_separation)
 from rematch.model import (Edge, Hypergraph, Instance, ManyToOne, SampleGraph, Trace,
@@ -354,3 +354,16 @@ def test_exact_pass_runs_the_policies_once_per_footprint_class(monkeypatch):
         coupling_expectations.__wrapped__(inst)
         assert len(calls) == classes <= samples
     assert any(classes < samples for classes, samples in counts)
+
+
+def test_exact_pass_checks_the_dp_limits_before_listing_samples(monkeypatch):
+    # K_{4,4} at p = 0.5: 2^16 samples are within the enumeration limit, but
+    # its 3^16 orbit states are not within the DP's
+    def listed(instance):
+        raise AssertionError("samples listed for an instance the DP refuses")
+    monkeypatch.setattr(coupling, "enumerate_samples", listed)
+    with pytest.raises(LimitExceededError, match="orbit states"):
+        coupling_expectations(gen_complete_bipartite(4, 0.5))
+    # ds9 (17 edges) is refused by the sample limit, checked first
+    with pytest.raises(LimitExceededError, match="samples exceeds"):
+        coupling_expectations(gen_double_star(9, 0.1))

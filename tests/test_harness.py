@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rematch import cli, generators, kernels, model
+from rematch import cli, generators, kernels, model, montecarlo
 from rematch.errors import LimitExceededError, SolverError, ValidationError
 from rematch.generators import (PROFILES, double_star_layout, gen_complete_bipartite,
                                 gen_double_star, gen_random, gen_separation)
@@ -156,6 +156,21 @@ def test_streamed_monte_carlo_matches_list_reduction():
             assert streamed == monte_carlo_list_reduce(inst, policy, 400, seed=23), policy
     offline = monte_carlo(weighted, PolicyId.OFFLINE_MAX, 400, seed=23)
     assert len(offline.per_round_mean) == 1
+
+
+def test_bounded_tally_matches_list_reduction(monkeypatch):
+    # a tally of T or 3T counts holds one or three count tuples, so it is
+    # folded and cleared many times within a run
+    ds3 = gen_double_star(3, 0.1)
+    weighted = Instance(ds3.vertices, ds3.edges, ds3.rounds,
+                        [0.3 + 0.1 * r for r in range(ds3.rounds)], ds3.structure)
+    for inst in (ds3, weighted):
+        for policy in PolicyId:
+            rounds = 1 if policy is PolicyId.OFFLINE_MAX else inst.rounds
+            expected = monte_carlo_list_reduce(inst, policy, 400, seed=23)
+            for held in (1, 3):
+                monkeypatch.setattr(montecarlo, "TALLY_LIMIT", held * rounds)
+                assert monte_carlo(inst, policy, 400, seed=23) == expected, (policy, held)
 
 
 def test_monte_carlo_sums_stay_finite_at_huge_weights():
@@ -307,6 +322,20 @@ def test_cli_verify_streams_reports(monkeypatch):
     monkeypatch.setattr(cli.generators, "gen_random", second_fails)
     code, out = run_cli(["verify", "--profile", "unit-small", "--count", "300000000"])
     assert (code, out) == (3, first) and first and len(seeds) == 2
+
+
+def test_cli_verify_refuses_what_a_later_draw_would_before_the_first_report(capsys):
+    # gen seed 23's first mto-small draw has unit capacities and its second
+    # does not; unit-small draws 2 to 4 rounds
+    for argv in (["--profile", "mto-small", "--gen-seed", "23", "--count", "2",
+                  "--lemma", "domination-sm"],
+                 ["--profile", "unit-small", "--count", "3", "--t", "3"]):
+        capsys.readouterr()
+        assert run_cli(["verify", *argv]) == (1, ""), argv
+        assert capsys.readouterr().err.startswith("usage error:"), argv
+    code, out = run_cli(["verify", "--profile", "unit-small", "--count", "2", "--t", "2",
+                         "--lemma", "domination-sm"])
+    assert code == 0 and len(out.splitlines()) == 2
 
 
 def test_cli_verify_hypergraph_with_capacity_above_one(tmp_path):

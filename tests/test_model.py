@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import expectation, feasible_selections_scan
+from oracles import expectation, feasible_selections_scan, sample_loop
 from rematch import suites
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
-from rematch.generators import (RandomProfile, gen_complete_bipartite, gen_double_star,
-                                gen_random)
+from rematch.generators import (PROFILES, RandomProfile, gen_complete_bipartite,
+                                gen_double_star, gen_random)
 from rematch.model import (ROUNDS_LIMIT, Edge, Hypergraph, Instance, KnowledgeState,
                            ManyToOne, SampleGraph, Tables, Trace, Vertex,
                            enumerate_samples, feasible, sample, weighted_reward)
 from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId, run_sm
+from rematch.rng import _GAMMA, _MIX1, _MIX2, counter_value, sub_seed
 
 
 def test_validation_rejects_bad_instances():
@@ -69,6 +70,69 @@ def test_sample_frequency_within_three_sigma():
     inst = make_instance([(0, 1, 0.3)])
     hits = sum(sample(inst, seed).realized[0] for seed in range(100000))
     assert abs(hits / 100000 - 0.3) < 0.01
+
+
+# p at the ends of uniform01's range and next to its 2^-53 steps, and seeds
+# that sample() reduces mod 2^64
+EDGE_PS = (0.0, 5e-324, 2.0 ** -54, 2.0 ** -53, 0.1, 0.5, 1.0 - 2.0 ** -53, 1.0)
+ODD_SEEDS = (-5, 0, 2 ** 64 - 1, 2 ** 64, 2 ** 70, -2 ** 130, 2 ** 130 + 5)
+
+
+def _star(ps):
+    return make_instance([(0, i + 1, p) for i, p in enumerate(ps)])
+
+
+def test_sample_matches_per_edge_loop():
+    instances = [inst for profile in suites.SUITES for inst in suites._suite_instances(profile)]
+    instances += [gen_double_star(n, 0.1) for n in range(2, 9)]
+    instances += [gen_complete_bipartite(5, 0.3), gen_complete_bipartite(10, 0.1)]
+    instances += [gen_random(profile, seed) for profile in PROFILES for seed in range(20)]
+    seeds = ODD_SEEDS + tuple(sub_seed(7, i) for i in range(20))
+    for inst in instances:
+        for seed in seeds:
+            assert sample(inst, seed).mask == sample_loop(inst, seed), (inst, seed)
+
+
+def test_sample_at_edge_probabilities_and_seeds():
+    inst = _star(EDGE_PS)
+    for seed in ODD_SEEDS + tuple(range(20000)):
+        assert sample(inst, seed).mask == sample_loop(inst, seed), seed
+    for seed in ODD_SEEDS:
+        assert sample(Instance([], [], 1), seed) == SampleGraph(0, 0)
+
+
+def _unmix64(z: int) -> int:
+    """The inverse of ``rng.mix64``: each xor-shift undone by iteration, each
+    multiply by the inverse of its odd factor mod 2^64."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(z, 31) * pow(_MIX2, -1, 1 << 64) % (1 << 64)
+    z = unshift(z, 27) * pow(_MIX1, -1, 1 << 64) % (1 << 64)
+    return unshift(z, 30)
+
+
+def test_sample_at_words_next_to_each_threshold():
+    # seeds whose word for edge e is 0, 2^64 - 1 or next to e's threshold
+    # c << 11 (c = ceil(p_e * 2^53)): the words where z < c << 11 can err
+    inst = _star(EDGE_PS)
+    for e, p in enumerate(EDGE_PS):
+        cut = math.ceil(p * 2.0 ** 53) << 11
+        for word in {w % 2 ** 64 for w in (0, 1, cut - 1, cut, cut + 1, 2 ** 64 - 1)}:
+            seed = (_unmix64(word) - (e + 1) * _GAMMA) % (1 << 64)
+            assert counter_value(seed, e) == word
+            for s in (seed, seed - (1 << 64), seed + (1 << 70)):
+                assert sample(inst, s).mask == sample_loop(inst, s), (e, word, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ps=st.lists(st.one_of(st.sampled_from(EDGE_PS), st.floats(0.0, 1.0)), max_size=40),
+       seed=st.one_of(st.sampled_from(ODD_SEEDS), st.integers(-2 ** 140, 2 ** 140)))
+def test_sample_matches_per_edge_loop_property(ps, seed):
+    inst = _star(ps)
+    assert sample(inst, seed).mask == sample_loop(inst, seed)
 
 
 def test_trace_serialization():
