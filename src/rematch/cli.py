@@ -136,10 +136,10 @@ def build_parser() -> _Parser:
 
 def _check_profile(profile: str, t: int | None, lemma: str | None, structure) -> None:
     """Refuse a horizon or domination variant that some draw of the profile
-    would refuse, before the first report: reports stream, so a refusal at
-    a later draw would follow printed results.  Every draw has the first
-    draw's structure, capacities in the profile's range and at least its
-    fewest rounds."""
+    would refuse, before the first of several reports: reports stream, so a
+    refusal at a later draw would follow printed results.  Every draw has
+    the first draw's structure, capacities in the profile's range and at
+    least its fewest rounds."""
     prof = generators.PROFILES[profile]
     if t is not None and t > prof.rounds[0]:
         raise UsageError(f"horizon {t} exceeds {prof.rounds[0]}, the fewest rounds "
@@ -165,7 +165,7 @@ def _run_verify(args, out) -> int:
         instances = [_load_instance(args)]
     all_ok = True
     for i, inst in enumerate(instances):
-        if drawn and i == 0:
+        if drawn and i == 0 and args.count > 1:  # a single draw is checked as it runs
             _check_profile(args.profile, args.t, named, inst.structure)
         t = args.t if args.t is not None else inst.rounds
         lemmas = coupling.lemma_rules(inst).lemmas if named is None else [named]

@@ -638,18 +638,14 @@ def _check_mode(mode: str) -> None:
         raise ValidationError(f"unknown mode {mode!r}")
 
 
-def _check_horizon(instance: Instance, t: int) -> None:
-    if not (1 <= t <= instance.rounds):
-        raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
-
-
 def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exact"
                       ) -> LemmaReport:
     """Expectation-level domination inequalities from the exact pass; never
     asserted per sample."""
     _check_mode(mode)
     factor = _domination_factor(instance, variant)
-    _check_horizon(instance, t)
+    if not (1 <= t <= instance.rounds):
+        raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
     rows = list(_exact_pairs(coupling_expectations(instance), t, variant, factor))
     lhs = [r[1] for r in rows]
     rhs = [r[2] for r in rows]
@@ -664,7 +660,8 @@ def verify_charging(instance: Instance, t: int, mode: str = "exact",
     instance's ``LemmaRules.charging``: the worst sample of the exact pass
     per index."""
     _check_mode(mode)
-    _check_horizon(instance, t)
+    if not (1 <= t <= instance.rounds):
+        raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
     rules = lemma_rules(instance)
     if reference not in rules.charging_references:
         raise ValidationError(f"no charging check against {reference!r} on this instance")

@@ -366,11 +366,13 @@ class Trace:
     @classmethod
     def from_selection_masks(cls, instance: Instance, policy: str,
                              selection_masks: Sequence[int], real_mask: int) -> "Trace":
-        rewards = tuple([(sel & real_mask).bit_count() for sel in selection_masks])
-        total = 0.0  # in round order: sum() rounds differently from 3.12 on
-        for w, count in zip(instance.weights, rewards):
-            total += w * count
-        return cls(instance, policy, tuple(selection_masks), rewards, total, real_mask)
+        rewards = []
+        total = 0.0
+        for t, sel in enumerate(selection_masks):
+            count = (sel & real_mask).bit_count()
+            rewards.append(count)
+            total += instance.weights[t] * count
+        return cls(instance, policy, tuple(selection_masks), tuple(rewards), total, real_mask)
 
     @property
     def rounds(self) -> int:

@@ -338,6 +338,16 @@ def test_cli_verify_refuses_what_a_later_draw_would_before_the_first_report(caps
     assert code == 0 and len(out.splitlines()) == 2
 
 
+def test_cli_verify_checks_a_single_draw_as_it_runs():
+    # one draw has no later draw to refuse: gen seed 3's unit-small draw has
+    # 3 rounds, and gen seed 23's first mto-small draw has unit capacities
+    for argv in (["--profile", "unit-small", "--gen-seed", "3", "--t", "3"],
+                 ["--profile", "unit-small", "--gen-seed", "3", "--count", "1", "--t", "3"],
+                 ["--profile", "mto-small", "--gen-seed", "23", "--lemma", "domination-sm"]):
+        code, out = run_cli(["verify", *argv])
+        assert code == 0 and out, argv
+
+
 def test_cli_verify_hypergraph_with_capacity_above_one(tmp_path):
     # hypergraph selections are vertex-disjoint, so a declared capacity of 2
     # must give the verdicts of the same instance at capacity 1
