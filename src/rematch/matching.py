@@ -2,8 +2,8 @@
 
 All operations are pure functions of their inputs.  Tie-breaking is
 deterministic everywhere: weight descending, then edge id ascending for
-greedy; lexicographically smallest edge-id set among optima for the
-exact solver.
+greedy; for the exact solver, one optimum on integer weights: the
+lexicographically smallest edge-id set among max-weight selections.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import LimitExceededError, UnknownEdgeError, ValidationError
-from .model import Hypergraph, Instance, ManyToOne, RoundSelection
+from .model import Hypergraph, Instance, ManyToOne, RoundSelection, dyadic
 
 EXACT_SEARCH_LIMIT = 20
 
@@ -124,37 +124,30 @@ def _bipartite_sides(inst: Instance) -> tuple[set[int], set[int]] | None:
     return left, {v for v in adj} - left
 
 
-def _branch_and_bound(inst: Instance, avail: list[int], weights: Mapping[int, float],
-                      residual: dict[int, int]) -> tuple[float, list[int]]:
-    """Exact max-weight selection by include-first DFS over ids ascending.
+def _branch_and_bound(inst: Instance, avail: list[int], weights: Mapping[int, int],
+                      residual: dict[int, int], greedy: Iterable[int]) -> list[int]:
+    """Max-weight selection by include-first DFS over ``avail`` (ids ascending).
 
-    Visiting the include branch first enumerates candidate sets in
-    lexicographic edge-id order, so keeping only strict improvements
-    returns the lexicographically smallest optimum (weights are strictly
-    positive, so distinct optima are never subset-related).  The greedy
-    solution seeds the incumbent bound.
+    ``weights`` are the ints of :func:`max_weight_matching`, whose optimum is
+    unique, so every sum is exact and only a strict improvement is kept.  The
+    sum of the feasible ``greedy`` selection minus 1 seeds the incumbent: the
+    optimum beats it.
     """
-    avail = sorted(avail)
     wts = [weights[e] for e in avail]
-    suffix = [0.0] * (len(avail) + 1)
+    suffix = [0] * (len(avail) + 1)
     for i in range(len(avail) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + wts[i]
-
-    greedy = greedy_matching(WeightedSubproblem(
-        inst, {e: weights[e] for e in avail}, residual))
-    best_w = sum(weights[e] for e in greedy.chosen) - 1e-12
-    best: list[int] | None = None
-
+    best_w = sum(weights[e] for e in greedy) - 1
+    best: list[int] = []
     chosen: list[int] = []
 
-    def dfs(i: int, cur: float):
+    def dfs(i: int, cur: int):
         nonlocal best_w, best
         if cur + suffix[i] <= best_w:
             return
         if i == len(avail):
-            if cur > best_w:
-                best_w = cur
-                best = list(chosen)
+            best_w = cur
+            best = list(chosen)
             return
         e = avail[i]
         ends = inst.edges[e].endpoints
@@ -168,11 +161,8 @@ def _branch_and_bound(inst: Instance, avail: list[int], weights: Mapping[int, fl
                 residual[v] += 1
         dfs(i + 1, cur)
 
-    dfs(0, 0.0)
-    if best is None:
-        # nothing beat the greedy incumbent
-        return sum(weights[e] for e in greedy.chosen), sorted(greedy.chosen)
-    return best_w, best
+    dfs(0, 0)
+    return best
 
 
 def linear_sum_assignment(cost: list[list[float]], maximize: bool = False
@@ -182,11 +172,13 @@ def linear_sum_assignment(cost: list[list[float]], maximize: bool = False
     A pure-Python port of the shortest augmenting path solver behind
     SciPy's ``linear_sum_assignment`` (Crouse, "On implementing 2D
     rectangular assignment algorithms", IEEE TAES 2016), kept step for step
-    so that it returns the same ``(rows, cols)``, ties included: a tall matrix is transposed, ``maximize`` negates the costs,
-    the column scan runs over ``remaining`` filled in reverse, a tied
-    minimum prefers an unassigned column, and the duals are updated in the
-    same order.  The updates only add and subtract, so the float values are
-    those of the compiled solver.  ``rows`` comes out ascending.
+    so that it returns the same ``(rows, cols)``, ties included: a tall
+    matrix is transposed, ``maximize`` negates the costs, the column scan
+    runs over ``remaining`` filled in reverse, a tied minimum prefers an
+    unassigned column, and the duals are updated in the same order.  The
+    updates only add and subtract, so the float values are those of the
+    compiled solver; the duals start at int 0, so on int costs every step
+    is exact at any magnitude.  ``rows`` comes out ascending.
     """
     nr = len(cost)
     nc = len(cost[0]) if nr else 0
@@ -199,14 +191,14 @@ def linear_sum_assignment(cost: list[list[float]], maximize: bool = False
     if maximize:
         cost = [[-c for c in row] for row in cost]
     inf = math.inf
-    u = [0.0] * nr
-    v = [0.0] * nc
+    u = [0] * nr
+    v = [0] * nc
     path = [-1] * nc
     col4row = [-1] * nr
     row4col = [-1] * nc
     for cur_row in range(nr):
         # shortest augmenting path from cur_row
-        min_val = 0.0
+        min_val = 0
         remaining = list(range(nc - 1, -1, -1))
         num_remaining = nc
         shortest = [inf] * nc
@@ -264,28 +256,22 @@ def linear_sum_assignment(cost: list[list[float]], maximize: bool = False
 
 def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, float],
                 residual: dict[int, int], sides: tuple[set[int], set[int]]
-                ) -> list[int]:
-    """Polynomial bipartite path: capacity-expanded assignment problem.
-
-    Sound whenever at most one endpoint of each edge has capacity > 1
-    (otherwise the same edge could be assigned twice), which covers the
-    unit and many-to-one cases this path is used for.
-    """
+                ) -> list[int] | None:
+    """Bipartite path: the capacity-expanded assignment problem, or None when
+    some available edge has residual above 1 at both ends (the expansion could
+    then assign that edge twice)."""
     left, right = sides
     for e in avail:
         u, w = inst.edges[e].endpoints
         if residual.get(u, 0) > 1 and residual.get(w, 0) > 1:
-            raise LimitExceededError(
-                "exact matching beyond the search limit needs one side of unit capacity")
-    lcopies = [(v, i) for v in sorted(left) for i in range(residual.get(v, 0))]
-    rcopies = [(v, i) for v in sorted(right) for i in range(residual.get(v, 0))]
-    lpos = {}
-    for idx, (v, _) in enumerate(lcopies):
-        lpos.setdefault(v, []).append(idx)
-    rpos = {}
-    for idx, (v, _) in enumerate(rcopies):
-        rpos.setdefault(v, []).append(idx)
-    cost = [[0.0] * len(rcopies) for _ in lcopies]
+            return None
+    lcopies = [v for v in sorted(left) for _ in range(residual.get(v, 0))]
+    rcopies = [v for v in sorted(right) for _ in range(residual.get(v, 0))]
+    lpos, rpos = {}, {}
+    for copies, pos in ((lcopies, lpos), (rcopies, rpos)):
+        for idx, v in enumerate(copies):
+            pos.setdefault(v, []).append(idx)
+    cost = [[0] * len(rcopies) for _ in lcopies]
     edge_at = {}
     for e in avail:
         u, w = inst.edges[e].endpoints
@@ -305,30 +291,39 @@ def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, float],
 
 
 def max_weight_matching(sub: WeightedSubproblem) -> RoundSelection:
-    """Feasible selection maximizing total weight.
+    """Feasible selection of maximum total weight; among those, the
+    lexicographically smallest edge-id set.
 
-    Small problems (and all non-bipartite ones up to the exact-search
-    limit) are solved exactly by branch and bound with a deterministic
-    lexicographic tie-break; larger bipartite problems fall back to the
-    augmenting-path assignment solver, :func:`linear_sum_assignment` (a
-    port of SciPy's rectangular LSAP, so its ties break as SciPy's do).
+    The k available weights become exact ints once (``model.dyadic``), each
+    shifted left by k bits plus the bonus 2^(k-1-rank), rank ordering the
+    edges by ascending id.  The bonuses sum below one unit of weight and the
+    sums of any two selections differ, so the optimum is unique: the
+    max-weight selection that holds the lowest id where it and any other
+    max-weight selection differ.  A bipartite
+    round where every available edge has an end of unit residual is solved
+    as an assignment problem (:func:`linear_sum_assignment`, exact on ints) at
+    any size; every other round by :func:`_branch_and_bound`, up to
+    ``EXACT_SEARCH_LIMIT`` available edges.
     """
     inst = sub.instance
     if isinstance(inst.structure, Hypergraph):
         raise ValidationError("max_weight_matching covers general/many-to-one structures")
-    avail = [e for e, w in sub.weights.items() if w > 0]
+    avail = sorted(e for e, w in sub.weights.items() if w > 0)
     residual = sub._effective_residual()
     for v in (v.id for v in inst.vertices):
         residual.setdefault(v, 0)
-    if len(avail) <= EXACT_SEARCH_LIMIT:
-        _, chosen = _branch_and_bound(inst, avail, sub.weights, residual)
-        return RoundSelection(chosen)
+    k = len(avail)
+    ints, _ = dyadic(sub.weights[e] for e in avail)
+    weights = {e: w << k | 1 << (k - 1 - rank) for rank, (e, w) in enumerate(zip(avail, ints))}
     sides = _bipartite_sides(inst)
-    if sides is None:
-        raise LimitExceededError(
-            f"exact matching over {len(avail)} edges exceeds limit {EXACT_SEARCH_LIMIT} "
-            "on a non-bipartite instance")
-    return RoundSelection(_assignment(inst, avail, sub.weights, residual, sides))
+    chosen = None if sides is None else _assignment(inst, avail, weights, residual, sides)
+    if chosen is None:
+        if k > EXACT_SEARCH_LIMIT:
+            raise LimitExceededError(
+                f"exact matching over {k} edges exceeds limit {EXACT_SEARCH_LIMIT} "
+                "on a non-bipartite or doubly capacitated round")
+        chosen = _branch_and_bound(inst, avail, weights, residual, greedy_matching(sub).chosen)
+    return RoundSelection(chosen)
 
 
 def degree_halving_subgraph(edges: Iterable[tuple[int, int, float]]) -> set[int]:

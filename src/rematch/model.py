@@ -326,7 +326,9 @@ class RoundSelection:
         return sum(1 << e for e in self.chosen)
 
     def total_weight(self, weights: Mapping[int, float]) -> float:
-        return sum(weights[e] for e in sorted(self.chosen))
+        """Sum of the chosen weights, exact and rounded once."""
+        ints, K = dyadic(weights[e] for e in self.chosen)
+        return sum(ints) / (1 << K)
 
 
 # ---------------------------------------------------------------------
@@ -457,10 +459,11 @@ def feasible(instance: Instance, selection) -> bool:
 
 
 def weighted_reward(trace: Trace, weights: Sequence[float]) -> float:
-    """Sum over rounds of weight_t times the round-t successful count."""
+    """Sum over rounds of weight_t times the round-t success count, exact, rounded once."""
     if len(weights) != trace.rounds:
         raise ValidationError("weights length does not match trace rounds")
-    return sum(w * r for w, r in zip(weights, trace.round_rewards))
+    ints, K = dyadic(weights)
+    return sum(w * r for w, r in zip(ints, trace.round_rewards)) / (1 << K)
 
 
 # ---------------------------------------------------------------------

@@ -55,10 +55,10 @@ def run_sm(instance: Instance, sample: SampleGraph) -> Trace:
 
 
 def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
-    """Committed successes plus a max-expected-weight matching each round,
-    ties broken toward the lexicographically smallest augmentation up to 16
-    edges.  Beyond, each round solves an exact matching, and past 20 available
-    edges the assignment solver breaks ties in its own order instead."""
+    """Committed successes plus a max-expected-weight augmentation each round,
+    ties broken toward the lexicographically smallest.  Up to 16 edges the
+    kernel scans the listed selections; beyond, each round solves
+    :func:`max_weight_matching`, which follows the same rule exactly."""
     if isinstance(instance.structure, Hypergraph):
         raise ValidationError("greedy-commit covers general/many-to-one structures")
     if 1 << instance.num_edges <= ENUMERATION_LIMIT:

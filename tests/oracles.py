@@ -56,6 +56,14 @@ def brute_max_weight(inst: Instance, weights) -> float:
                 for sel in all_feasible_subsets(inst, avail)), default=0.0)
 
 
+def brute_lex_max_weight(inst: Instance, weights) -> tuple[int, ...]:
+    """The max-weight feasible selection of positive-weight edges, summed in
+    ``Fraction``; among ties the lexicographically smallest sorted id tuple."""
+    avail = [e for e, w in weights.items() if w > 0]
+    return min(all_feasible_subsets(inst, avail),
+               key=lambda sel: (-sum(Fraction(weights[e]) for e in sel), sel))
+
+
 def brute_policy_value(inst: Instance, commit: bool) -> float:
     """Optimal expected weighted reward by raw recursion over histories.
 

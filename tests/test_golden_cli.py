@@ -48,6 +48,10 @@ def _cases() -> dict[str, list[str]]:
     cases["opt-ds9"] = ["opt", "--family", "double-star", "--n", "9", "--eps", "0.1"]
     cases["simulate-opt-ds6"] = ["simulate", *ds6, "--policy", "opt", "--trials", "50",
                                  "--seed", "11"]
+    # 36 edges: every round is an exact matching, past the kernel's scan
+    cases["simulate-greedy-commit-k66"] = [
+        "simulate", "--family", "complete-bipartite", "--n", "6", "--p", "0.3",
+        "--rounds", "3", "--policy", "greedy-commit", "--trials", "200", "--seed", "11"]
     for variant in ("sm", "gc"):
         cases[f"lp-{variant}"] = ["lp", "--t", "6", "--variant", variant,
                                   "--solve", "--check-dual"]

@@ -1,16 +1,18 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import brute_max_weight
+from oracles import brute_lex_max_weight, brute_max_weight
 from rematch.errors import ValidationError
 from rematch.kernels import lex_less
 from rematch.matching import (WeightedSubproblem, _assignment, _bipartite_sides,
                               degree_halving_subgraph, greedy_matching,
                               greedy_hypergraph_matching, linear_sum_assignment,
                               max_weight_matching)
-from rematch.model import Hypergraph, ManyToOne, mask_to_set
+from rematch.model import Edge, Hypergraph, Instance, ManyToOne, Vertex, mask_to_set
 from rematch.rng import CounterRng
 
 PATH = make_instance([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
@@ -59,6 +61,45 @@ def test_max_weight_lexicographic_tie_break():
     assert max_weight_matching(WeightedSubproblem(k22, w)).chosen == {0, 3}
 
 
+@pytest.mark.parametrize("edges", [
+    [(1, 2, 0.5), (0, 1, 0.5), (2, 3, 0.5)],
+    [(1, 2, 0.5), (0, 1, 0.5), (2, 3, 0.5), (0, 2, 0.5)],
+], ids=["path", "path-and-triangle"])
+def test_max_weight_sums_exactly(edges):
+    # 1.0 + 2**-53 rounds to 1.0, so a float sum ties the lighter middle edge
+    # with the outer pair; the assignment (path) and the search (triangle) agree
+    inst = make_instance(edges)
+    weights = {0: 1.0, 1: 1.0, 2: 2.0 ** -53, 3: 2.0 ** -60}
+    sel = max_weight_matching(WeightedSubproblem(inst, {e.id: weights[e.id] for e in inst.edges}))
+    assert sel.chosen == {1, 2}
+
+
+def _random_bipartite(rng, many_to_one):
+    n_left, n_right = rng.randint(1, 4), rng.randint(1, 4)
+    vertices = [Vertex(i) for i in range(n_left)]
+    vertices += [Vertex(n_left + j, rng.randint(1, 3) if many_to_one else 1)
+                 for j in range(n_right)]
+    pairs = [(u, n_left + j) for u in range(n_left) for j in range(n_right)]
+    rng.shuffle(pairs)
+    edges = [Edge(i, pairs[i], 0.5) for i in range(rng.randint(1, min(8, len(pairs))))]
+    return Instance(vertices, edges, 1,
+                    structure=ManyToOne(range(n_left)) if many_to_one else None)
+
+
+def test_max_weight_matches_lexicographic_oracle():
+    # unit bipartite, many-to-one, capacitated and general rounds of at most
+    # 8 edges; weights from a few values, so equal and near-equal sums abound
+    rng = CounterRng(1955)
+    values = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0)
+    for k in range(800):
+        kind = k % 4
+        inst = (_random_bipartite(rng, kind == 1) if kind < 2
+                else _random_instance(rng, capacitated=kind == 2))
+        weights = {e.id: rng.choice(values) for e in inst.edges}
+        sel = max_weight_matching(WeightedSubproblem(inst, weights))
+        assert tuple(sorted(sel.chosen)) == brute_lex_max_weight(inst, weights), k
+
+
 def _random_instance(rng, capacitated):
     nv = rng.randint(3, 7)
     pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
@@ -93,8 +134,6 @@ def test_greedy_is_half_of_exact():
 
 def test_assignment_path_matches_enumeration():
     # the polynomial path, called directly on one-side-unit instances
-    from rematch.model import Edge, Instance, Vertex
-
     rng = CounterRng(41)
     for k in range(60):
         n_left = rng.randint(2, 4)
@@ -112,6 +151,26 @@ def test_assignment_path_matches_enumeration():
         chosen = _assignment(inst, list(weights), weights, residual, _bipartite_sides(inst))
         fast = sum(weights[e] for e in chosen)
         assert fast == pytest.approx(brute_max_weight(inst, weights), abs=1e-9)
+
+
+def test_linear_sum_assignment_exact_on_big_ints():
+    # costs 2**60 apart by a few units: a float solver cannot tell them apart
+    rng = CounterRng(53)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        cost = [[(rng.randint(1, 3) << 60) + rng.randint(0, 3) for _ in range(nc)]
+                for _ in range(nr)]
+        if nr <= nc:
+            sums = [sum(cost[i][j] for i, j in enumerate(perm))
+                    for perm in permutations(range(nc), nr)]
+        else:
+            sums = [sum(cost[i][j] for j, i in enumerate(perm))
+                    for perm in permutations(range(nr), nc)]
+        for maximize in (False, True):
+            rows, cols = linear_sum_assignment(cost, maximize)
+            assert len(set(rows)) == len(set(cols)) == min(nr, nc)
+            got = sum(cost[i][j] for i, j in zip(rows, cols))
+            assert got == (max(sums) if maximize else min(sums))
 
 
 def test_linear_sum_assignment_matches_scipy():

@@ -622,6 +622,21 @@ def test_gc_trace_large_matches_reference_loop_on_k55():
             assert run_greedy_commit(inst, smp).selection_masks() == tuple(want)
 
 
+@pytest.mark.parametrize("n, count", [(5, 100), (6, 40)])
+def test_greedy_commit_follows_the_kernel_past_the_enumeration_limit(n, count):
+    # 25 and 36 edges: run_greedy_commit solves each round by max_weight_matching,
+    # and the kernel can still scan K6,6's 13,327 feasible selections
+    for p in (0.3, 0.5):
+        for rounds in (3, 4):
+            inst = gen_complete_bipartite(n, p, rounds=rounds)
+            tables = build_tables(inst)
+            tables.build_enumeration()
+            for i in range(count):
+                smp = sample(inst, sub_seed(31, i))
+                want = tuple(kernels.gc_trace(tables, smp.mask))
+                assert run_greedy_commit(inst, smp).selection_masks() == want, (p, rounds, i)
+
+
 def test_greedy_commit_kernels_agree():
     # the scan over listed selections and the per-round exact matching, on
     # every positive-probability sample.  Both kernels read only the outcomes
