@@ -3,7 +3,7 @@
 Every policy run and every DP solve goes through ``sm_trace``,
 ``gc_trace`` and ``dp_solve``.  Their floating-point accumulation order
 is part of the contract: tables, traces and seeded outputs depend on it
-bit for bit.
+bit for bit.  ``gc_trace`` compares exact int sums instead.
 
 Conventions shared by the kernels:
 
@@ -123,9 +123,10 @@ def sm_trace(tables, real: int) -> list[int]:
 
 def gc_trace(tables, real: int) -> list[int]:
     """Greedy-commit: per round, the max-expected-weight augmentation of the
-    committed successes, tie-broken toward the lexicographically smallest set."""
+    committed successes, tie-broken toward the lexicographically smallest set.
+    The expected weights are summed exactly, on ``tables.pint``."""
     rounds = len(tables.weights)
-    p = tables.p
+    p = tables.pint
     feas = tables.feas
     posp = tables.posp_mask
     all_mask = tables.all_mask
@@ -134,7 +135,7 @@ def gc_trace(tables, real: int) -> list[int]:
     sels = []
     for _ in range(rounds):
         pool = all_mask & ~(committed | failed) & posp
-        best_w = -1.0
+        best_w = -1
         best_new = 0
         for mask in feas:
             if (mask & committed) != committed:
@@ -142,7 +143,7 @@ def gc_trace(tables, real: int) -> list[int]:
             new = mask & ~committed
             if new & ~pool:
                 continue
-            w = 0.0
+            w = 0
             x = new
             while x:
                 low = x & -x

@@ -2,8 +2,8 @@
 
 All operations are pure functions of their inputs.  Tie-breaking is
 deterministic everywhere: weight descending, then edge id ascending for
-greedy; for the exact solver, one optimum on integer weights: the
-lexicographically smallest edge-id set among max-weight selections.
+greedy; for the exact solver, the lexicographically smallest edge-id set
+among max-weight selections, compared on exact integer weights.
 """
 
 from __future__ import annotations
@@ -73,10 +73,13 @@ def greedy_matching(sub: WeightedSubproblem) -> RoundSelection:
     Ties break toward the lowest edge id.  Zero-weight edges are never
     selected.
     """
-    inst = sub.instance
-    residual = sub._effective_residual()
-    order = sorted((e for e, w in sub.weights.items() if w > 0),
-                   key=lambda e: (-sub.weights[e], e))
+    return RoundSelection(_greedy(sub.instance, sub.weights, sub._effective_residual()))
+
+
+def _greedy(inst: Instance, weights: Mapping[int, float], residual: dict[int, int]
+            ) -> list[int]:
+    # consumes ``residual``
+    order = sorted((e for e, w in weights.items() if w > 0), key=lambda e: (-weights[e], e))
     chosen = []
     for e in order:
         ends = inst.edges[e].endpoints
@@ -84,7 +87,7 @@ def greedy_matching(sub: WeightedSubproblem) -> RoundSelection:
             chosen.append(e)
             for v in ends:
                 residual[v] -= 1
-    return RoundSelection(chosen)
+    return chosen
 
 
 def greedy_hypergraph_matching(sub: WeightedSubproblem) -> RoundSelection:
@@ -128,10 +131,10 @@ def _branch_and_bound(inst: Instance, avail: list[int], weights: Mapping[int, in
                       residual: dict[int, int], greedy: Iterable[int]) -> list[int]:
     """Max-weight selection by include-first DFS over ``avail`` (ids ascending).
 
-    ``weights`` are the ints of :func:`max_weight_matching`, whose optimum is
-    unique, so every sum is exact and only a strict improvement is kept.  The
-    sum of the feasible ``greedy`` selection minus 1 seeds the incumbent: the
-    optimum beats it.
+    The DFS meets selections in lexicographic order, and on the int
+    ``weights`` every sum is exact, so keeping only strict improvements keeps
+    the lexicographically smallest optimum.  The sum of the feasible
+    ``greedy`` selection minus 1 seeds the incumbent: every optimum beats it.
     """
     wts = [weights[e] for e in avail]
     suffix = [0] * (len(avail) + 1)
@@ -190,6 +193,19 @@ def linear_sum_assignment(cost: list[list[float]], maximize: bool = False
         nr, nc = nc, nr
     if maximize:
         cost = [[-c for c in row] for row in cost]
+    col4row = _shortest_paths(cost)[0]
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[c] for c in cols], cols
+    return list(range(nr)), col4row
+
+
+def _shortest_paths(cost: list[list[float]]) -> tuple[list[int], list, list]:
+    """The solver on ``cost`` with no more rows than columns: ``(col4row, u,
+    v)``.  The duals satisfy cost[i][j] >= u[i] + v[j] everywhere, with
+    equality on the assignment, and v[j] <= 0, with v[j] == 0 on every
+    unassigned column."""
+    nr, nc = len(cost), len(cost[0])
     inf = math.inf
     u = [0] * nr
     v = [0] * nc
@@ -248,82 +264,139 @@ def linear_sum_assignment(cost: list[list[float]], maximize: bool = False
             col4row[i], j = j, col4row[i]
             if i == cur_row:
                 break
-    if transpose:
-        cols = sorted(range(nr), key=col4row.__getitem__)
-        return [col4row[c] for c in cols], cols
-    return list(range(nr)), col4row
+    return col4row, u, v
 
 
-def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, float],
+def _assignment(inst: Instance, avail: list[int], weights: Mapping[int, int],
                 residual: dict[int, int], sides: tuple[set[int], set[int]]
                 ) -> list[int] | None:
-    """Bipartite path: the capacity-expanded assignment problem, or None when
-    some available edge has residual above 1 at both ends (the expansion could
-    then assign that edge twice)."""
+    """Bipartite path on int weights, or None when some available edge has
+    residual above 1 at both ends (the expansion could then take it twice).
+
+    Rows are the left vertices' copies, one per unit of residual, columns the
+    right ones', both padded with dummies to a square; a cell costs minus the
+    weight of its heaviest, then lowest-id, edge, and 0 without one.  One
+    solve gives an optimum and its duals, and by complementary slackness the
+    optima are the perfect matchings on the tight cells (cost == u + v).
+    Edges are then fixed in ascending id: one on the matching stays; any
+    other is swapped in along an alternating cycle of tight cells that moves
+    no kept edge, or else its cells are priced out of the tight set.  What
+    stays is the lexicographically smallest optimum.
+    """
     left, right = sides
+    ends = {}
     for e in avail:
         u, w = inst.edges[e].endpoints
         if residual.get(u, 0) > 1 and residual.get(w, 0) > 1:
             return None
+        ends[e] = (u, w) if u in left else (w, u)
     lcopies = [v for v in sorted(left) for _ in range(residual.get(v, 0))]
     rcopies = [v for v in sorted(right) for _ in range(residual.get(v, 0))]
+    n = max(len(lcopies), len(rcopies))
+    if n == 0:
+        return []
     lpos, rpos = {}, {}
     for copies, pos in ((lcopies, lpos), (rcopies, rpos)):
         for idx, v in enumerate(copies):
             pos.setdefault(v, []).append(idx)
-    cost = [[0] * len(rcopies) for _ in lcopies]
-    edge_at = {}
+    cost = [[0] * n for _ in range(n)]
+    owner = [-1] * (n * n)
+    ce, ci, cj = [], [], []  # each claim of a cell: edge, row, column
     for e in avail:
-        u, w = inst.edges[e].endpoints
-        if u not in left:
-            u, w = w, u
-        for i in lpos.get(u, []):
-            for j in rpos.get(w, []):
-                if weights[e] > cost[i][j]:
-                    cost[i][j] = weights[e]
-                    edge_at[i, j] = e
-    rows, cols = linear_sum_assignment(cost, maximize=True)
-    chosen = set()
-    for i, j in zip(rows, cols):
-        if cost[i][j] > 0:
-            chosen.add(edge_at[i, j])
-    return sorted(chosen)
+        u, w = ends[e]
+        c = -weights[e]
+        for i in lpos.get(u, ()):
+            row = cost[i]
+            for j in rpos.get(w, ()):
+                if c < row[j]:
+                    row[j] = c
+                    owner[i * n + j] = e
+                    ce.append(e)
+                    ci.append(i)
+                    cj.append(j)
+    col4row, du, dv = _shortest_paths(cost)
+    row4col = [0] * n
+    for i, j in enumerate(col4row):
+        row4col[j] = i
+    kept = [False] * n
+    last = -1
+    for e, i, j in zip(ce, ci, cj):
+        if e == last or owner[i * n + j] != e:
+            continue
+        if col4row[i] == j or (not kept[i] and not kept[row4col[j]]
+                               and cost[i][j] == du[i] + dv[j]
+                               and _swap_in(i, j, cost, du, dv, kept, col4row, row4col)):
+            kept[i] = True
+            last = e
+        else:
+            cost[i][j] = 1
+    return sorted(owner[i * n + j] for i, j in enumerate(col4row) if owner[i * n + j] >= 0)
+
+
+def _swap_in(i: int, j: int, cost: list[list[int]], du: list[int], dv: list[int],
+             kept: list[bool], col4row: list[int], row4col: list[int]) -> bool:
+    """Move cell (i, j) onto the matching along an alternating cycle of tight
+    cells through no kept row: a breadth-first search from the row on column
+    j to row i's column.  False, and nothing moved, when there is none."""
+    target = col4row[i]
+    start = row4col[j]
+    came = {start: None}
+    queue = [start]
+    for r in queue:
+        row, ur = cost[r], du[r]
+        for c, vc in enumerate(dv):
+            if row[c] != ur + vc:
+                continue
+            if c == target:
+                step = (r, c)
+                while step is not None:
+                    r, c = step
+                    step = came[r]
+                    col4row[r], row4col[c] = c, r
+                col4row[i], row4col[j] = j, i
+                return True
+            r2 = row4col[c]
+            if r2 not in came and not kept[r2]:
+                came[r2] = (r, c)
+                queue.append(r2)
+    return False
 
 
 def max_weight_matching(sub: WeightedSubproblem) -> RoundSelection:
     """Feasible selection of maximum total weight; among those, the
     lexicographically smallest edge-id set.
 
-    The k available weights become exact ints once (``model.dyadic``), each
-    shifted left by k bits plus the bonus 2^(k-1-rank), rank ordering the
-    edges by ascending id.  The bonuses sum below one unit of weight and the
-    sums of any two selections differ, so the optimum is unique: the
-    max-weight selection that holds the lowest id where it and any other
-    max-weight selection differ.  A bipartite
-    round where every available edge has an end of unit residual is solved
-    as an assignment problem (:func:`linear_sum_assignment`, exact on ints) at
-    any size; every other round by :func:`_branch_and_bound`, up to
+    The available weights become exact ints once (``model.dyadic``), so
+    every comparison is exact.  A bipartite round where every available
+    edge has an end of unit residual is solved by :func:`_assignment` at any
+    size; every other round by :func:`_branch_and_bound`, up to
     ``EXACT_SEARCH_LIMIT`` available edges.
     """
     inst = sub.instance
     if isinstance(inst.structure, Hypergraph):
         raise ValidationError("max_weight_matching covers general/many-to-one structures")
     avail = sorted(e for e, w in sub.weights.items() if w > 0)
-    residual = sub._effective_residual()
-    for v in (v.id for v in inst.vertices):
-        residual.setdefault(v, 0)
-    k = len(avail)
     ints, _ = dyadic(sub.weights[e] for e in avail)
-    weights = {e: w << k | 1 << (k - 1 - rank) for rank, (e, w) in enumerate(zip(avail, ints))}
-    sides = _bipartite_sides(inst)
+    return RoundSelection(_max_weight(inst, dict(zip(avail, ints)),
+                                      sub._effective_residual(), _bipartite_sides(inst)))
+
+
+def _max_weight(inst: Instance, weights: dict[int, int], residual: dict[int, int],
+                sides: tuple[set[int], set[int]] | None) -> list[int]:
+    """:func:`max_weight_matching` on positive int ``weights`` keyed by the
+    available edges, with the instance's ``_bipartite_sides``."""
+    avail = sorted(weights)
+    for v in inst.vertices:
+        residual.setdefault(v.id, 0)
     chosen = None if sides is None else _assignment(inst, avail, weights, residual, sides)
     if chosen is None:
-        if k > EXACT_SEARCH_LIMIT:
+        if len(avail) > EXACT_SEARCH_LIMIT:
             raise LimitExceededError(
-                f"exact matching over {k} edges exceeds limit {EXACT_SEARCH_LIMIT} "
+                f"exact matching over {len(avail)} edges exceeds limit {EXACT_SEARCH_LIMIT} "
                 "on a non-bipartite or doubly capacitated round")
-        chosen = _branch_and_bound(inst, avail, weights, residual, greedy_matching(sub).chosen)
-    return RoundSelection(chosen)
+        chosen = _branch_and_bound(inst, avail, weights, residual,
+                                   _greedy(inst, weights, dict(residual)))
+    return chosen
 
 
 def degree_halving_subgraph(edges: Iterable[tuple[int, int, float]]) -> set[int]:

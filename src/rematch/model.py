@@ -476,7 +476,8 @@ class Tables:
     Kernel code sees only plain ints, floats and lists, built once per
     instance and shared by every trace and DP solve.  ``cap`` holds the
     effective capacity: hypergraph selections are vertex-disjoint, so
-    capacities collapse to 1 there.
+    capacities collapse to 1 there.  ``pint`` holds the probabilities as
+    exact ints over one power of two (:func:`dyadic`).
 
     ``classes`` holds the interchangeable edge classes: groups of two or
     more edges with equal p, the same shared endpoints (vertices of
@@ -488,7 +489,7 @@ class Tables:
     whole class; the tuple is empty when no two edges are interchangeable.
     """
 
-    __slots__ = ("instance", "m", "n", "p", "all_mask", "posp_mask", "vmask",
+    __slots__ = ("instance", "m", "n", "p", "pint", "all_mask", "posp_mask", "vmask",
                  "ev", "cap", "inc", "order", "feas", "ext", "weights", "classes")
 
     def __init__(self, instance: Instance):
@@ -498,6 +499,7 @@ class Tables:
         vindex = {v.id: i for i, v in enumerate(instance.vertices)}
         hyper = isinstance(instance.structure, Hypergraph)
         self.p = [e.p for e in instance.edges]
+        self.pint = dyadic(self.p)[0]
         self.all_mask = (1 << self.m) - 1
         self.posp_mask = sum(1 << e.id for e in instance.edges if e.p > 0.0)
         self.ev = [tuple(vindex[u] for u in e.endpoints) for e in instance.edges]

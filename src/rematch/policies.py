@@ -18,9 +18,9 @@ from typing import Sequence
 from . import kernels
 from .errors import LimitExceededError, ValidationError
 from .generators import double_star_layout
-from .matching import WeightedSubproblem, _bipartite_sides, max_weight_matching
+from .matching import WeightedSubproblem, _bipartite_sides, _max_weight, max_weight_matching
 from .model import (ENUMERATION_LIMIT, Hypergraph, Instance, KnowledgeState,
-                    SampleGraph, Tables, Trace, build_tables, mask_to_set)
+                    SampleGraph, Tables, Trace, build_tables, dyadic, mask_to_set)
 
 DP_STATES_LIMIT = 2**21  # admits ds11, bounded by 1,581,228 states; it solves in 121 MB
 # the solve recurses one frame per round
@@ -56,9 +56,10 @@ def run_sm(instance: Instance, sample: SampleGraph) -> Trace:
 
 def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
     """Committed successes plus a max-expected-weight augmentation each round,
-    ties broken toward the lexicographically smallest.  Up to 16 edges the
-    kernel scans the listed selections; beyond, each round solves
-    :func:`max_weight_matching`, which follows the same rule exactly."""
+    ties broken toward the lexicographically smallest, on exact sums.  Up to
+    16 edges the kernel scans the listed selections; beyond, each round
+    solves the exact matching of :func:`max_weight_matching` on the
+    probabilities made ints once.  Both pick the same augmentation."""
     if isinstance(instance.structure, Hypergraph):
         raise ValidationError("greedy-commit covers general/many-to-one structures")
     if 1 << instance.num_edges <= ENUMERATION_LIMIT:
@@ -72,19 +73,22 @@ def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
 
 
 def _gc_trace_large(instance: Instance, real: int) -> list[int]:
-    # beyond the enumeration limit: per-round exact matching on the residual
+    # beyond the enumeration limit: per-round exact matching on the residual,
+    # with the probabilities made exact ints once
     committed: set[int] = set()
     failed: set[int] = set()
     caps = {v.id: v.capacity for v in instance.vertices}
+    pints, _ = dyadic(e.p for e in instance.edges)
+    sides = _bipartite_sides(instance)
     sels = []
     for _ in range(instance.rounds):
         residual = dict(caps)
         for e in committed:
             for v in instance.edges[e].endpoints:
                 residual[v] -= 1
-        weights = {e.id: e.p for e in instance.edges
-                   if e.id not in committed and e.id not in failed and e.p > 0.0}
-        picked = max_weight_matching(WeightedSubproblem(instance, weights, residual)).chosen
+        weights = {e: w for e, w in enumerate(pints)
+                   if w and e not in committed and e not in failed}
+        picked = _max_weight(instance, weights, residual, sides)
         sel = committed | set(picked)
         sels.append(sum(1 << e for e in sel))
         if not picked:

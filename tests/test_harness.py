@@ -709,3 +709,22 @@ def test_cli_verify_exact_on_200_unit_instances_exits_zero():
                          "--count", "200", "--gen-seed", "101"])
     assert code == 0
     assert all(json.loads(line)["verdict"] for line in out.strip().splitlines())
+
+
+def test_cli_greedy_commit_on_k256_runs_in_bounded_memory():
+    # 65,536 edges per matching round: the solve holds one cost matrix of
+    # probability-width ints, so 400 MB of address space is ample
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rematch", "simulate", "--family", "complete-bipartite",
+         "--n", "256", "--p", "0.3", "--rounds", "2", "--policy", "greedy-commit",
+         "--trials", "1", "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=300, preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["per_round_mean"] == [82.0, 125.0]

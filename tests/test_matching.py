@@ -12,7 +12,7 @@ from rematch.matching import (WeightedSubproblem, _assignment, _bipartite_sides,
                               degree_halving_subgraph, greedy_matching,
                               greedy_hypergraph_matching, linear_sum_assignment,
                               max_weight_matching)
-from rematch.model import Edge, Hypergraph, Instance, ManyToOne, Vertex, mask_to_set
+from rematch.model import Edge, Hypergraph, Instance, ManyToOne, Vertex, dyadic, mask_to_set
 from rematch.rng import CounterRng
 
 PATH = make_instance([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
@@ -146,11 +146,11 @@ def test_assignment_path_matches_enumeration():
         m = rng.randint(1, min(8, len(pairs)))
         edges = [Edge(i, pairs[i], 0.5) for i in range(m)]
         inst = Instance(vertices, edges, 1, structure=ManyToOne(range(n_left)))
-        weights = {e.id: rng.uniform(0.01, 1.0) for e in inst.edges}
+        ints, _ = dyadic(rng.uniform(0.01, 1.0) for _ in inst.edges)
+        weights = dict(enumerate(ints))
         residual = {v.id: v.capacity for v in inst.vertices}
         chosen = _assignment(inst, list(weights), weights, residual, _bipartite_sides(inst))
-        fast = sum(weights[e] for e in chosen)
-        assert fast == pytest.approx(brute_max_weight(inst, weights), abs=1e-9)
+        assert sum(weights[e] for e in chosen) == brute_max_weight(inst, weights)
 
 
 def test_linear_sum_assignment_exact_on_big_ints():

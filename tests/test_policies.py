@@ -646,6 +646,16 @@ def test_greedy_commit_kernels_agree():
                  for inst in _suite_instances(profile)]
     instances += [gen_complete_bipartite(3, 0.5, rounds=4),
                   gen_complete_bipartite(4, 0.5, rounds=3)]
+    # float sums would tie both pairs: 1.0 + 2**-53 rounds down to 1.0, and
+    # 0.5 + 3 * 2**-55 rounds up to 0.5 + 2**-53; the exact sums do not tie
+    rounding = [(make_instance([(1, 2, 1.0), (0, 1, 1.0), (2, 3, 2.0 ** -53)]), 0b110),
+                (make_instance([(0, 1, 0.5), (2, 3, 3 * 2.0 ** -55), (1, 2, 0.5 + 2.0 ** -53)]),
+                 0b100)]
+    for inst, want in rounding:
+        tables = build_tables(inst)
+        tables.build_enumeration()
+        assert kernels.gc_trace(tables, 0) == [want]
+    instances += [inst for inst, _ in rounding]
     for k, inst in enumerate(instances):
         tables = build_tables(inst)
         tables.build_enumeration()
