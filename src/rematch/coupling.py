@@ -29,8 +29,11 @@ its class, so they run once per class too, weighted by the class
 probability; each takes its donor and first-selection rounds once for
 all horizons.  Probabilities are floats, hence dyadic rationals, so
 every expectation is summed exactly as an integer over a power of two
-and rounded once: each ``e_*`` value is correctly rounded, whatever the
-grouping or the enumeration order.
+and rounded once, whatever the grouping or the enumeration order.  Each
+``e_*`` value is the correctly rounded expectation under the sample
+probabilities that ``enumerate_samples`` yields; each of those is a
+float product, rounded at every factor, so it may differ from the exact
+product of the edge probabilities, and they need not sum to exactly 1.
 
 This module is the one owner of the lemma rules: ``lemma_rules`` works
 out an instance's kind and returns every rule that depends on it, read
@@ -303,8 +306,9 @@ def decompose_capacitated(ref_trace: Trace, opt_trace: Trace, t: int) -> Decompo
 
 @dataclass
 class CouplingSummary:
-    """Exact (enumeration) expectations, each correctly rounded, and
-    per-sample check results."""
+    """Exact (enumeration) expectations, each rounded once from an exact
+    sum over the enumerated sample probabilities, and per-sample check
+    results."""
 
     instance: Instance
     horizons: list[int]
@@ -462,8 +466,10 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     Each probability is a float, hence a dyadic rational: ``dyadic``
     scales them, and the round weights of ``e_reward``, to integers over
     a power of two, so every sum is exact and rounded once by int/int
-    division.  Every ``e_*`` value is therefore the correctly rounded
-    expectation, whatever the grouping or the enumeration order.
+    division.  Every ``e_*`` value is therefore correctly rounded for the
+    probabilities that ``enumerate_samples`` yields, whatever the grouping
+    or the enumeration order.  Those are float products, rounded at every
+    factor, not the exact products of the edge probabilities.
     """
     # the limits first, cheapest first, so a refused instance lists no sample
     # and solves no DP; then the scaled probabilities: prob = num / 2^K exactly
@@ -617,8 +623,12 @@ def _exact_pairs(summary: CouplingSummary, t: int, variant: str, factor: float):
         for i in range(1, t + 1):
             base = aug.get((t, i), 0.0)
             for j in range(1, t + 1):
-                lhs = base + sum(adj.get((t, i, q), 0.0) for q in range(j, t + 1))
-                yield {"t": t, "i": i, "j": j}, lhs, factor * new[j - 1]
+                # left to right from 0.0, then base: the bytes must not
+                # depend on how the builtin sum() adds floats
+                tail = 0.0
+                for q in range(j, t + 1):
+                    tail += adj.get((t, i, q), 0.0)
+                yield {"t": t, "i": i, "j": j}, base + tail, factor * new[j - 1]
     else:
         table = summary.e_remainder if shape == "remainder" else summary.e_aug[ref]
         for i in range(1, t + 1):

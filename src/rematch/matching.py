@@ -168,43 +168,20 @@ def _branch_and_bound(inst: Instance, avail: list[int], weights: Mapping[int, in
     return best
 
 
-def linear_sum_assignment(cost: list[list[float]], maximize: bool = False
-                          ) -> tuple[list[int], list[int]]:
-    """Rectangular linear sum assignment on a list-of-rows cost matrix.
+def _shortest_paths(cost: list[list[float]]) -> tuple[list[int], list, list]:
+    """Min-cost assignment of every row of ``cost`` (no more rows than
+    columns): ``(col4row, u, v)``.
 
     A pure-Python port of the shortest augmenting path solver behind
     SciPy's ``linear_sum_assignment`` (Crouse, "On implementing 2D
     rectangular assignment algorithms", IEEE TAES 2016), kept step for step
-    so that it returns the same ``(rows, cols)``, ties included: a tall
-    matrix is transposed, ``maximize`` negates the costs, the column scan
-    runs over ``remaining`` filled in reverse, a tied minimum prefers an
+    so that it picks the same columns, ties included: the column scan runs
+    over ``remaining`` filled in reverse, a tied minimum prefers an
     unassigned column, and the duals are updated in the same order.  The
-    updates only add and subtract, so the float values are those of the
-    compiled solver; the duals start at int 0, so on int costs every step
-    is exact at any magnitude.  ``rows`` comes out ascending.
-    """
-    nr = len(cost)
-    nc = len(cost[0]) if nr else 0
-    if nr == 0 or nc == 0:
-        return [], []
-    transpose = nc < nr
-    if transpose:
-        cost = [list(col) for col in zip(*cost)]
-        nr, nc = nc, nr
-    if maximize:
-        cost = [[-c for c in row] for row in cost]
-    col4row = _shortest_paths(cost)[0]
-    if transpose:
-        cols = sorted(range(nr), key=col4row.__getitem__)
-        return [col4row[c] for c in cols], cols
-    return list(range(nr)), col4row
-
-
-def _shortest_paths(cost: list[list[float]]) -> tuple[list[int], list, list]:
-    """The solver on ``cost`` with no more rows than columns: ``(col4row, u,
-    v)``.  The duals satisfy cost[i][j] >= u[i] + v[j] everywhere, with
-    equality on the assignment, and v[j] <= 0, with v[j] == 0 on every
-    unassigned column."""
+    updates only add and subtract, and the duals start at int 0, so on int
+    costs every step is exact at any magnitude.  The duals satisfy
+    cost[i][j] >= u[i] + v[j] everywhere, with equality on the assignment,
+    and v[j] <= 0, with v[j] == 0 on every unassigned column."""
     nr, nc = len(cost), len(cost[0])
     inf = math.inf
     u = [0] * nr

@@ -10,8 +10,9 @@ execution record is a :class:`Trace`.
 Instances and sample graphs are immutable and safe to share across
 threads.  Edge ids are dense 0..m-1 by construction, so an edge set is
 stored as an integer bitmask (bit e set iff edge e is in the set): sample
-graphs, knowledge states and traces keep only masks, and their frozenset
-or tuple attributes are views built on access for the API boundary.
+graphs, knowledge states and traces keep only masks.  Their frozenset or
+tuple attributes are views built on access for the API boundary, and so
+are a trace's per-round success counts and its exact weighted reward.
 """
 
 from __future__ import annotations
@@ -348,33 +349,28 @@ def mask_to_set(mask: int) -> frozenset[int]:
 class Trace:
     """Per-round record of one policy execution on one sample graph.
 
-    The stored form is one selection mask per round (``round_masks``) plus
-    the sample mask, the per-round success counts and the weighted reward.
+    The stored form is one selection mask per round (``round_masks``) and
+    the sample mask; everything else is derived on access.
+    ``round_rewards[t]`` counts the successful edges of the round-t
+    selection, and ``total_weighted_reward`` is :func:`weighted_reward`
+    under the instance's round weights: exact, rounded once.
     ``selections``, ``successful`` and ``newly_successful`` are frozenset
-    views built on access: ``successful[t]`` is the set of successful
-    edges inside the round-t selection; ``newly_successful[t]`` restricts
-    that to edges the policy selected for the first time in round t.  For
-    committing policies the newly-successful sets are disjoint and their
-    union up to t equals ``successful[t]``.
+    views: ``successful[t]`` is the set of successful edges inside the
+    round-t selection; ``newly_successful[t]`` restricts that to edges the
+    policy selected for the first time in round t.  For committing
+    policies the newly-successful sets are disjoint and their union up to
+    t equals ``successful[t]``.
     """
 
     instance: Instance
     policy: str
     round_masks: tuple[int, ...]
-    round_rewards: tuple[int, ...]
-    total_weighted_reward: float
     sample_mask: int
 
     @classmethod
     def from_selection_masks(cls, instance: Instance, policy: str,
                              selection_masks: Sequence[int], real_mask: int) -> "Trace":
-        rewards = []
-        total = 0.0
-        for t, sel in enumerate(selection_masks):
-            count = (sel & real_mask).bit_count()
-            rewards.append(count)
-            total += instance.weights[t] * count
-        return cls(instance, policy, tuple(selection_masks), tuple(rewards), total, real_mask)
+        return cls(instance, policy, tuple(selection_masks), real_mask)
 
     @property
     def rounds(self) -> int:
@@ -382,6 +378,14 @@ class Trace:
 
     def selection_masks(self) -> tuple[int, ...]:
         return self.round_masks
+
+    @property
+    def round_rewards(self) -> tuple[int, ...]:
+        return tuple((sel & self.sample_mask).bit_count() for sel in self.round_masks)
+
+    @property
+    def total_weighted_reward(self) -> float:
+        return weighted_reward(self, self.instance.weights)
 
     @property
     def selections(self) -> tuple[frozenset[int], ...]:

@@ -1,4 +1,8 @@
+import builtins
+import io
 import json
+import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import expectation, reference_coupling_expectations
-from rematch import coupling, kernels, suites
+from rematch import cli, coupling, kernels, suites
 from rematch.coupling import (DOMINATION_VARIANTS, _footprints, coupling_expectations,
                               decompose, decompose_capacitated, lemma_rules, verify_charging,
                               verify_domination)
@@ -367,3 +371,27 @@ def test_exact_pass_checks_the_dp_limits_before_listing_samples(monkeypatch):
     # ds9 (17 edges) is refused by the sample limit, checked first
     with pytest.raises(LimitExceededError, match="samples exceeds"):
         coupling_expectations(gen_double_star(9, 0.1))
+
+
+def _compensated_sum(items, start=0):
+    # a stand-in for the builtin sum() of Python 3.12 and later, which adds
+    # floats with compensation: here exactly, by math.fsum; int sums as before
+    items = list(items)
+    if any(isinstance(x, float) for x in [start, *items]):
+        return math.fsum([start, *items])
+    return builtins.sum(items, start)
+
+
+def test_verify_tail_rows_do_not_depend_on_the_builtin_sum(monkeypatch):
+    argv = ["verify", "--family", "random", "--profile", "unit-small", "--count", "7",
+            "--gen-seed", "101", "--lemma", "domination-sm-refined"]
+
+    def stdout():
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        return buf.getvalue()
+
+    plain = stdout()
+    monkeypatch.setattr(coupling, "sum", _compensated_sum, raising=False)
+    assert stdout() == plain

@@ -9,9 +9,8 @@ from oracles import brute_lex_max_weight, brute_max_weight
 from rematch.errors import ValidationError
 from rematch.kernels import lex_less
 from rematch.matching import (WeightedSubproblem, _assignment, _bipartite_sides,
-                              degree_halving_subgraph, greedy_matching,
-                              greedy_hypergraph_matching, linear_sum_assignment,
-                              max_weight_matching)
+                              _shortest_paths, degree_halving_subgraph, greedy_matching,
+                              greedy_hypergraph_matching, max_weight_matching)
 from rematch.model import Edge, Hypergraph, Instance, ManyToOne, Vertex, dyadic, mask_to_set
 from rematch.rng import CounterRng
 
@@ -153,27 +152,25 @@ def test_assignment_path_matches_enumeration():
         assert sum(weights[e] for e in chosen) == brute_max_weight(inst, weights)
 
 
-def test_linear_sum_assignment_exact_on_big_ints():
+def test_shortest_paths_exact_on_big_ints():
     # costs 2**60 apart by a few units: a float solver cannot tell them apart
     rng = CounterRng(53)
     for _ in range(300):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        cost = [[(rng.randint(1, 3) << 60) + rng.randint(0, 3) for _ in range(nc)]
-                for _ in range(nr)]
-        if nr <= nc:
-            sums = [sum(cost[i][j] for i, j in enumerate(perm))
-                    for perm in permutations(range(nc), nr)]
-        else:
-            sums = [sum(cost[i][j] for j, i in enumerate(perm))
-                    for perm in permutations(range(nr), nc)]
-        for maximize in (False, True):
-            rows, cols = linear_sum_assignment(cost, maximize)
-            assert len(set(rows)) == len(set(cols)) == min(nr, nc)
-            got = sum(cost[i][j] for i, j in zip(rows, cols))
-            assert got == (max(sums) if maximize else min(sums))
+        n = rng.randint(1, 5)
+        cost = [[(rng.randint(1, 3) << 60) + rng.randint(0, 3) for _ in range(n)]
+                for _ in range(n)]
+        sums = [sum(cost[i][j] for i, j in enumerate(perm)) for perm in permutations(range(n))]
+        for sign in (1, -1):  # -1: the max-weight assignment, as _assignment poses it
+            signed = [[sign * c for c in row] for row in cost]
+            col4row, u, v = _shortest_paths(signed)
+            assert sorted(col4row) == list(range(n))
+            got = sum(cost[i][j] for i, j in enumerate(col4row))
+            assert got == (min(sums) if sign == 1 else max(sums))
+            assert all(signed[i][j] >= u[i] + v[j] for i in range(n) for j in range(n))
+            assert all(signed[i][j] == u[i] + v[j] for i, j in enumerate(col4row))
 
 
-def test_linear_sum_assignment_matches_scipy():
+def test_shortest_paths_matches_scipy():
     # SciPy is the oracle here only; the package itself never imports it
     scipy_optimize = pytest.importorskip("scipy.optimize")
     import numpy as np
@@ -181,16 +178,16 @@ def test_linear_sum_assignment_matches_scipy():
     rng = CounterRng(2016)
     value_sets = ((0.0, 0.3), (0.0, 0.1, 0.2, 0.3, 1.0), (0.0, 1.0, 2.0), None)
     for k in range(20000):
-        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        n = rng.randint(1, 8)
         values = value_sets[k % len(value_sets)]
-        cost = [[rng.choice(values) if values else rng.uniform() for _ in range(nc)]
-                for _ in range(nr)]
+        cost = [[rng.choice(values) if values else rng.uniform() for _ in range(n)]
+                for _ in range(n)]
         for maximize in (False, True):
             rows, cols = scipy_optimize.linear_sum_assignment(
                 np.array(cost), maximize=maximize)
-            assert linear_sum_assignment(cost, maximize) == (rows.tolist(), cols.tolist())
-    assert linear_sum_assignment([]) == ([], [])
-    assert linear_sum_assignment([[], []]) == ([], [])
+            assert rows.tolist() == list(range(n))
+            signed = [[-c for c in row] for row in cost] if maximize else cost
+            assert _shortest_paths(signed)[0] == cols.tolist()
 
 
 def test_hypergraph_greedy():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,13 +10,15 @@ from conftest import make_instance
 from oracles import expectation, feasible_selections_scan, sample_loop
 from rematch import suites
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
-from rematch.generators import (PROFILES, RandomProfile, gen_complete_bipartite,
-                                gen_double_star, gen_random)
+from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
+                                gen_complete_bipartite, gen_double_star, gen_random,
+                                gen_separation)
 from rematch.model import (ROUNDS_LIMIT, Edge, Hypergraph, Instance, KnowledgeState,
                            ManyToOne, SampleGraph, Tables, Trace, Vertex,
                            enumerate_samples, feasible, sample, weighted_reward)
 from rematch.montecarlo import monte_carlo
-from rematch.policies import PolicyId, run_sm
+from rematch.policies import (PolicyId, build_dp, run_alternating_scan, run_greedy_commit,
+                               run_opt, run_opt_follower, run_sm)
 from rematch.rng import _GAMMA, _MIX1, _MIX2, counter_value, sub_seed
 
 
@@ -269,6 +272,27 @@ def test_weighted_reward():
     assert weighted_reward(zero, [1.0, 1.0]) == 0.0
     with pytest.raises(ValidationError):
         weighted_reward(trace, [1.0])
+
+
+def test_trace_keeps_only_masks_and_sums_its_reward_exactly():
+    assert [f.name for f in dataclasses.fields(Trace)] == [
+        "instance", "policy", "round_masks", "sample_mask"]
+    # a float loop over ten rounds of weight 0.1 gives 0.9999999999999999
+    certain = make_instance([(0, 1, 1.0)], rounds=10, weights=[0.1] * 10)
+    assert run_sm(certain, sample(certain, 1)).total_weighted_reward == 1.0
+    sep = gen_separation()
+    for inst in (gen_double_star(3, 0.1),
+                 Instance(sep.vertices, sep.edges, sep.rounds, (0.1, 0.7))):
+        table, table_c = build_dp(inst, commit=False), build_dp(inst, commit=True)
+        for smp in (smp for smp, prob in enumerate_samples(inst) if prob > 0.0):
+            opt = run_opt(inst, smp, table)
+            traces = [run_sm(inst, smp), run_greedy_commit(inst, smp), opt,
+                      run_opt(inst, smp, table_c), run_opt_follower(inst, smp, opt)]
+            if double_star_layout(inst) is not None:
+                traces.append(run_alternating_scan(inst, smp))
+            for trace in traces:
+                exact = weighted_reward(trace, inst.weights)
+                assert trace.total_weighted_reward.hex() == exact.hex()
 
 
 def test_monte_carlo_mean_matches_enumeration():
