@@ -17,7 +17,7 @@ Conventions shared by the kernels:
   later round would repeat it: the kernel fills the remaining rounds
   with that selection and stops.
 
-``dp_solve`` keeps two tables local to one call.  The feasible
+``dp_solve`` memoizes two kinds of list.  The feasible
 selections that fit an available set (and, with pruning, are maximal
 in it) are listed once per distinct available mask, in feasible-index
 order; only the commit filter depends on the state.  The probability
@@ -30,11 +30,15 @@ are those of a solve that recomputes everything per state.  Children of
 the last round are worth 0.0, so their outcome loop is skipped: adding
 ``pr * 0.0`` to a non-negative value changes nothing.
 
-``dp_solve`` stores values only.  The policy is greedy in them:
-``dp_action`` derives the action at a state from its children's values,
-and replay calls it once per state it visits.  Replay keeps its own
-fitting-action and outcome tables, filled lazily by ``dp_action`` with
-the same keys, so the solve's tables are freed when it returns.
+One loop scores the actions of a state, and it serves both the values
+and the policy.  ``dp_solve`` stores values only; the policy is greedy
+in them.  The ``action`` it returns runs the same loop at a real state
+that replay reaches, in a real-state mode: it scans every fitting
+action, breaks ties toward the lexicographically smallest action
+(``lex_less`` on the real masks), stores nothing in the value table and
+returns the action.  It reads every child from the table, so it never
+recurses.  The solve's memos are emptied once the root is solved, and
+real-state calls refill them as replay reaches new keys.
 
 When the instance has interchangeable edge classes (``tables.classes``,
 see ``model.Tables``), ``dp_solve`` works on orbits of knowledge states:
@@ -50,9 +54,9 @@ see ``model.Tables``), ``dp_solve`` works on orbits of knowledge states:
   picks are the lowest ids of their part.  Any other action maps onto a
   representative by swaps that fix the state and scores the same, so
   scoring representatives only preserves the max.
-* *Replay.*  At every state replay visits, ``dp_action`` scores every
-  real action, in feasible order, reading the children's values at their
-  canonical keys and breaking ties with ``lex_less`` on the real masks.
+* *Real states.*  In the real-state mode the candidates are all the
+  fitting actions, keyed by the available set alone, and each child's
+  value is read at its canonical key.
 
 Why the values stay bitwise: a swap inside a class maps the unknown
 edges of an action onto those of its image, and where that map keeps
@@ -69,6 +73,8 @@ code and the value table are exactly those of the unreduced solve.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 
 def active_backend() -> str:
@@ -223,16 +229,19 @@ def _outcome_table(p, unknown: int) -> tuple[float, list[tuple[int, int, float]]
     return sp, outs
 
 
-def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict]:
+def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, partial]:
     """Expectimax over knowledge states.
 
-    Returns the optimal expected weighted reward from the all-unknown
-    state and the memoized value table keyed by packed state; the policy's
-    actions are derived from the values by ``dp_action``.  With ``commit``
-    the action must contain every known success; with ``prune`` only
-    selections maximal within the available edges are considered
-    (exhaustive mode disables this).  When the instance has edge classes
-    the table holds canonical states only (see the module docstring).
+    Returns ``(root, values, action)``: the optimal expected weighted
+    reward from the all-unknown state, the memoized value table keyed by
+    packed state, and ``action(s, f, t)``, the argmax action at the real
+    state (s, f) in round t.  With ``commit`` the action must contain every
+    known success; with ``prune`` only selections maximal within the
+    available edges are considered (exhaustive mode disables this).  When
+    the instance has edge classes the table holds canonical states only
+    (see the module docstring).  ``action`` is the solve's own loop in its
+    real-state mode; it reads children only, so the orbit of (s, f) in
+    round t must be in ``values``.
     """
     m = tables.m
     rounds = len(tables.weights)
@@ -242,16 +251,18 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict]:
     all_mask = tables.all_mask
     classes = tables.classes
     values: dict[int, float] = {}
-    # Per-call tables: the actions that fit an available set (with edge
-    # classes, the representative ones for the available set and the
-    # known successes), and the (success submask, failure submask,
-    # probability) outcomes of an unknown set with its probability sum.
+    # Memos of one solve, emptied when the root is solved and refilled by
+    # ``action``: the actions that fit an available set, the representative
+    # ones per available set and known successes (with edge classes), and
+    # the (success submask, failure submask, probability) outcomes of an
+    # unknown set with its probability sum.
+    fitting: dict[int, list[int]] = {}
     candidates: dict[int, list[int]] = {}
     outcomes: dict[int, tuple[float, list[tuple[int, int, float]]]] = {}
 
-    def solve(s: int, f: int, t: int) -> float:
+    def solve(s: int, f: int, t: int, real: bool = False):
         avail = ((all_mask & ~(s | f)) & posp) | s
-        if classes:
+        if classes and not real:
             ckey = (s << m) | avail
             cands = candidates.get(ckey)
             if cands is None:
@@ -259,13 +270,14 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict]:
                     mask for mask in _fitting(tables, prune, avail)
                     if _representative(classes, mask, avail, s)]
         else:
-            cands = candidates.get(avail)
+            cands = fitting.get(avail)
             if cands is None:
-                cands = candidates[avail] = _fitting(tables, prune, avail)
+                cands = fitting[avail] = _fitting(tables, prune, avail)
         w_t = weights[t - 1]
         last = t == rounds
         child_round = (t + 1) << (2 * m)
         best_v = -1.0
+        best_a = 0
         for mask in cands:
             if commit and (mask & s) != s:
                 continue
@@ -288,65 +300,25 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict]:
                     if child is None:
                         child = solve(s | r, f | q, t + 1)
                     v += pr * child
-            if v > best_v:
+            if v > best_v or (real and v == best_v and lex_less(mask, best_a)):
                 best_v = v
+                best_a = mask
         if best_v < 0.0:
             raise ValueError("no feasible action; committed successes exceed capacity")
+        if real:
+            return best_a
         values[(t << (2 * m)) | (s << m) | f] = best_v
         return best_v
 
     try:
         root = solve(0, 0, 1)
+        action = partial(solve, real=True)
     finally:
         # The closure refers to itself through its cell; break that cycle
         # so the tables are freed by reference counting, not a GC pass.
+        # ``action`` never recurses: every child of a solved state is stored.
         solve = None
-    return root, values
-
-
-def dp_action(tables, commit: bool, prune: bool, values: dict,
-              s: int, f: int, t: int, fitting: dict, outcomes: dict) -> int:
-    """Argmax action at the real state (s, f) in round t of a solved table.
-
-    This is the policy's only argmax: it scores every fitting action in
-    feasible order as ``dp_solve`` does, reads each child's value at its
-    canonical key and breaks ties toward the lexicographically smallest
-    action (``lex_less`` on the real masks).  Every child must be in
-    ``values``: the children of a reached state are, up to an automorphism,
-    those of its orbit representative under representative actions.
-
-    ``fitting`` (available mask -> fitting actions) and ``outcomes``
-    (unknown mask -> outcome table) are the caller's memos of the lists
-    ``dp_solve`` keys the same way; calls on one table may share them.
-    """
-    m = tables.m
-    p = tables.p
-    classes = tables.classes
-    avail = ((tables.all_mask & ~(s | f)) & tables.posp_mask) | s
-    cands = fitting.get(avail)
-    if cands is None:
-        cands = fitting[avail] = _fitting(tables, prune, avail)
-    w_t = tables.weights[t - 1]
-    last = t == len(tables.weights)
-    child_round = (t + 1) << (2 * m)
-    best_v = -1.0
-    best_a = 0
-    for mask in cands:
-        if commit and (mask & s) != s:
-            continue
-        unknown = mask & ~s
-        entry = outcomes.get(unknown)
-        if entry is None:
-            entry = outcomes[unknown] = _outcome_table(p, unknown)
-        sp, outs = entry
-        v = w_t * ((mask & s).bit_count() + sp)
-        if not last:
-            for r, q, pr in outs:
-                cs, cf = canonical(classes, s | r, f | q)
-                v += pr * values[child_round | (cs << m) | cf]
-        if v > best_v or (v == best_v and lex_less(mask, best_a)):
-            best_v = v
-            best_a = mask
-    if best_v < 0.0:
-        raise ValueError("no feasible action; committed successes exceed capacity")
-    return best_a
+        fitting.clear()
+        candidates.clear()
+        outcomes.clear()
+    return root, values, action

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import kernels
 from .errors import LimitExceededError, ValidationError
@@ -123,11 +123,9 @@ class DpValueTable:
     the solve stores one state per orbit, so ``items()`` and ``len()``
     run over orbit representatives; ``value()`` maps any state to its
     representative first.  The solve stores no actions: ``action()`` and
-    ``replay()`` derive the argmax at each real state they reach from the
-    children's values (``kernels.dp_action``), once per state, and keep it
-    in ``_actions``.  The fitting actions per available mask and the
-    outcome tables per unknown mask those derivations read are kept in
-    ``_fitting`` and ``_outcomes``, filled as replay reaches them.
+    ``replay()`` derive the argmax at each real state they reach with the
+    solve's own scoring loop (the ``action`` that ``kernels.dp_solve``
+    returns), once per state, and keep it in ``_actions``.
     """
 
     instance: Instance
@@ -136,12 +134,9 @@ class DpValueTable:
     prune: bool
     root_value: float
     _values: dict[int, float]
+    _argmax: Callable[[int, int, int], int] = field(repr=False, compare=False)
     _actions: dict[int, int] = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
-    _fitting: dict[int, list[int]] = field(default_factory=dict, init=False,
-                                           repr=False, compare=False)
-    _outcomes: dict[int, tuple] = field(default_factory=dict, init=False,
-                                        repr=False, compare=False)
 
     def _masks(self, knowledge: KnowledgeState) -> tuple[int, int]:
         s, f = knowledge.success_mask, knowledge.fail_mask
@@ -171,9 +166,7 @@ class DpValueTable:
         cs, cf = kernels.canonical(self.tables.classes, s, f)
         if self._key(cs, cf, t) not in self._values:
             raise KeyError(key)
-        mask = self._actions[key] = kernels.dp_action(
-            self.tables, self.commit, self.prune, self._values, s, f, t,
-            self._fitting, self._outcomes)
+        mask = self._actions[key] = self._argmax(s, f, t)
         return mask
 
     def replay(self, real: int) -> list[int]:
@@ -239,8 +232,8 @@ def build_dp(instance: Instance, commit: bool, prune: bool = True) -> DpValueTab
     check_dp_limits(instance)
     tables = build_tables(instance)
     tables.build_enumeration()
-    root, values = kernels.dp_solve(tables, commit, prune)
-    return DpValueTable(instance, tables, commit, prune, root, values)
+    root, values, argmax = kernels.dp_solve(tables, commit, prune)
+    return DpValueTable(instance, tables, commit, prune, root, values, argmax)
 
 
 def opt_value(instance: Instance, commit: bool, prune: bool = True) -> float:
@@ -384,7 +377,8 @@ def _unit_bipartite_ends(instance: Instance) -> tuple[tuple[int, int], ...] | No
 
 def _kuhn_size(ends: Sequence[tuple[int, int]], real: int) -> int:
     """Maximum matching size among the realized edges, by augmenting paths
-    (Kuhn's algorithm) over right-side bitmasks."""
+    (Kuhn's algorithm) over right-side bitmasks.  The search keeps its path
+    on a list, so a path of any length needs no recursion."""
     adj: dict[int, int] = {}
     x = real
     while x:
@@ -393,24 +387,32 @@ def _kuhn_size(ends: Sequence[tuple[int, int]], real: int) -> int:
         adj[u] = adj.get(u, 0) | (1 << w)
         x ^= low
     owner: dict[int, int] = {}
-    seen = 0
-
-    def augment(u: int) -> bool:
-        nonlocal seen
-        free = adj[u] & ~seen
-        while free:
-            low = free & -free
-            seen |= low
-            j = low.bit_length() - 1
-            holder = owner.get(j)
-            if holder is None or augment(holder):
-                owner[j] = u
-                return True
-            free &= ~seen
-        return False
-
     size = 0
     for u in adj:
+        # depth-first search for an augmenting path: left[i] has tried
+        # right vertex tried[i], held by left[i + 1] (the last by u)
         seen = 0
-        size += augment(u)
+        left: list[int] = []
+        tried: list[int] = []
+        while True:
+            free = adj[u] & ~seen
+            if free:
+                low = free & -free
+                seen |= low
+                j = low.bit_length() - 1
+                holder = owner.get(j)
+                if holder is None:
+                    owner[j] = u
+                    if tried:
+                        owner.update(zip(tried, left))
+                    size += 1
+                    break
+                left.append(u)
+                tried.append(j)
+                u = holder
+            elif left:
+                u = left.pop()
+                tried.pop()
+            else:
+                break
     return size

@@ -13,3 +13,15 @@ def make_instance(edges, rounds=1, caps=None, weights=None, structure=None):
     vertices = [Vertex(v, caps.get(v, 1)) for v in vids]
     es = [Edge(i, e[:-1], e[-1]) for i, e in enumerate(edges)]
     return Instance(vertices, es, rounds, weights, structure)
+
+
+def path_instance(n):
+    """Unit-capacity bipartite path with n left vertices, every edge certain:
+    left k meets right n + k and, for k >= 1, right n + k - 1.  Kuhn's
+    search from left k runs down a path through all k earlier left vertices."""
+    edges = []
+    for k in range(n):
+        if k:
+            edges.append((k, n + k - 1, 1.0))
+        edges.append((k, n + k, 1.0))
+    return make_instance(edges)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import make_instance, path_instance
 from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value,
                      expectation, gc_trace_large_loop, gc_trace_loop, reference_dp_solve,
                      sm_trace_loop)
@@ -153,8 +153,8 @@ def _class_ids(inst):
 
 def test_dp_solve_matches_reference_tables():
     # without edge classes: same root and values bit for bit, in the same
-    # insertion order, and dp_action derives the reference action at every
-    # reference state
+    # insertion order, and the solve's action derives the reference action
+    # at every reference state
     instances = [gen_double_star(2, 0.1), gen_complete_bipartite(3, 0.5, rounds=3)]
     instances += [gen_random(profile, sub_seed(4242, i))
                   for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small")
@@ -165,28 +165,33 @@ def test_dp_solve_matches_reference_tables():
         assert not tables.classes, k
         for commit in (False, True):
             for prune in (False, True):
-                root, values = kernels.dp_solve(tables, commit, prune)
+                root, values, action = kernels.dp_solve(tables, commit, prune)
                 want_root, want_values, want_actions = reference_dp_solve(
                     tables, commit, prune)
                 assert root == want_root, (k, commit, prune)
                 assert list(values.items()) == list(want_values.items()), (k, commit, prune)
                 m = tables.m
-                fitting, outcomes = {}, {}  # shared across states, as replay shares them
                 for key, want in want_actions.items():
                     s, f = (key >> m) & tables.all_mask, key & tables.all_mask
-                    got = kernels.dp_action(tables, commit, prune, values, s, f,
-                                            key >> (2 * m), fitting, outcomes)
+                    got = action(s, f, key >> (2 * m))
                     assert got == want, (k, commit, prune, key)
 
 
 def test_dp_table_stores_no_actions():
     # the solve keeps values only; replay derives the actions it visits
     table = build_dp(gen_double_star(5, 0.1), commit=False)
-    assert table._actions == table._fitting == table._outcomes == {}
+    assert table._actions == {}
     table.replay(0b1)  # the certain hub edge succeeds, every spoke fails
     assert len(table._actions) == 25
-    # replay's own action lists and outcome tables, one per distinct key
-    assert 0 < len(table._fitting) <= 25 and table._outcomes
+    # replay scores the children the solve stored and solves no new state
+    ds4 = gen_double_star(4, 0.1)
+    for inst in (ds4, _relabel(ds4, 2)):
+        table = build_dp(inst, commit=False)
+        size = len(table)
+        for smp, prob in enumerate_samples(inst):
+            if prob > 0.0:
+                table.replay(smp.mask)
+        assert len(table) == size
 
 
 def _assert_matches_reference(inst, commit, prune, label):
@@ -432,6 +437,18 @@ def test_dp_limit(monkeypatch):
         build_dp(make_instance([(0, 1, 0.5)], rounds=DP_ROUNDS_LIMIT + 1), commit=False)
 
 
+def test_dp_solves_and_replays_at_the_rounds_limit():
+    # one frame per round: the solve and the replay reach DP_ROUNDS_LIMIT
+    inst = gen_complete_bipartite(1, 0.5, rounds=DP_ROUNDS_LIMIT)
+    for commit in (False, True):
+        table = build_dp(inst, commit)
+        assert table.root_value == 450.0
+        won = run_opt(inst, SampleGraph.from_mask(1, 1), table)
+        assert won.selection_masks() == (1,) * DP_ROUNDS_LIMIT
+        lost = run_opt(inst, SampleGraph.from_mask(1, 0), table)
+        assert lost.selection_masks() == (1,) + (0,) * (DP_ROUNDS_LIMIT - 1)
+
+
 def test_commit_property_on_random_instances():
     for i in range(10):
         inst = gen_random("unit-small", sub_seed(888, i))
@@ -556,6 +573,12 @@ def test_offline_uses_matching_path_on_large_bipartite():
     inst = gen_complete_bipartite(6, 0.9)
     smp = SampleGraph.from_mask(36, (1 << 36) - 1)  # everything realized
     assert offline_max_matching(inst, smp) == 6
+
+
+def test_offline_kuhn_size_follows_augmenting_paths_of_any_length():
+    # the search from the last left vertex runs through all 3,000 of them
+    inst = path_instance(3000)
+    assert _kuhn_size(_unit_bipartite_ends(inst), (1 << inst.num_edges) - 1) == 3000
 
 
 def test_offline_kuhn_size_matches_enumeration():
