@@ -17,12 +17,17 @@ Conventions shared by the kernels:
   later round would repeat it: the kernel fills the remaining rounds
   with that selection and stops.
 
-``dp_solve`` memoizes two kinds of list.  The feasible
-selections that fit an available set (and, with pruning, are maximal
-in it) are listed once per distinct available mask, in feasible-index
-order; only the commit filter depends on the state.  The probability
-sum of an unknown set and its nonzero outcomes, each with the product
-taken bit by bit upward, are computed once per distinct unknown mask.
+``dp_solve`` memoizes two kinds of list.  The feasible selections that
+fit an available set (and, with pruning, are maximal in it) are listed
+once per distinct available mask from the index of ``model.Tables``:
+starting from every feasible index, clear the ``holds`` row of each
+edge outside the set and, with pruning, the ``extends`` row of each
+edge inside it, then read the surviving indices in ascending order, a
+byte at a time.  That is feasible-index order, the order of a scan of
+the whole list; only the commit filter depends on the state.  The
+probability sum of an unknown set and its nonzero outcomes, each with
+the product taken bit by bit upward, are computed once per distinct
+unknown mask.
 A state's value still adds its actions' outcomes in the same
 descending-submask order, and its children are solved depth first in
 that order, so the values and the insertion order of the value table
@@ -196,12 +201,31 @@ def _representative(classes, mask: int, avail: int, s: int) -> bool:
     return True
 
 
+# _BITS[x] lists the set bits of the byte x, lowest first
+_BITS = tuple(tuple(k for k in range(8) if x >> k & 1) for x in range(256))
+
+
 def _fitting(tables, prune: bool, avail: int) -> list[int]:
+    # a selection fits unless it holds an edge outside avail; with prune it
+    # is also dropped if an edge inside avail extends it
+    holds = tables.holds
+    drop = 0
+    x = tables.all_mask & ~avail
+    while x:
+        low = x & -x
+        drop |= holds[low.bit_length() - 1]
+        x ^= low
+    if prune:
+        extends = tables.extends
+        x = avail
+        while x:
+            low = x & -x
+            drop |= extends[low.bit_length() - 1]
+            x ^= low
     feas = tables.feas
-    ext = tables.ext
-    return [feas[idx] for idx in range(len(feas))
-            if not (feas[idx] & ~avail)
-            and not (prune and (ext[idx] & avail & ~feas[idx]))]
+    keep = ((1 << len(feas)) - 1) & ~drop
+    data = keep.to_bytes((keep.bit_length() + 7) >> 3, "little")
+    return [feas[i << 3 | k] for i, byte in enumerate(data) if byte for k in _BITS[byte]]
 
 
 def _outcome_table(p, unknown: int) -> tuple[float, list[tuple[int, int, float]]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -474,6 +475,33 @@ def weighted_reward(trace: Trace, weights: Sequence[float]) -> float:
 # precomputed mask tables shared with the trace/DP kernels
 
 
+# _BIT_DIGITS[k] maps a byte to b"1" if its bit k is set, else to b"0"
+_BIT_DIGITS = tuple(bytes(48 + (x >> k & 1) for x in range(256)) for k in range(8))
+
+
+def _mask_of(ids: list[int]) -> int:
+    """The bitmask of ascending ids, set in one byte buffer: linear in the top id."""
+    if not ids:
+        return 0
+    buf = bytearray((ids[-1] >> 3) + 1)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _transpose(masks: Iterable[int], width: int) -> list[int]:
+    """``rows[b]`` has bit i set iff ``masks[i]`` has bit b, for b < width.
+
+    Every mask is laid out in the same number of bytes; row b is then one
+    strided slice of its byte, mapped to binary digits: linear in
+    ``len(masks)`` per row, with no big-int work per mask.
+    """
+    size = (width + 7) >> 3
+    data = b"".join([mask.to_bytes(size, "little") for mask in masks])
+    return [int(b"0" + data[b >> 3::size].translate(_BIT_DIGITS[b & 7])[::-1], 2)
+            for b in range(width)]
+
+
 class Tables:
     """Dense-index mask tables for one instance (internal).
 
@@ -491,10 +519,19 @@ class Tables:
     is an automorphism of the instance.  Each class is stored as the
     masks of its lowest 0, 1, ..., k edge ids, so the last entry is the
     whole class; the tuple is empty when no two edges are interchangeable.
+
+    ``build_enumeration`` lists ``feas``, the feasible selections in
+    ascending order, and indexes them by edge: ``holds[e]`` is the bitset
+    of the indices i whose selection ``feas[i]`` contains edge e, and
+    ``extends[e]`` of those whose ``ext[i]`` contains it, where ``ext[i]``
+    is the set of edges outside ``feas[i]`` with no saturated endpoint
+    (the edges that extend it).  The DP finds the selections that fit an
+    available set by clearing rows of this index instead of scanning the
+    list (``kernels._fitting``).  ``ext`` itself is derived on access.
     """
 
     __slots__ = ("instance", "m", "n", "p", "pint", "all_mask", "posp_mask", "vmask",
-                 "ev", "cap", "inc", "order", "feas", "ext", "weights", "classes")
+                 "ev", "cap", "inc", "order", "feas", "holds", "extends", "weights", "classes")
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -505,46 +542,61 @@ class Tables:
         self.p = [e.p for e in instance.edges]
         self.pint = dyadic(self.p)[0]
         self.all_mask = (1 << self.m) - 1
-        self.posp_mask = sum(1 << e.id for e in instance.edges if e.p > 0.0)
-        self.ev = [tuple(vindex[u] for u in e.endpoints) for e in instance.edges]
-        self.vmask = [sum(1 << v for v in ev) for ev in self.ev]
+        self.posp_mask = _mask_of([e for e, p in enumerate(self.p) if p > 0.0])
+        self.ev = [tuple(map(vindex.__getitem__, e.endpoints)) for e in instance.edges]
+        vbit = [1 << v for v in range(self.n)]
+        self.vmask = [sum(map(vbit.__getitem__, ev)) for ev in self.ev]
         self.cap = [1 if hyper else v.capacity for v in instance.vertices]
-        self.inc = [0] * self.n
+        incident: list[list[int]] = [[] for _ in range(self.n)]
         for e, ev in enumerate(self.ev):
             for v in ev:
-                self.inc[v] |= 1 << e
-        self.order = sorted(range(self.m), key=lambda e: (-self.p[e], e))
+                incident[v].append(e)
+        self.inc = [_mask_of(edges) for edges in incident]
+        # descending p; the sort is stable, so ties stay in ascending id order
+        self.order = sorted(range(self.m), key=self.p.__getitem__, reverse=True)
         self.weights = list(instance.weights)
         self.feas: list[int] | None = None
-        self.ext: list[int] | None = None
-        self.classes = self._edge_classes()
+        self.holds: list[int] | None = None
+        self.extends: list[int] | None = None
+        self.classes = self._edge_classes([len(edges) for edges in incident])
 
-    def _edge_classes(self) -> tuple[tuple[int, ...], ...]:
+    def _edge_classes(self, degree: list[int]) -> tuple[tuple[int, ...], ...]:
+        # an edge's key: p, its shared endpoints (degree > 1) and the sorted
+        # signatures of its private endpoints (degree 1)
         st = self.instance.structure
         left = st.left if isinstance(st, ManyToOne) else frozenset()
         vids = [v.id for v in self.instance.vertices]
+        private = _mask_of([v for v, d in enumerate(degree) if d == 1])
+
+        def key(p: float, ev: tuple[int, ...]) -> tuple:
+            shared = tuple(v for v in ev if degree[v] > 1)
+            sigs = sorted((self.cap[v], vids[v] in left) for v in ev if degree[v] == 1)
+            return p, shared, tuple(sigs)
+
+        keys = [key(p, ev) if vm & private else (p, ev, ())
+                for p, ev, vm in zip(self.p, self.ev, self.vmask)]
+        counts = Counter(keys)
         groups: dict[tuple, list[int]] = {}
-        for e, ev in enumerate(self.ev):
-            shared = tuple(v for v in ev if self.inc[v] != 1 << e)
-            private = sorted((self.cap[v], vids[v] in left)
-                             for v in ev if self.inc[v] == 1 << e)
-            groups.setdefault((self.p[e], shared, tuple(private)), []).append(e)
+        if len(counts) < len(keys):  # some key repeats
+            for e, k in enumerate(keys):
+                if counts[k] > 1:
+                    groups.setdefault(k, []).append(e)
         classes = []
         for ids in groups.values():
-            if len(ids) > 1:
-                prefix = [0]
-                for e in ids:
-                    prefix.append(prefix[-1] | (1 << e))
-                classes.append(tuple(prefix))
+            prefix = [0]
+            for e in ids:
+                prefix.append(prefix[-1] | (1 << e))
+            classes.append(tuple(prefix))
         return tuple(classes)
 
     def build_enumeration(self) -> None:
-        """List ``feas``, the feasible selections in ascending order, and per
-        selection ``ext``, the edges outside it with no saturated endpoint.
+        """List ``feas``, the feasible selections in ascending order, and
+        the ``holds`` and ``extends`` rows that index them by edge.
 
         From ``[0]``, each edge e in turn is added to every listed selection
         it fits; those masks have e as their highest bit, so the list stays
-        ascending.  ``ENUMERATION_LIMIT`` caps its length.
+        ascending.  ``ENUMERATION_LIMIT`` caps its length.  The index is one
+        transpose of the list, linear in its length per edge.
         """
         if self.feas is not None:
             return
@@ -564,7 +616,19 @@ class Tables:
                 raise LimitExceededError(
                     f"over {ENUMERATION_LIMIT} feasible selections exceed the enumeration limit")
         self.feas = feas
-        self.ext = [self.all_mask & ~(mask | b) for mask, b in zip(feas, blocked)]
+        # one transpose of the masks feas[i] | ext[i] << m gives both index rows
+        m, all_mask = self.m, self.all_mask
+        rows = _transpose((mask | (all_mask & ~(mask | b)) << m
+                           for mask, b in zip(feas, blocked)), 2 * m)
+        self.holds, self.extends = rows[:m], rows[m:]
+
+    @property
+    def ext(self) -> list[int] | None:
+        """Per feasible selection, the edges outside it with no saturated
+        endpoint: the ``extends`` rows transposed back."""
+        if self.extends is None:
+            return None
+        return _transpose(self.extends, len(self.feas))
 
 
 @lru_cache(maxsize=2048)

@@ -377,8 +377,10 @@ def _unit_bipartite_ends(instance: Instance) -> tuple[tuple[int, int], ...] | No
 
 def _kuhn_size(ends: Sequence[tuple[int, int]], real: int) -> int:
     """Maximum matching size among the realized edges, by augmenting paths
-    (Kuhn's algorithm) over right-side bitmasks.  The search keeps its path
-    on a list, so a path of any length needs no recursion."""
+    (Kuhn's algorithm) over right-side bitmasks.  A left vertex with a free
+    neighbour takes the lowest one at once; the search runs only when
+    every neighbour is taken, and keeps its path on a list, so a path of
+    any length needs no recursion."""
     adj: dict[int, int] = {}
     x = real
     while x:
@@ -387,8 +389,16 @@ def _kuhn_size(ends: Sequence[tuple[int, int]], real: int) -> int:
         adj[u] = adj.get(u, 0) | (1 << w)
         x ^= low
     owner: dict[int, int] = {}
+    taken = 0  # the right vertices in owner
     size = 0
     for u in adj:
+        free = adj[u] & ~taken
+        if free:
+            low = free & -free
+            owner[low.bit_length() - 1] = u
+            taken |= low
+            size += 1
+            continue
         # depth-first search for an augmenting path: left[i] has tried
         # right vertex tried[i], held by left[i + 1] (the last by u)
         seen = 0
@@ -403,6 +413,7 @@ def _kuhn_size(ends: Sequence[tuple[int, int]], real: int) -> int:
                 holder = owner.get(j)
                 if holder is None:
                     owner[j] = u
+                    taken |= low
                     if tried:
                         owner.update(zip(tried, left))
                     size += 1

@@ -10,11 +10,15 @@ The loops at the end are the exception.  The first is the sampler as
 first written, one ``uniform01`` draw per edge; the lane draw of
 ``model.sample`` must give the same masks, bit for bit.  The next is
 the feasible selection table as first written, a scan of all 2^m
-masks; the listing by extension must give the same lists, bit for bit.  The round loops
-are the committing kernels and the alternating scan as first written,
-recomputing every round from scratch, and serve as references for the
-versions that stop once a round can no longer change anything.  So is the expectimax DP
-after them, as first written, which rebuilds every action's candidate
+masks; the listing by extension must give the same lists, bit for bit.
+After it come the DP's fitting selections as first found, a scan of
+that whole list, which the per-edge index must reproduce in the same
+order, and the instance masks of ``model.Tables`` built one edge bit at
+a time, which the byte-buffer constructor must reproduce field for
+field.  The round loops are the committing kernels and the alternating
+scan as first written, recomputing every round from scratch, and serve
+as references for the versions that stop once a round can no longer
+change anything.  So is the expectimax DP after them, as first written, which rebuilds every action's candidate
 filters and outcome products at every state; the kernel must reproduce
 its tables exactly, insertion order included.  So is the Monte Carlo
 reduction, which keeps every trial's counts and computes each mean and
@@ -34,8 +38,8 @@ from itertools import combinations
 from rematch import coupling, kernels
 from rematch.kernels import lex_less
 from rematch.matching import WeightedSubproblem, max_weight_matching
-from rematch.model import (Instance, ManyToOne, build_tables, enumerate_samples, feasible,
-                           sample)
+from rematch.model import (Hypergraph, Instance, ManyToOne, build_tables, dyadic,
+                           enumerate_samples, feasible, sample)
 from rematch.montecarlo import RewardStats, make_runner
 from rematch.policies import PolicyId, build_dp, follower_masks
 from rematch.rng import sub_seed, uniform01
@@ -150,6 +154,52 @@ def feasible_selections_scan(inst: Instance) -> tuple[list[int], list[int]]:
     for mask in feas:
         ext.append(sum(1 << e for e in range(m) if not mask >> e & 1 and flags[mask | 1 << e]))
     return feas, ext
+
+
+# ---------------------------------------------------------------------
+# reference table loops: the fitting selections by a scan of the list,
+# and the instance masks one edge bit at a time
+
+
+def fitting_scan(feas: list[int], ext: list[int], prune: bool, avail: int) -> list[int]:
+    """The selections of ``feas`` inside ``avail``, in list order; with
+    ``prune`` only those that no edge of ``avail`` extends (``ext``)."""
+    return [feas[idx] for idx in range(len(feas))
+            if not (feas[idx] & ~avail)
+            and not (prune and (ext[idx] & avail & ~feas[idx]))]
+
+
+def tables_loop(inst: Instance) -> dict:
+    """The mask fields of ``model.Tables`` built one edge bit at a time."""
+    vindex = {v.id: i for i, v in enumerate(inst.vertices)}
+    hyper = isinstance(inst.structure, Hypergraph)
+    m, n = inst.num_edges, inst.num_vertices
+    p = [e.p for e in inst.edges]
+    ev = [tuple(vindex[u] for u in e.endpoints) for e in inst.edges]
+    cap = [1 if hyper else v.capacity for v in inst.vertices]
+    inc = [0] * n
+    for e, vs in enumerate(ev):
+        for v in vs:
+            inc[v] |= 1 << e
+    left = inst.structure.left if isinstance(inst.structure, ManyToOne) else frozenset()
+    vids = [v.id for v in inst.vertices]
+    groups: dict[tuple, list[int]] = {}
+    for e, vs in enumerate(ev):
+        shared = tuple(v for v in vs if inc[v] != 1 << e)
+        private = sorted((cap[v], vids[v] in left) for v in vs if inc[v] == 1 << e)
+        groups.setdefault((p[e], shared, tuple(private)), []).append(e)
+    classes = []
+    for ids in groups.values():
+        if len(ids) > 1:
+            prefix = [0]
+            for e in ids:
+                prefix.append(prefix[-1] | (1 << e))
+            classes.append(tuple(prefix))
+    return {"m": m, "n": n, "p": p, "pint": dyadic(p)[0], "all_mask": (1 << m) - 1,
+            "posp_mask": sum(1 << e.id for e in inst.edges if e.p > 0.0), "ev": ev,
+            "vmask": [sum(1 << v for v in vs) for vs in ev], "cap": cap, "inc": inc,
+            "order": sorted(range(m), key=lambda e: (-p[e], e)),
+            "weights": list(inst.weights), "classes": tuple(classes)}
 
 
 # ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ from rematch.model import (EDGES_LIMIT, INSTANCE_BYTES_LIMIT, ROUNDS_LIMIT, Hype
 from rematch.montecarlo import monte_carlo
 from rematch.policies import PolicyId
 from rematch.rng import sub_seed
-from conftest import make_instance, path_instance
+from conftest import chain_instance, make_instance
 from oracles import monte_carlo_list_reduce
 
 
@@ -251,7 +251,7 @@ def test_cli_gen_simulate_round_trip(tmp_path):
 def test_cli_offline_max_on_a_long_augmenting_path(tmp_path):
     # Kuhn's search runs down a path through all 1,000 left vertices
     path = tmp_path / "path.json"
-    path.write_text(path_instance(1000).dumps())
+    path.write_text(chain_instance(1000).dumps())
     code, out = run_cli(["simulate", "--instance", str(path), "--policy", "offline-max",
                          "--trials", "1"])
     assert code == 0

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import expectation, feasible_selections_scan, sample_loop
-from rematch import suites
+from oracles import expectation, feasible_selections_scan, fitting_scan, sample_loop, tables_loop
+from rematch import kernels, suites
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
 from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
                                 gen_complete_bipartite, gen_double_star, gen_random,
@@ -19,7 +19,7 @@ from rematch.model import (ROUNDS_LIMIT, Edge, Hypergraph, Instance, KnowledgeSt
 from rematch.montecarlo import monte_carlo
 from rematch.policies import (PolicyId, build_dp, run_alternating_scan, run_greedy_commit,
                                run_opt, run_opt_follower, run_sm)
-from rematch.rng import _GAMMA, _MIX1, _MIX2, counter_value, sub_seed
+from rematch.rng import _GAMMA, _MIX1, _MIX2, CounterRng, counter_value, sub_seed
 
 
 def test_validation_rejects_bad_instances():
@@ -190,13 +190,18 @@ def _assert_listing_matches_scan(inst, label):
     assert (tables.feas, tables.ext) == feasible_selections_scan(inst), label
 
 
-def test_feasible_selection_listing_matches_scan():
+def _listed_instances():
+    # the four suites, dp-opt's CAP11 draws, ds2-ds8, K3,3 and K4,4
     cap11 = RandomProfile("bench-cap11", "general", (6, 6), (11, 11), (1, 3), (3, 3))
     instances = [inst for profile in suites.SUITES for inst in suites._suite_instances(profile)]
     instances += [gen_random(cap11, draw) for draw in range(1, 9)]
     instances += [gen_double_star(n, 0.1) for n in range(2, 9)]
     instances += [gen_complete_bipartite(n, 0.5) for n in (3, 4)]
-    for k, inst in enumerate(instances):
+    return instances
+
+
+def test_feasible_selection_listing_matches_scan():
+    for k, inst in enumerate(_listed_instances()):
         _assert_listing_matches_scan(inst, k)
 
 
@@ -226,6 +231,43 @@ def _small_instances(draw):
 @given(inst=_small_instances())
 def test_feasible_selection_listing_matches_scan_on_drawn_instances(inst):
     _assert_listing_matches_scan(inst, inst)
+
+
+def _assert_index_matches_scan(inst, masks, label):
+    tables = Tables(inst)
+    tables.build_enumeration()
+    ext = tables.ext
+    for avail in (tables.all_mask, *masks):
+        for prune in (False, True):
+            got = kernels._fitting(tables, prune, avail)
+            assert got == fitting_scan(tables.feas, ext, prune, avail), (label, avail, prune)
+
+
+def test_fitting_index_matches_scan():
+    # the DP's fitting selections, read from the per-edge index, are the
+    # scan's list in the scan's order; 16 disjoint edges list 2^16 selections
+    rng = CounterRng(24)
+    disjoint = make_instance([(2 * i, 2 * i + 1, 0.5) for i in range(16)])
+    for k, inst in enumerate(_listed_instances() + [disjoint]):
+        masks = [rng.randint(0, (1 << inst.num_edges) - 1) for _ in range(200)]
+        _assert_index_matches_scan(inst, masks, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_small_instances(), avail=st.integers(0, 2**12 - 1))
+def test_fitting_index_matches_scan_on_drawn_instances(inst, avail):
+    _assert_index_matches_scan(inst, [avail & ((1 << inst.num_edges) - 1)], inst)
+
+
+def test_tables_match_the_constructor_loop():
+    # the byte-buffer constructor gives every field of the bitwise one
+    instances = [inst for profile in suites.SUITES for inst in suites._suite_instances(profile)]
+    instances += [gen_double_star(n, 0.1) for n in range(2, 9)]
+    instances += [gen_complete_bipartite(n, 0.3) for n in (5, 64, 512)]
+    for k, inst in enumerate(instances):
+        want = tables_loop(inst)
+        tables = Tables(inst)
+        assert {name: getattr(tables, name) for name in want} == want, k
 
 
 def test_listing_caps_feasible_selections_not_edges():

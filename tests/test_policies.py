@@ -1,11 +1,12 @@
 import gc
+import time
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, path_instance
+from conftest import chain_instance, make_instance, path_instance
 from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value,
                      expectation, gc_trace_large_loop, gc_trace_loop, reference_dp_solve,
                      sm_trace_loop)
@@ -577,8 +578,35 @@ def test_offline_uses_matching_path_on_large_bipartite():
 
 def test_offline_kuhn_size_follows_augmenting_paths_of_any_length():
     # the search from the last left vertex runs through all 3,000 of them
-    inst = path_instance(3000)
+    inst = chain_instance(3000)
     assert _kuhn_size(_unit_bipartite_ends(inst), (1 << inst.num_edges) - 1) == 3000
+
+
+def test_offline_kuhn_size_is_linear_on_a_path():
+    # every left vertex of the path has a free right neighbour, so no search
+    # runs; one from each left vertex would walk back along the whole path
+    inst = path_instance(3000)
+    start = time.perf_counter()
+    assert _kuhn_size(_unit_bipartite_ends(inst), (1 << inst.num_edges) - 1) == 3000
+    assert time.perf_counter() - start < 2.0
+
+
+def test_offline_kuhn_size_matches_scipy():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = CounterRng(31)
+    for k in range(150):
+        n_left, n_right = rng.randint(1, 30), rng.randint(1, 30)
+        density = rng.uniform(0.02, 0.4)
+        ends = [(u, j) for u in range(n_left) for j in range(n_right) if rng.uniform() < density]
+        rng.shuffle(ends)
+        real = sum(1 << e for e in range(len(ends)) if rng.uniform() < 0.8)
+        realized = [ends[e] for e in range(len(ends)) if real >> e & 1]
+        graph = sparse.csr_matrix(([1] * len(realized), ([u for u, _ in realized],
+                                                         [j for _, j in realized])),
+                                  shape=(n_left, n_right))
+        want = int((csgraph.maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+        assert _kuhn_size(ends, real) == want, k
 
 
 def test_offline_kuhn_size_matches_enumeration():
