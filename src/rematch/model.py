@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -527,7 +526,7 @@ class Tables:
     is the set of edges outside ``feas[i]`` with no saturated endpoint
     (the edges that extend it).  The DP finds the selections that fit an
     available set by clearing rows of this index instead of scanning the
-    list (``kernels._fitting``).  ``ext`` itself is derived on access.
+    list (``kernels._fitting``).
     """
 
     __slots__ = ("instance", "m", "n", "p", "pint", "all_mask", "posp_mask", "vmask",
@@ -542,49 +541,55 @@ class Tables:
         self.p = [e.p for e in instance.edges]
         self.pint = dyadic(self.p)[0]
         self.all_mask = (1 << self.m) - 1
-        self.posp_mask = _mask_of([e for e, p in enumerate(self.p) if p > 0.0])
+        self.posp_mask = self.all_mask ^ _mask_of([e for e, p in enumerate(self.p) if p == 0.0])
         self.ev = [tuple(map(vindex.__getitem__, e.endpoints)) for e in instance.edges]
-        vbit = [1 << v for v in range(self.n)]
-        self.vmask = [sum(map(vbit.__getitem__, ev)) for ev in self.ev]
+        self.vmask = [sum(1 << v for v in ev) for ev in self.ev]
         self.cap = [1 if hyper else v.capacity for v in instance.vertices]
-        incident: list[list[int]] = [[] for _ in range(self.n)]
-        for e, ev in enumerate(self.ev):
-            for v in ev:
-                incident[v].append(e)
-        self.inc = [_mask_of(edges) for edges in incident]
+        if self.m < 512:  # narrow masks: setting bits in place costs least
+            self.inc = [0] * self.n
+            for e, ev in enumerate(self.ev):
+                for v in ev:
+                    self.inc[v] |= 1 << e
+        else:  # wide masks: each set in one byte buffer, linear in m
+            incident: list[list[int]] = [[] for _ in range(self.n)]
+            for e, ev in enumerate(self.ev):
+                for v in ev:
+                    incident[v].append(e)
+            self.inc = [_mask_of(edges) for edges in incident]
         # descending p; the sort is stable, so ties stay in ascending id order
         self.order = sorted(range(self.m), key=self.p.__getitem__, reverse=True)
         self.weights = list(instance.weights)
         self.feas: list[int] | None = None
         self.holds: list[int] | None = None
         self.extends: list[int] | None = None
-        self.classes = self._edge_classes([len(edges) for edges in incident])
+        self.classes = self._edge_classes([mask.bit_count() for mask in self.inc])
 
     def _edge_classes(self, degree: list[int]) -> tuple[tuple[int, ...], ...]:
-        # an edge's key: p, its shared endpoints (degree > 1) and the sorted
-        # signatures of its private endpoints (degree 1)
         st = self.instance.structure
         left = st.left if isinstance(st, ManyToOne) else frozenset()
         vids = [v.id for v in self.instance.vertices]
-        private = _mask_of([v for v, d in enumerate(degree) if d == 1])
-
-        def key(p: float, ev: tuple[int, ...]) -> tuple:
-            shared = tuple(v for v in ev if degree[v] > 1)
-            sigs = sorted((self.cap[v], vids[v] in left) for v in ev if degree[v] == 1)
-            return p, shared, tuple(sigs)
-
-        keys = [key(p, ev) if vm & private else (p, ev, ())
-                for p, ev, vm in zip(self.p, self.ev, self.vmask)]
-        counts = Counter(keys)
-        groups: dict[tuple, list[int]] = {}
-        if len(counts) < len(keys):  # some key repeats
-            for e, k in enumerate(keys):
-                if counts[k] > 1:
-                    groups.setdefault(k, []).append(e)
+        # the signatures of each edge's private endpoints (degree 1); an edge
+        # with none keys on its p and endpoints alone, all of them shared
+        private: dict[int, list[tuple]] = {}
+        for v, d in enumerate(degree):
+            if d == 1:
+                e = self.inc[v].bit_length() - 1
+                private.setdefault(e, []).append((self.cap[v], vids[v] in left))
+        lowest: dict[tuple, int] = {}  # each key's lowest edge id
+        groups: dict[int, list[int]] = {}  # the edges of each repeated key, by lowest id
+        for e, ev in enumerate(self.ev):
+            if e in private:
+                shared = tuple(v for v in ev if degree[v] > 1)
+                key = (self.p[e], shared, tuple(sorted(private[e])))
+            else:
+                key = (self.p[e], ev, ())
+            low = lowest.setdefault(key, e)
+            if low != e:
+                groups.setdefault(low, [low]).append(e)
         classes = []
-        for ids in groups.values():
+        for low in sorted(groups):
             prefix = [0]
-            for e in ids:
+            for e in groups[low]:
                 prefix.append(prefix[-1] | (1 << e))
             classes.append(tuple(prefix))
         return tuple(classes)
@@ -621,14 +626,6 @@ class Tables:
         rows = _transpose((mask | (all_mask & ~(mask | b)) << m
                            for mask, b in zip(feas, blocked)), 2 * m)
         self.holds, self.extends = rows[:m], rows[m:]
-
-    @property
-    def ext(self) -> list[int] | None:
-        """Per feasible selection, the edges outside it with no saturated
-        endpoint: the ``extends`` rows transposed back."""
-        if self.extends is None:
-            return None
-        return _transpose(self.extends, len(self.feas))
 
 
 @lru_cache(maxsize=2048)

@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from rematch import coupling, kernels
+from rematch import coupling, kernels, model
 from rematch.kernels import lex_less
 from rematch.matching import WeightedSubproblem, max_weight_matching
 from rematch.model import (Hypergraph, Instance, ManyToOne, build_tables, dyadic,
@@ -159,6 +159,12 @@ def feasible_selections_scan(inst: Instance) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------
 # reference table loops: the fitting selections by a scan of the list,
 # and the instance masks one edge bit at a time
+
+
+def ext_of(tables) -> list[int]:
+    """Per feasible selection, the edges outside it with no saturated
+    endpoint: the ``extends`` rows of a listed ``Tables`` transposed back."""
+    return model._transpose(tables.extends, len(tables.feas))
 
 
 def fitting_scan(feas: list[int], ext: list[int], prune: bool, avail: int) -> list[int]:
@@ -305,7 +311,7 @@ def reference_dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, 
     posp = tables.posp_mask
     all_mask = tables.all_mask
     feas = tables.feas
-    ext = tables.ext
+    ext = ext_of(tables)
     nfeas = len(feas)
     values: dict[int, float] = {}
     actions: dict[int, int] = {}

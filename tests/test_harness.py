@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -719,6 +720,31 @@ def test_cli_verify_exact_on_200_unit_instances_exits_zero():
                          "--count", "200", "--gen-seed", "101"])
     assert code == 0
     assert all(json.loads(line)["verdict"] for line in out.strip().splitlines())
+
+
+def test_cli_sm_on_many_isolated_vertices_runs_in_bounded_memory(tmp_path):
+    # 2^18 vertices and one edge between the two highest: each mask of the
+    # instance tables is as wide as the ids it holds, so 400 MB of address
+    # space is ample (a bit per vertex pair would need gigabytes)
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    n = 1 << 18
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps({"rounds": 1, "vertices": [{"id": v} for v in range(n)],
+                                "edges": [{"id": 0, "endpoints": [n - 2, n - 1], "p": 1.0}]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rematch", "simulate", "--instance", str(path), "--policy", "sm",
+         "--trials", "1", "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=300, preexec_fn=limit)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["mean"] == 1.0
+    assert time.perf_counter() - start < 60
 
 
 def test_cli_greedy_commit_on_k256_runs_in_bounded_memory():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import expectation, feasible_selections_scan, fitting_scan, sample_loop, tables_loop
+from oracles import (expectation, ext_of, feasible_selections_scan, fitting_scan, sample_loop,
+                     tables_loop)
 from rematch import kernels, suites
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
 from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
@@ -187,7 +188,7 @@ def test_enumerate_limit():
 def _assert_listing_matches_scan(inst, label):
     tables = Tables(inst)  # fresh: the cached tables may be listed already
     tables.build_enumeration()
-    assert (tables.feas, tables.ext) == feasible_selections_scan(inst), label
+    assert (tables.feas, ext_of(tables)) == feasible_selections_scan(inst), label
 
 
 def _listed_instances():
@@ -236,7 +237,7 @@ def test_feasible_selection_listing_matches_scan_on_drawn_instances(inst):
 def _assert_index_matches_scan(inst, masks, label):
     tables = Tables(inst)
     tables.build_enumeration()
-    ext = tables.ext
+    ext = ext_of(tables)
     for avail in (tables.all_mask, *masks):
         for prune in (False, True):
             got = kernels._fitting(tables, prune, avail)
@@ -268,6 +269,14 @@ def test_tables_match_the_constructor_loop():
         want = tables_loop(inst)
         tables = Tables(inst)
         assert {name: getattr(tables, name) for name in want} == want, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_small_instances())
+def test_tables_match_the_constructor_loop_on_drawn_instances(inst):
+    want = tables_loop(inst)
+    tables = Tables(inst)
+    assert {name: getattr(tables, name) for name in want} == want
 
 
 def test_listing_caps_feasible_selections_not_edges():
