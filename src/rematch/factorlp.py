@@ -24,8 +24,10 @@ with X_{i,j} = (2/t) Y_j for j < t, X_{i,t} = 0 and X_i = coef * Y_t;
 per-round factor, decreasing to (2 + 2/(e^a - 1))^-1: >= 0.316 (sm) and
 >= 0.43 (gc).  :func:`_closed_form` writes these numerators once;
 :func:`dual_certificate` rounds each entry once, and :func:`solve_lp`
-runs no solver: it checks the pair exactly, as Fractions, against the
-LP's own rows.  ``SOLVE_LIMIT`` keeps the t^2 + t + 1 rows fast to check.
+runs no solver: it checks the pair exactly against the LP's own rows, in
+ints.  :func:`model.dyadic` puts the LP's floats over one 2^K, and x and y
+each go over the lcm of their denominators.  ``SOLVE_LIMIT`` stays 12
+because ``benchmarks/perf`` sweeps the primal up to it.
 The float certificate still refuses t >= 144 with ``OverflowError``,
 which int/int rounding no longer needs: ``benchmarks/perf`` counts it.
 """
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, LimitExceededError, SolverError, ValidationError
+from .model import dyadic
 
 SOLVE_LIMIT = 12
 # variant -> (a, coef): the closed form's shift a and the cover rows' coefficient
@@ -156,26 +159,42 @@ def _exact_certificate(t: int, variant: str) -> tuple[list, list, Fraction]:
 
 def _certify(lp: FactorLp, x, y, u: Fraction) -> None:
     """Raise ``SolverError`` unless x and y are an optimal pair for ``lp`` with
-    objective u, checked exactly on ``lp``'s coefficients as Fractions."""
+    objective u, checked exactly in ints: ``lp``'s entries over one 2^K, x and
+    y each over the lcm of their denominators, both sides of a row scaled alike."""
     if len(x) != lp.num_vars or len(lp.objective) != lp.num_vars:
         raise SolverError("LP variables do not match the horizon")
     if len(y) != len(lp.rows) or len(lp.rhs) != len(lp.rows):
         raise SolverError("LP rows do not match the horizon")
-    rows = [[(var, Fraction(coef)) for var, coef in row] for row in lp.rows]
-    rhs = [Fraction(b) for b in lp.rhs]
-    objective = [Fraction(c) for c in lp.objective]
-    if min(x) < 0 or any(lhs > b for lhs, b in zip(_row_sums(rows, x), rhs)):
+    entries = [coef for row in lp.rows for _, coef in row] + [*lp.rhs, *lp.objective]
+    if not all(map(math.isfinite, entries)):
+        raise SolverError("LP has a non-finite coefficient, rhs or objective entry")
+    scaled, K = dyadic(entries)
+    coefs = iter(scaled)
+    rows = [[(var, next(coefs)) for var, _ in row] for row in lp.rows]
+    rhs = [next(coefs) for _ in lp.rhs]
+    objective = list(coefs)
+    X, den_x = _over_lcm(x)
+    Y, den_y = _over_lcm(y)
+    if min(X) < 0 or any(lhs > b * den_x for lhs, b in zip(_row_sums(rows, X), rhs)):
         raise SolverError("closed-form primal point is infeasible")
-    reduced = [Fraction(0)] * lp.num_vars
-    for row, y_r in zip(rows, y):
+    reduced = [0] * lp.num_vars
+    for row, y_r in zip(rows, Y):
         for var, coef in row:
             reduced[var] += coef * y_r
-    if min(y) < 0 or any(lhs < c for lhs, c in zip(reduced, objective)):
+    if min(Y) < 0 or any(lhs < c * den_y for lhs, c in zip(reduced, objective)):
         raise SolverError("closed-form dual multipliers are infeasible")
-    primal = sum(c * x_v for c, x_v in zip(objective, x))
-    dual = sum(b * y_r for b, y_r in zip(rhs, y))
+    primal = Fraction(sum(c * x_v for c, x_v in zip(objective, X)), den_x << K)
+    dual = Fraction(sum(b * y_r for b, y_r in zip(rhs, Y)), den_y << K)
     if primal != u or dual != u:
         raise SolverError(f"objectives differ: primal {primal}, dual {dual}, u {u}")
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """(ints, den) with ``values[i] == ints[i] / den`` exactly, den the lcm of
+    the exact denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def solve_lp(lp: FactorLp) -> float:

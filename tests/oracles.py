@@ -28,7 +28,9 @@ exact coupling pass as first written, one sample at a time with no
 grouping, here summing in ``Fraction``: every expectation of the grouped
 pass must be its correct rounding.  And the dual-feasibility check as
 first written, which re-sums every cover row's prefix; the running
-prefixes must report the same violations, digit for digit.
+prefixes must report the same violations, digit for digit.  And the
+LP certificate as first written, every row checked in ``Fraction``; the
+integer check must accept and refuse the same LPs, with the same message.
 """
 
 import math
@@ -36,6 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from rematch import coupling, kernels, model
+from rematch.errors import SolverError
 from rematch.kernels import lex_less
 from rematch.matching import WeightedSubproblem, max_weight_matching
 from rematch.model import (Hypergraph, Instance, ManyToOne, build_tables, dyadic,
@@ -573,3 +576,32 @@ def dual_violations_loop(cert) -> tuple[str, ...]:
     if min(map(min, F)) < -tol or min(c) < -tol or u < -tol:
         bad.append("negative entry")
     return tuple(bad)
+
+
+# ---------------------------------------------------------------------
+# reference LP certificate: every row checked in Fraction
+
+
+def certify_fraction(lp, x, y, u: Fraction) -> None:
+    """``factorlp._certify`` as first written: the LP's float entries become
+    Fractions and every row sum, comparison and objective is a Fraction."""
+    if len(x) != lp.num_vars or len(lp.objective) != lp.num_vars:
+        raise SolverError("LP variables do not match the horizon")
+    if len(y) != len(lp.rows) or len(lp.rhs) != len(lp.rows):
+        raise SolverError("LP rows do not match the horizon")
+    rows = [[(var, Fraction(coef)) for var, coef in row] for row in lp.rows]
+    rhs = [Fraction(b) for b in lp.rhs]
+    objective = [Fraction(c) for c in lp.objective]
+    if min(x) < 0 or any(sum(coef * x[var] for var, coef in row) > b
+                         for row, b in zip(rows, rhs)):
+        raise SolverError("closed-form primal point is infeasible")
+    reduced = [Fraction(0)] * lp.num_vars
+    for row, y_r in zip(rows, y):
+        for var, coef in row:
+            reduced[var] += coef * y_r
+    if min(y) < 0 or any(lhs < c for lhs, c in zip(reduced, objective)):
+        raise SolverError("closed-form dual multipliers are infeasible")
+    primal = sum(c * x_v for c, x_v in zip(objective, x))
+    dual = sum(b * y_r for b, y_r in zip(rhs, y))
+    if primal != u or dual != u:
+        raise SolverError(f"objectives differ: primal {primal}, dual {dual}, u {u}")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from scipy.optimize import linprog
 
-from oracles import dual_violations_loop
+from oracles import certify_fraction, dual_violations_loop
 from rematch.coupling import coupling_expectations
 from rematch.errors import DomainError, SolverError
 from rematch.factorlp import (SOLVE_LIMIT, DualCertificate, FactorLp, _certify,
@@ -104,6 +104,90 @@ def test_tampered_lp_raises_solver_error():
             with pytest.raises(SolverError):
                 value = solve_lp(lp)
                 pytest.fail(f"{name} (t={t}, {variant}) returned {value}")
+
+
+def _outcome(check, lp, x, y, u):
+    """None if ``check`` accepts the pair, else its ``SolverError`` message."""
+    try:
+        check(lp, x, y, u)
+    except SolverError as err:
+        return str(err)
+    return None
+
+
+def _set_coef(lp, r, k, value):
+    rows = list(lp.rows)
+    row = list(rows[r])
+    row[k] = (row[k][0], value)
+    rows[r] = tuple(row)
+    return dataclasses.replace(lp, rows=tuple(rows))
+
+
+def _nudged(lp):
+    """Copies of ``lp`` with one entry moved one ulp up or down: the first and
+    last coefficient and the rhs of a cover row, a budget row, the zero-multiplier
+    budget row and the last row, and a unit and a zero objective entry."""
+    t = lp.horizon
+    out = {}
+    for name, r in (("cover", t * t - 1), ("budget", t * t), ("slack", t * t + t - 1),
+                    ("last", t * t + t)):
+        for way, to in (("up", math.inf), ("down", -math.inf)):
+            for k in (0, len(lp.rows[r]) - 1):
+                coef = math.nextafter(lp.rows[r][k][1], to)
+                out[f"{name} row coef {k} {way}"] = _set_coef(lp, r, k, coef)
+            rhs = lp.rhs[:r] + (math.nextafter(lp.rhs[r], to),) + lp.rhs[r + 1:]
+            out[f"{name} row rhs {way}"] = dataclasses.replace(lp, rhs=rhs)
+    for var in (lp.x(0), lp.y(0)):
+        for way, to in (("up", math.inf), ("down", -math.inf)):
+            objective = list(lp.objective)
+            objective[var] = math.nextafter(objective[var], to)
+            out[f"objective {var} {way}"] = dataclasses.replace(
+                lp, objective=tuple(objective))
+    return out
+
+
+def test_integer_certificate_matches_the_fraction_oracle():
+    for t, variant in ALL_LPS:
+        x, y, u = _exact_certificate(t, variant)
+        lp = build_primal(t, variant)
+        assert _outcome(_certify, lp, x, y, u) is None, (variant, t)
+        assert _outcome(certify_fraction, lp, x, y, u) is None, (variant, t)
+    verdicts = set()
+    for t in (1, 2, 6, 12):
+        for variant in ("sm", "gc"):
+            x, y, u = _exact_certificate(t, variant)
+            lp = build_primal(t, variant)
+            for name, bad in _tampered(lp).items():
+                got = _outcome(_certify, bad, x, y, u)
+                assert got is not None, (name, variant, t)
+                assert got == _outcome(certify_fraction, bad, x, y, u), (name, variant, t)
+            for name, bad in _nudged(lp).items():
+                got = _outcome(_certify, bad, x, y, u)
+                assert got == _outcome(certify_fraction, bad, x, y, u), (name, variant, t)
+                verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_one_ulp_flips_the_verdict_on_a_tight_row():
+    # sum_j Y_j <= 1 is tight with multiplier u: one ulp less breaks the
+    # primal, one ulp more moves b.y off u; the zero-multiplier row has slack
+    for t in (2, 6, 12):
+        x, y, u = _exact_certificate(t, "sm")
+        nudged = _nudged(build_primal(t, "sm"))
+        with pytest.raises(SolverError, match="primal point is infeasible"):
+            _certify(nudged["last row rhs down"], x, y, u)
+        with pytest.raises(SolverError, match="objectives differ"):
+            _certify(nudged["last row rhs up"], x, y, u)
+        _certify(nudged["slack row rhs up"], x, y, u)
+
+
+def test_non_finite_entries_are_a_certificate_failure():
+    lp = build_primal(3, "sm")
+    for bad in (_set_coef(lp, 0, 0, math.inf),
+                dataclasses.replace(lp, rhs=lp.rhs[:-1] + (math.nan,)),
+                dataclasses.replace(lp, objective=(-math.inf,) + lp.objective[1:])):
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_lp(bad)
 
 
 def test_certify_rejects_negative_entries():
