@@ -27,13 +27,21 @@ byte at a time.  That is feasible-index order, the order of a scan of
 the whole list; only the commit filter depends on the state.  The
 probability sum of an unknown set and its nonzero outcomes, each with
 the product taken bit by bit upward, are computed once per distinct
-unknown mask.
+unknown mask.  These memos depend on the tables alone, so one
+module-level slot keeps them for the tables solved last, for its next
+solve (the other commit mode) and replay's real-state calls.  One slot,
+because ``build_tables`` caches thousands of tables.
 A state's value still adds its actions' outcomes in the same
 descending-submask order, and its children are solved depth first in
 that order, so the values and the insertion order of the value table
-are those of a solve that recomputes everything per state.  Children of
-the last round are worth 0.0, so their outcome loop is skipped: adding
-``pr * 0.0`` to a non-negative value changes nothing.
+are those of a solve that recomputes everything per state.
+
+The last round is a leaf: its children are worth 0.0, so a round-T
+state is worth w_T times the max over its actions of the reselected
+successes plus the probability sum of the new edges.  As w_T >= 0 and
+rounding is monotone, max fl(w_T * x) = fl(w_T * max x): the leaf
+multiplies once, reads the sums alone and lists no outcomes.  It stores
+its value when the general loop would, so the insertion order holds.
 
 One loop scores the actions of a state, and it serves both the values
 and the policy.  ``dp_solve`` stores values only; the policy is greedy
@@ -42,8 +50,8 @@ that replay reaches, in a real-state mode: it scans every fitting
 action, breaks ties toward the lexicographically smallest action
 (``lex_less`` on the real masks), stores nothing in the value table and
 returns the action.  It reads every child from the table, so it never
-recurses.  The solve's memos are emptied once the root is solved, and
-real-state calls refill them as replay reaches new keys.
+recurses, and it skips the outcome loop in the last round (adding
+``pr * 0.0`` to a non-negative value changes nothing).
 
 When the instance has interchangeable edge classes (``tables.classes``,
 see ``model.Tables``), ``dp_solve`` works on orbits of knowledge states:
@@ -79,7 +87,7 @@ code and the value table are exactly those of the unreduced solve.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 
 def active_backend() -> str:
@@ -203,6 +211,7 @@ def _representative(classes, mask: int, avail: int, s: int) -> bool:
 
 # _BITS[x] lists the set bits of the byte x, lowest first
 _BITS = tuple(tuple(k for k in range(8) if x >> k & 1) for x in range(256))
+_NO_ACTION = "no feasible action; committed successes exceed capacity"
 
 
 def _fitting(tables, prune: bool, avail: int) -> list[int]:
@@ -228,13 +237,17 @@ def _fitting(tables, prune: bool, avail: int) -> list[int]:
     return [feas[i << 3 | k] for i, byte in enumerate(data) if byte for k in _BITS[byte]]
 
 
-def _outcome_table(p, unknown: int) -> tuple[float, list[tuple[int, int, float]]]:
+def _prob_sum(p, unknown: int) -> float:
     sp = 0.0
     x = unknown
     while x:
         low = x & -x
         sp += p[low.bit_length() - 1]
         x ^= low
+    return sp
+
+
+def _outcome_table(p, unknown: int) -> tuple[float, list[tuple[int, int, float]]]:
     outs = []
     r = unknown
     while True:
@@ -250,7 +263,13 @@ def _outcome_table(p, unknown: int) -> tuple[float, list[tuple[int, int, float]]
         if r == 0:
             break
         r = (r - 1) & unknown
-    return sp, outs
+    return _prob_sum(p, unknown), outs
+
+
+@lru_cache(maxsize=1)
+def _memos(tables) -> tuple:
+    # dp_solve's memos for the tables solved last (see the module docstring)
+    return ({}, {}), ({}, {}), {}, {}
 
 
 def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, partial]:
@@ -265,7 +284,8 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, partial]:
     the instance has edge classes the table holds canonical states only
     (see the module docstring).  ``action`` is the solve's own loop in its
     real-state mode; it reads children only, so the orbit of (s, f) in
-    round t must be in ``values``.
+    round t must be in ``values``.  Last-round states are scored as leaves,
+    and the memos are kept for the next solve of the same tables.
     """
     m = tables.m
     rounds = len(tables.weights)
@@ -275,16 +295,15 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, partial]:
     all_mask = tables.all_mask
     classes = tables.classes
     values: dict[int, float] = {}
-    # Memos of one solve, emptied when the root is solved and refilled by
-    # ``action``: the actions that fit an available set, the representative
-    # ones per available set and known successes (with edge classes), and
-    # the (success submask, failure submask, probability) outcomes of an
-    # unknown set with its probability sum.
-    fitting: dict[int, list[int]] = {}
-    candidates: dict[int, list[int]] = {}
-    outcomes: dict[int, tuple[float, list[tuple[int, int, float]]]] = {}
+    # per prune, the actions fitting an available set and the representative
+    # ones per available set and known successes (edge classes); per unknown
+    # set, its (success, failure, probability) outcomes with their sum
+    # (``outcomes``), and the sum alone for the leaves (``sums``)
+    fittings, candidate_lists, outcomes, sums = _memos(tables)
+    fitting = fittings[prune]
+    candidates = candidate_lists[prune]
 
-    def solve(s: int, f: int, t: int, real: bool = False):
+    def actions(s: int, f: int, real: bool = False) -> list[int]:
         avail = ((all_mask & ~(s | f)) & posp) | s
         if classes and not real:
             ckey = (s << m) | avail
@@ -293,12 +312,34 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, partial]:
                 cands = candidates[ckey] = [
                     mask for mask in _fitting(tables, prune, avail)
                     if _representative(classes, mask, avail, s)]
-        else:
-            cands = fitting.get(avail)
-            if cands is None:
-                cands = fitting[avail] = _fitting(tables, prune, avail)
+            return cands
+        cands = fitting.get(avail)
+        if cands is None:
+            cands = fitting[avail] = _fitting(tables, prune, avail)
+        return cands
+
+    def leaf(s: int, f: int, key: int) -> float:  # a round-T state
+        best = -1.0
+        for mask in actions(s, f):
+            if commit and (mask & s) != s:
+                continue
+            unknown = mask & ~s
+            sp = sums.get(unknown)
+            if sp is None:
+                sp = sums[unknown] = _prob_sum(p, unknown)
+            v = (mask & s).bit_count() + sp
+            if v > best:
+                best = v
+        if best < 0.0:
+            raise ValueError(_NO_ACTION)
+        v = values[key] = weights[-1] * best
+        return v
+
+    def solve(s: int, f: int, t: int, real: bool = False):
+        cands = actions(s, f, real)
         w_t = weights[t - 1]
         last = t == rounds
+        to_leaf = t + 1 == rounds
         child_round = (t + 1) << (2 * m)
         best_v = -1.0
         best_a = 0
@@ -314,35 +355,34 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, partial]:
             if not last and classes:
                 for r, q, pr in outs:
                     cs, cf = canonical(classes, s | r, f | q)
-                    child = values.get(child_round | (cs << m) | cf)
+                    key = child_round | (cs << m) | cf
+                    child = values.get(key)
                     if child is None:
-                        child = solve(cs, cf, t + 1)
+                        child = leaf(cs, cf, key) if to_leaf else solve(cs, cf, t + 1)
                     v += pr * child
             elif not last:
                 for r, q, pr in outs:
-                    child = values.get(child_round | ((s | r) << m) | f | q)
+                    key = child_round | ((s | r) << m) | f | q
+                    child = values.get(key)
                     if child is None:
-                        child = solve(s | r, f | q, t + 1)
+                        child = leaf(s | r, f | q, key) if to_leaf else solve(s | r, f | q, t + 1)
                     v += pr * child
             if v > best_v or (real and v == best_v and lex_less(mask, best_a)):
                 best_v = v
                 best_a = mask
         if best_v < 0.0:
-            raise ValueError("no feasible action; committed successes exceed capacity")
+            raise ValueError(_NO_ACTION)
         if real:
             return best_a
         values[(t << (2 * m)) | (s << m) | f] = best_v
         return best_v
 
     try:
-        root = solve(0, 0, 1)
+        root = leaf(0, 0, 1 << (2 * m)) if rounds == 1 else solve(0, 0, 1)
         action = partial(solve, real=True)
     finally:
         # The closure refers to itself through its cell; break that cycle
         # so the tables are freed by reference counting, not a GC pass.
         # ``action`` never recurses: every child of a solved state is stored.
         solve = None
-        fitting.clear()
-        candidates.clear()
-        outcomes.clear()
     return root, values, action

@@ -48,6 +48,17 @@ def _cases() -> dict[str, list[str]]:
     cases["opt-ds9"] = ["opt", "--family", "double-star", "--n", "9", "--eps", "0.1"]
     cases["simulate-opt-ds6"] = ["simulate", *ds6, "--policy", "opt", "--trials", "50",
                                  "--seed", "11"]
+    # short horizons without edge classes: the last round holds most states
+    cap7 = ["--family", "random", "--profile", "cap-small", "--gen-seed", "7"]
+    for flags in ([], ["--commit"], ["--exhaustive"]):
+        cases["-".join(["opt-cap-small-7"] + [f.removeprefix("--") for f in flags])] = [
+            "opt", *cap7, *flags]
+    for name in ("weighted-rounds", "weighted-rounds-last-zero", "one-round"):
+        cases[f"opt-{name}"] = ["opt", "--instance", str(GOLDEN / f"{name}-instance.json")]
+    cases["opt-weighted-rounds-commit"] = [*cases["opt-weighted-rounds"], "--commit"]
+    # one round with edge classes: the root is the only scored state
+    cases["opt-k33-rounds-1"] = ["opt", "--family", "complete-bipartite", "--n", "3",
+                                 "--p", "0.4", "--rounds", "1"]
     # 36 edges: every round is an exact matching, past the kernel's scan
     cases["simulate-greedy-commit-k66"] = [
         "simulate", "--family", "complete-bipartite", "--n", "6", "--p", "0.3",

@@ -1,5 +1,6 @@
 import gc
 import time
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -17,7 +18,7 @@ from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
                                 gen_complete_bipartite, gen_double_star, gen_random,
                                 gen_separation)
 from rematch.model import (Edge, Hypergraph, Instance, KnowledgeState, ManyToOne,
-                           SampleGraph, Vertex, build_tables, enumerate_samples,
+                           SampleGraph, Tables, Vertex, build_tables, enumerate_samples,
                            mask_to_set, sample)
 from rematch.policies import (DP_ROUNDS_LIMIT, DP_STATES_LIMIT, _gc_trace_large, _kuhn_size,
                               _unit_bipartite_ends, build_dp, follower_masks,
@@ -261,8 +262,9 @@ def test_orbit_replay_matches_reference_replay():
 def test_orbit_solve_evaluates_representative_actions_only():
     # ds3: hub edge 0, left spokes 1-2, right spokes 3-4.  The pair {1, 3}
     # stands for {1, 4}, {2, 3} and {2, 4} at the root, so those are never
-    # scored there; {2, 4} comes up only after {1, 3} has failed.
-    tables = build_tables(gen_double_star(3, 0.1))
+    # scored there; {2, 4} comes up only after {1, 3} has failed.  Fresh
+    # tables: an earlier solve of the cached ones would leave its memos.
+    tables = Tables(gen_double_star(3, 0.1))
     tables.build_enumeration()
     scored = []
     real_outcome_table = kernels._outcome_table
@@ -278,6 +280,69 @@ def test_orbit_solve_evaluates_representative_actions_only():
         kernels._outcome_table = real_outcome_table
     masks = [(), (0,), (2,), (4,), (1, 3), (2, 4)]
     assert sorted(scored) == sorted(sum(1 << e for e in ids) for ids in masks)
+
+
+_DP_MODES = [(False, False), (False, True), (True, False), (True, True)]
+
+
+def _reweighted(inst, weights):
+    return Instance(inst.vertices, inst.edges, len(weights), weights, inst.structure)
+
+
+def test_reused_memos_leave_every_solve_unchanged():
+    # every (commit, prune) solve of one Tables, in two orders back to back:
+    # later solves read the memos of earlier ones, and each still gives the
+    # reference root, the value table of a solve on fresh tables (the
+    # reference's own, without classes) and the reference actions
+    bases = [gen_random(profile, sub_seed(77, i))
+             for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small")
+             for i in range(3)]
+    bases += [_relabel(gen_double_star(4, 0.1), 1), STAR_CAP2]
+    assert build_tables(bases[-2]).classes and build_tables(STAR_CAP2).classes
+    instances = bases + [_reweighted(inst, weights)
+                         for inst in (bases[3], bases[9], bases[-2], STAR_CAP2)
+                         for weights in ((0.7, 0.3, 0.1), (1.0, 0.0, 0.0),
+                                         (0.1, 1e-300, 3.0), (0.3,))]
+    for k, inst in enumerate(instances):
+        tables = build_tables(inst)
+        tables.build_enumeration()
+        m = tables.m
+        want = {}
+        for commit, prune in _DP_MODES:
+            fresh = Tables(inst)
+            fresh.build_enumeration()
+            want[commit, prune] = (reference_dp_solve(tables, commit, prune),
+                                   list(kernels.dp_solve(fresh, commit, prune)[1].items()))
+        hits = kernels._memos.cache_info().hits
+        for commit, prune in _DP_MODES + _DP_MODES[::-1]:
+            (want_root, want_values, want_actions), fresh_items = want[commit, prune]
+            root, values, action = kernels.dp_solve(tables, commit, prune)
+            label = (k, commit, prune)
+            assert root == want_root, label
+            assert list(values.items()) == fresh_items, label
+            if not tables.classes:
+                assert fresh_items == list(want_values.items()), label
+            for key, mask in want_actions.items():
+                s, f = (key >> m) & tables.all_mask, key & tables.all_mask
+                assert action(s, f, key >> (2 * m)) == mask, (label, key)
+        assert kernels._memos.cache_info().hits == hits + 7, k
+
+
+def test_dp_memos_hold_only_the_tables_solved_last():
+    # the memo slot keeps one Tables alive, not every table build_tables caches
+    class WeakTables(Tables):
+        __slots__ = ("__weakref__",)
+
+    tables = WeakTables(gen_random("cap-small", 7))
+    tables.build_enumeration()
+    result = kernels.dp_solve(tables, False, True)
+    ref = weakref.ref(tables)
+    del tables, result
+    assert ref() is not None
+    other = build_tables(STAR_CAP2)
+    other.build_enumeration()
+    kernels.dp_solve(other, False, True)
+    assert ref() is None
 
 
 def test_representative_actions_take_the_lowest_ids_of_each_part():
