@@ -475,8 +475,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     # and solves no DP; then the scaled probabilities: prob = num / 2^K exactly
     check_samples_limit(instance.num_edges)
     check_dp_limits(instance)
-    reals, probs = zip(*((smp.mask, prob) for smp, prob in enumerate_samples(instance)
-                         if prob > 0.0))
+    reals, probs = zip(*[sample for sample in enumerate_samples(instance, masks=True)
+                         if sample[1] > 0.0])
     nums, K = dyadic(probs)
 
     tables = build_tables(instance)

@@ -17,30 +17,44 @@ Conventions shared by the kernels:
   later round would repeat it: the kernel fills the remaining rounds
   with that selection and stops.
 
-``dp_solve`` memoizes two kinds of list.  The feasible selections that
-fit an available set (and, with pruning, are maximal in it) are listed
-once per distinct available mask from the index of ``model.Tables``:
-starting from every feasible index, clear the ``holds`` row of each
-edge outside the set and, with pruning, the ``extends`` row of each
-edge inside it, then read the surviving indices in ascending order, a
-byte at a time.  That is feasible-index order, the order of a scan of
-the whole list; only the commit filter depends on the state.  The
-probability sum of an unknown set and its nonzero outcomes, each with
-the product taken bit by bit upward, are computed once per distinct
-unknown mask.  These memos depend on the tables alone, so one
-module-level slot keeps them for the tables solved last, for its next
-solve (the other commit mode) and replay's real-state calls.  One slot,
-because ``build_tables`` caches thousands of tables.
+``dp_solve`` memoizes two kinds of list.  At every state the solve or
+replay reaches, the known successes were drawn from edges of positive
+probability that have not failed, so the available set is
+``posp & ~f``: it is a function of the failed set ``f`` alone.  The
+feasible selections that fit it (and, with pruning, are maximal in it)
+are listed once per distinct failed mask from the index of
+``model.Tables``: starting from every feasible index, clear the
+``holds`` row of each edge outside the set and, with pruning, the
+``extends`` row of each edge inside it, then read the surviving indices
+in ascending order, a byte at a time.  That is feasible-index order,
+the order of a scan of the whole list; only the commit filter depends
+on the successes.  The probability sum of an unknown set and its
+nonzero outcomes, each with the product taken bit by bit upward, are
+computed once per distinct unknown mask.  These memos depend on the
+tables alone, so one module-level slot keeps them for the tables solved
+last, for its next solve (the other commit mode) and replay's
+real-state calls.  One slot, because ``build_tables`` caches thousands
+of tables.
 A state's value still adds its actions' outcomes in the same
 descending-submask order, and its children are solved depth first in
 that order, so the values and the insertion order of the value table
 are those of a solve that recomputes everything per state.
 
+Per action, one AND gives ``hit = mask & s``: the commit test is
+``hit == s``, the unknown set ``mask ^ hit`` and the reselected count
+``hit.bit_count()``.  Without edge classes each memoized outcome carries
+its packed child bits ``rq = (r << m) | q``; the unknown set misses both
+``s`` and ``f``, so a child's key is ``base | rq``, with ``base`` the
+child round, ``s`` and ``f`` packed once per state.
+
 The last round is a leaf: its children are worth 0.0, so a round-T
 state is worth w_T times the max over its actions of the reselected
 successes plus the probability sum of the new edges.  As w_T >= 0 and
 rounding is monotone, max fl(w_T * x) = fl(w_T * max x): the leaf
-multiplies once, reads the sums alone and lists no outcomes.  It stores
+multiplies once, reads the sums alone and lists no outcomes.  Its loop
+is split by mode.  With ``commit`` every action reselects all of ``s``
+and its unknown set is ``mask ^ s``, so by the same monotonicity the
+leaf takes the max of the sums alone and adds ``|s|`` once.  It stores
 its value when the general loop would, so the insertion order holds.
 
 One loop scores the actions of a state, and it serves both the values
@@ -62,13 +76,13 @@ see ``model.Tables``), ``dp_solve`` works on orbits of knowledge states:
   unknown edges.  This is a popcount and a prefix mask per class.  The
   value table holds only these representatives.
 * *Representative actions.*  The candidate list is keyed on the
-  available set and the known successes, and keeps an action only if,
+  failed set and the known successes, and keeps an action only if,
   within each class, the successes it picks and the unknown edges it
   picks are the lowest ids of their part.  Any other action maps onto a
   representative by swaps that fix the state and scores the same, so
   scoring representatives only preserves the max.
 * *Real states.*  In the real-state mode the candidates are all the
-  fitting actions, keyed by the available set alone, and each child's
+  fitting actions, keyed by the failed set alone, and each child's
   value is read at its canonical key.
 
 Why the values stay bitwise: a swap inside a class maps the unknown
@@ -143,34 +157,40 @@ def sm_trace(tables, real: int) -> list[int]:
 def gc_trace(tables, real: int) -> list[int]:
     """Greedy-commit: per round, the max-expected-weight augmentation of the
     committed successes, tie-broken toward the lexicographically smallest set.
-    The expected weights are summed exactly, on ``tables.pint``."""
+
+    The candidates come from the ``holds`` index: the selections that hold
+    every committed edge and no edge outside the pool or the committed set.
+    They share the committed edges, so their exact weights (int sums on
+    ``tables.pint``) rank them as the weights of their augmentations would."""
     rounds = len(tables.weights)
-    p = tables.pint
     feas = tables.feas
-    posp = tables.posp_mask
-    all_mask = tables.all_mask
+    holds = tables.holds
+    weight = _feas_weights(tables)
+    unusable = tables.all_mask & ~tables.posp_mask
+    every = (1 << len(feas)) - 1
     committed = 0
     failed = 0
     sels = []
     for _ in range(rounds):
-        pool = all_mask & ~(committed | failed) & posp
+        keep = every
+        x = committed
+        while x:
+            low = x & -x
+            keep &= holds[low.bit_length() - 1]
+            x ^= low
+        drop = 0
+        x = unusable | failed  # every edge outside the pool and the committed set
+        while x:
+            low = x & -x
+            drop |= holds[low.bit_length() - 1]
+            x ^= low
         best_w = -1
         best_new = 0
-        for mask in feas:
-            if (mask & committed) != committed:
-                continue
-            new = mask & ~committed
-            if new & ~pool:
-                continue
-            w = 0
-            x = new
-            while x:
-                low = x & -x
-                w += p[low.bit_length() - 1]
-                x ^= low
-            if w > best_w or (w == best_w and lex_less(new, best_new)):
+        for i in _survivors(keep & ~drop):
+            w = weight[i]
+            if w > best_w or (w == best_w and lex_less(feas[i] ^ committed, best_new)):
                 best_w = w
-                best_new = new
+                best_new = feas[i] ^ committed
         sels.append(committed | best_new)
         if not best_new:
             sels += sels[-1:] * (rounds - len(sels))
@@ -178,6 +198,19 @@ def gc_trace(tables, real: int) -> list[int]:
         committed |= best_new & real
         failed |= best_new & ~real
     return sels
+
+
+@lru_cache(maxsize=1)
+def _feas_weights(tables) -> list[int]:
+    # per listed selection feas[i], the exact int sum of its pint: each one
+    # adds its highest edge to a selection listed before it.  One slot, for
+    # the tables traced last, as greedy-commit traces one instance at a time
+    pint = tables.pint
+    weight = {0: 0}
+    for mask in tables.feas[1:]:
+        top = mask.bit_length() - 1
+        weight[mask] = weight[mask ^ (1 << top)] + pint[top]
+    return list(weight.values())
 
 
 def canonical(classes, s: int, f: int) -> tuple[int, int]:
@@ -232,9 +265,13 @@ def _fitting(tables, prune: bool, avail: int) -> list[int]:
             drop |= extends[low.bit_length() - 1]
             x ^= low
     feas = tables.feas
-    keep = ((1 << len(feas)) - 1) & ~drop
+    return [feas[i] for i in _survivors(((1 << len(feas)) - 1) & ~drop)]
+
+
+def _survivors(keep: int) -> list[int]:
+    # the set bits of keep in ascending order, read a byte at a time
     data = keep.to_bytes((keep.bit_length() + 7) >> 3, "little")
-    return [feas[i << 3 | k] for i, byte in enumerate(data) if byte for k in _BITS[byte]]
+    return [i << 3 | k for i, byte in enumerate(data) if byte for k in _BITS[byte]]
 
 
 def _prob_sum(p, unknown: int) -> float:
@@ -295,63 +332,87 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, partial]:
     all_mask = tables.all_mask
     classes = tables.classes
     values: dict[int, float] = {}
-    # per prune, the actions fitting an available set and the representative
-    # ones per available set and known successes (edge classes); per unknown
-    # set, its (success, failure, probability) outcomes with their sum
-    # (``outcomes``), and the sum alone for the leaves (``sums``)
+    # per prune, the actions fitting a failed set and the representative
+    # ones per failed set and known successes (edge classes); per unknown
+    # set, its outcomes with their sum (``outcomes``), and the sum alone for
+    # the leaves (``sums``)
     fittings, candidate_lists, outcomes, sums = _memos(tables)
     fitting = fittings[prune]
     candidates = candidate_lists[prune]
 
-    def actions(s: int, f: int, real: bool = False) -> list[int]:
-        avail = ((all_mask & ~(s | f)) & posp) | s
-        if classes and not real:
-            ckey = (s << m) | avail
-            cands = candidates.get(ckey)
-            if cands is None:
-                cands = candidates[ckey] = [
-                    mask for mask in _fitting(tables, prune, avail)
-                    if _representative(classes, mask, avail, s)]
-            return cands
-        cands = fitting.get(avail)
+    def representatives(s: int, f: int) -> list[int]:
+        ckey = (s << m) | f
+        cands = candidates.get(ckey)
         if cands is None:
-            cands = fitting[avail] = _fitting(tables, prune, avail)
+            avail = posp & ~f
+            cands = candidates[ckey] = [
+                mask for mask in _fitting(tables, prune, avail)
+                if _representative(classes, mask, avail, s)]
         return cands
 
     def leaf(s: int, f: int, key: int) -> float:  # a round-T state
+        if classes:
+            cands = representatives(s, f)
+        else:
+            cands = fitting.get(f)
+            if cands is None:
+                cands = fitting[f] = _fitting(tables, prune, posp & ~f)
         best = -1.0
-        for mask in actions(s, f):
-            if commit and (mask & s) != s:
-                continue
-            unknown = mask & ~s
-            sp = sums.get(unknown)
-            if sp is None:
-                sp = sums[unknown] = _prob_sum(p, unknown)
-            v = (mask & s).bit_count() + sp
-            if v > best:
-                best = v
+        if commit:  # every action reselects all of s: max the sums alone
+            for mask in cands:
+                if (mask & s) == s:
+                    unknown = mask ^ s
+                    try:
+                        sp = sums[unknown]
+                    except KeyError:
+                        sp = sums[unknown] = _prob_sum(p, unknown)
+                    if sp > best:
+                        best = sp
+            if best >= 0.0:
+                best += s.bit_count()
+        else:
+            for mask in cands:
+                hit = mask & s
+                unknown = mask ^ hit
+                try:
+                    sp = sums[unknown]
+                except KeyError:
+                    sp = sums[unknown] = _prob_sum(p, unknown)
+                v = hit.bit_count() + sp
+                if v > best:
+                    best = v
         if best < 0.0:
             raise ValueError(_NO_ACTION)
         v = values[key] = weights[-1] * best
         return v
 
     def solve(s: int, f: int, t: int, real: bool = False):
-        cands = actions(s, f, real)
+        if classes and not real:
+            cands = representatives(s, f)
+        else:
+            cands = fitting.get(f)
+            if cands is None:
+                cands = fitting[f] = _fitting(tables, prune, posp & ~f)
         w_t = weights[t - 1]
         last = t == rounds
         to_leaf = t + 1 == rounds
         child_round = (t + 1) << (2 * m)
+        base = child_round | (s << m) | f
         best_v = -1.0
         best_a = 0
         for mask in cands:
-            if commit and (mask & s) != s:
+            hit = mask & s
+            if commit and hit != s:
                 continue
-            unknown = mask & ~s
-            entry = outcomes.get(unknown)
-            if entry is None:
-                entry = outcomes[unknown] = _outcome_table(p, unknown)
-            sp, outs = entry
-            v = w_t * ((mask & s).bit_count() + sp)
+            unknown = mask ^ hit
+            try:
+                sp, outs = outcomes[unknown]
+            except KeyError:
+                sp, outs = _outcome_table(p, unknown)
+                if not classes:  # child key = base | (r << m | q)
+                    outs = [((r << m) | q, pr) for r, q, pr in outs]
+                outcomes[unknown] = sp, outs
+            v = w_t * (hit.bit_count() + sp)
             if not last and classes:
                 for r, q, pr in outs:
                     cs, cf = canonical(classes, s | r, f | q)
@@ -361,11 +422,12 @@ def dp_solve(tables, commit: bool, prune: bool) -> tuple[float, dict, partial]:
                         child = leaf(cs, cf, key) if to_leaf else solve(cs, cf, t + 1)
                     v += pr * child
             elif not last:
-                for r, q, pr in outs:
-                    key = child_round | ((s | r) << m) | f | q
+                for rq, pr in outs:
+                    key = base | rq
                     child = values.get(key)
                     if child is None:
-                        child = leaf(s | r, f | q, key) if to_leaf else solve(s | r, f | q, t + 1)
+                        cs, cf = (key >> m) & all_mask, key & all_mask
+                        child = leaf(cs, cf, key) if to_leaf else solve(cs, cf, t + 1)
                     v += pr * child
             if v > best_v or (real and v == best_v and lex_less(mask, best_a)):
                 best_v = v

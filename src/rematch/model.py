@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LimitExceededError, UnknownEdgeError, ValidationError
@@ -431,20 +431,38 @@ def sample(instance: Instance, seed: int) -> SampleGraph:
     return SampleGraph(len(instance.edges), draw_mask(instance._edge_lanes(), seed))
 
 
-def enumerate_samples(instance: Instance) -> Iterator[tuple[SampleGraph, float]]:
-    """Yield all 2^m sample graphs with their probabilities (summing to 1).
+def sample_probabilities(ps: Sequence[float]) -> list[float]:
+    """The probability of every sample mask over edges with probabilities
+    ``ps``, indexed by the mask: the float product of its factors, p_e for
+    a realized edge and 1 - p_e otherwise, taken from edge 0 upward.
 
-    Zero-probability realizations are yielded with weight 0.0 so callers
-    can rely on seeing every mask exactly once, in ascending mask order.
+    The products are built edge by edge as prefixes: after edge e the list
+    holds every mask of edges 0..e, those without e first, so each product
+    is rounded at the same factors as a per-mask loop.
+    """
+    probs = [1.0]
+    for p in ps:
+        q = 1.0 - p
+        probs = [x * q for x in probs] + [x * p for x in probs]
+    return probs
+
+
+def enumerate_samples(instance: Instance, masks: bool = False
+                      ) -> Iterator[tuple[SampleGraph | int, float]]:
+    """Iterate over all 2^m sample graphs with their probabilities (summing
+    to 1), from :func:`sample_probabilities`, in ascending mask order.
+
+    Zero-probability realizations come with weight 0.0 so callers can rely
+    on seeing every mask exactly once.  The limit is checked at the call,
+    before anything is listed.  With ``masks`` each sample is its mask and
+    no ``SampleGraph`` is built (the exact pass reads samples so).
     """
     m = instance.num_edges
     check_samples_limit(m)
-    ps = [e.p for e in instance.edges]
-    for mask in range(1 << m):
-        prob = 1.0
-        for i, p in enumerate(ps):
-            prob *= p if mask >> i & 1 else 1.0 - p
-        yield SampleGraph(m, mask), prob
+    probs = sample_probabilities([e.p for e in instance.edges])
+    if masks:
+        return enumerate(probs)
+    return zip(map(partial(SampleGraph, m), range(1 << m)), probs)
 
 
 def feasible(instance: Instance, selection) -> bool:
@@ -526,7 +544,8 @@ class Tables:
     is the set of edges outside ``feas[i]`` with no saturated endpoint
     (the edges that extend it).  The DP finds the selections that fit an
     available set by clearing rows of this index instead of scanning the
-    list (``kernels._fitting``).
+    list (``kernels._fitting``), and greedy-commit its candidates by
+    combining rows (``kernels.gc_trace``).
     """
 
     __slots__ = ("instance", "m", "n", "p", "pint", "all_mask", "posp_mask", "vmask",
@@ -626,6 +645,7 @@ class Tables:
         rows = _transpose((mask | (all_mask & ~(mask | b)) << m
                            for mask, b in zip(feas, blocked)), 2 * m)
         self.holds, self.extends = rows[:m], rows[m:]
+
 
 
 @lru_cache(maxsize=2048)

@@ -57,7 +57,8 @@ def run_sm(instance: Instance, sample: SampleGraph) -> Trace:
 def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
     """Committed successes plus a max-expected-weight augmentation each round,
     ties broken toward the lexicographically smallest, on exact sums.  Up to
-    16 edges the kernel scans the listed selections; beyond, each round
+    16 edges the kernel ranks the listed selections that fit the round,
+    read from their per-edge index; beyond, each round
     solves the exact matching of :func:`max_weight_matching` on the
     probabilities made ints once.  Both pick the same augmentation."""
     if isinstance(instance.structure, Hypergraph):

@@ -6,9 +6,12 @@ feasibility goes through the public checker, and the policy-value
 oracle recurses over raw histories with no memoization, no action
 pruning and no bitmask machinery.
 
-The loops at the end are the exception.  The first is the sampler as
-first written, one ``uniform01`` draw per edge; the lane draw of
-``model.sample`` must give the same masks, bit for bit.  The next is
+The loops at the end are the exception.  The first are the sample
+probabilities as first written, one product per mask; the prefix
+products of ``model.sample_probabilities`` must give the same floats,
+bit for bit.  Then the sampler as first written, one ``uniform01`` draw
+per edge; the lane draw of ``model.sample`` must give the same masks,
+bit for bit.  The next is
 the feasible selection table as first written, a scan of all 2^m
 masks; the listing by extension must give the same lists, bit for bit.
 After it come the DP's fitting selections as first found, a scan of
@@ -124,6 +127,23 @@ def expectation(inst: Instance, statistic) -> float:
         if prob > 0.0:
             total += prob * statistic(smp)
     return total
+
+
+# ---------------------------------------------------------------------
+# reference sample probabilities: one product per mask
+
+
+def sample_probabilities_loop(inst: Instance) -> list[float]:
+    """Every sample mask's probability, indexed by the mask: one product
+    per mask over the edges in id order, p_e if realized, else 1 - p_e."""
+    ps = [e.p for e in inst.edges]
+    probs = []
+    for mask in range(1 << len(ps)):
+        prob = 1.0
+        for i, p in enumerate(ps):
+            prob *= p if mask >> i & 1 else 1.0 - p
+        probs.append(prob)
+    return probs
 
 
 # ---------------------------------------------------------------------

@@ -363,7 +363,7 @@ def test_exact_pass_runs_the_policies_once_per_footprint_class(monkeypatch):
 def test_exact_pass_checks_the_dp_limits_before_listing_samples(monkeypatch):
     # K_{4,4} at p = 0.5: 2^16 samples are within the enumeration limit, but
     # its 3^16 orbit states are not within the DP's
-    def listed(instance):
+    def listed(instance, masks=False):
         raise AssertionError("samples listed for an instance the DP refuses")
     monkeypatch.setattr(coupling, "enumerate_samples", listed)
     with pytest.raises(LimitExceededError, match="orbit states"):

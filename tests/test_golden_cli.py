@@ -59,9 +59,13 @@ def _cases() -> dict[str, list[str]]:
     # one round with edge classes: the root is the only scored state
     cases["opt-k33-rounds-1"] = ["opt", "--family", "complete-bipartite", "--n", "3",
                                  "--p", "0.4", "--rounds", "1"]
-    # 36 edges: every round is an exact matching, past the kernel's scan
+    # 36 edges: every round is an exact matching, past the kernel's scan;
+    # 16 edges at p 0.5: the kernel at the top of its range, with many ties
     cases["simulate-greedy-commit-k66"] = [
         "simulate", "--family", "complete-bipartite", "--n", "6", "--p", "0.3",
+        "--rounds", "3", "--policy", "greedy-commit", "--trials", "200", "--seed", "11"]
+    cases["simulate-greedy-commit-k44"] = [
+        "simulate", "--family", "complete-bipartite", "--n", "4", "--p", "0.5",
         "--rounds", "3", "--policy", "greedy-commit", "--trials", "200", "--seed", "11"]
     for variant in ("sm", "gc"):
         cases[f"lp-{variant}"] = ["lp", "--t", "6", "--variant", variant,

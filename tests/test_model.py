@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from oracles import (expectation, ext_of, feasible_selections_scan, fitting_scan, sample_loop,
-                     tables_loop)
+                     sample_probabilities_loop, tables_loop)
 from rematch import kernels, suites
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
 from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
@@ -16,7 +16,8 @@ from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
                                 gen_separation)
 from rematch.model import (ROUNDS_LIMIT, Edge, Hypergraph, Instance, KnowledgeState,
                            ManyToOne, SampleGraph, Tables, Trace, Vertex,
-                           enumerate_samples, feasible, sample, weighted_reward)
+                           enumerate_samples, feasible, sample, sample_probabilities,
+                           weighted_reward)
 from rematch.montecarlo import monte_carlo
 from rematch.policies import (PolicyId, build_dp, run_alternating_scan, run_greedy_commit,
                                run_opt, run_opt_follower, run_sm)
@@ -177,6 +178,23 @@ def test_enumerate_probabilities_sum_to_one():
     edges = [(i, i + 1, 0.1 + 0.08 * i) for i in range(10)]
     inst = make_instance(edges)
     assert math.isclose(sum(p for _, p in enumerate_samples(inst)), 1.0, abs_tol=1e-12)
+
+
+def test_sample_probabilities_match_the_per_factor_loop():
+    # the prefix products are the per-mask products bit for bit, and both
+    # forms of enumerate_samples list them in mask order
+    instances = [inst for profile in suites.SUITES for inst in suites._suite_instances(profile)]
+    instances += [gen_double_star(n, 0.1) for n in range(2, 9)]
+    instances += [gen_complete_bipartite(3, 0.3),
+                  make_instance([(0, 1, 1.0), (1, 2, 0.0), (2, 3, 0.3), (3, 4, 1.0), (4, 5, 0.0)])]
+    for k, inst in enumerate(instances):
+        want = sample_probabilities_loop(inst)
+        got = sample_probabilities([e.p for e in inst.edges])
+        assert [x.hex() for x in got] == [x.hex() for x in want], k
+        assert list(enumerate_samples(inst, masks=True)) == list(enumerate(want)), k
+        if inst.num_edges <= 12:
+            assert [(smp.mask, prob) for smp, prob in enumerate_samples(inst)] == list(
+                enumerate(want)), k
 
 
 def test_enumerate_limit():

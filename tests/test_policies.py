@@ -26,6 +26,7 @@ from rematch.policies import (DP_ROUNDS_LIMIT, DP_STATES_LIMIT, _gc_trace_large,
                               run_greedy_commit, run_opt, run_opt_follower, run_sm)
 from rematch.rng import CounterRng, sub_seed
 from rematch.suites import _suite_instances
+from test_model import _small_instances
 
 ONE_EDGE = make_instance([(0, 1, 1.0)], rounds=3)
 
@@ -179,6 +180,37 @@ def test_dp_solve_matches_reference_tables():
                     assert got == want, (k, commit, prune, key)
 
 
+_DP_MODES = [(False, False), (False, True), (True, False), (True, True)]
+_PROBS = (0.0, 0.3, 0.5, 0.7, 1.0)
+_WEIGHTS = (0.0, 0.25, 1.0, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_small_instances(), data=st.data())
+def test_dp_solve_matches_reference_tables_on_drawn_instances(inst, data):
+    # drawn instances cut to 6 edges, with drawn probabilities (0 and 1
+    # among them), rounds and round weights.  The edge classes are cleared,
+    # so the kernel keeps every state: root, value table in insertion order
+    # and actions bit for bit, in all four modes
+    edges = inst.edges[:6]
+    ps = data.draw(st.lists(st.sampled_from(_PROBS), min_size=len(edges), max_size=len(edges)))
+    weights = data.draw(st.lists(st.sampled_from(_WEIGHTS), min_size=1, max_size=3))
+    inst = Instance(inst.vertices, [Edge(e.id, e.endpoints, q) for e, q in zip(edges, ps)],
+                    len(weights), weights, inst.structure)
+    tables = Tables(inst)
+    tables.classes = ()
+    tables.build_enumeration()
+    m = tables.m
+    for commit, prune in _DP_MODES:
+        root, values, action = kernels.dp_solve(tables, commit, prune)
+        want_root, want_values, want_actions = reference_dp_solve(tables, commit, prune)
+        assert root == want_root, (commit, prune)
+        assert list(values.items()) == list(want_values.items()), (commit, prune)
+        for key, want in want_actions.items():
+            s, f = (key >> m) & tables.all_mask, key & tables.all_mask
+            assert action(s, f, key >> (2 * m)) == want, (commit, prune, key)
+
+
 def test_dp_table_stores_no_actions():
     # the solve keeps values only; replay derives the actions it visits
     table = build_dp(gen_double_star(5, 0.1), commit=False)
@@ -280,9 +312,6 @@ def test_orbit_solve_evaluates_representative_actions_only():
         kernels._outcome_table = real_outcome_table
     masks = [(), (0,), (2,), (4,), (1, 3), (2, 4)]
     assert sorted(scored) == sorted(sum(1 << e for e in ids) for ids in masks)
-
-
-_DP_MODES = [(False, False), (False, True), (True, False), (True, True)]
 
 
 def _reweighted(inst, weights):
@@ -783,6 +812,25 @@ def test_greedy_commit_kernels_agree():
 
         reals = [smp.mask for smp, prob in enumerate_samples(inst) if prob > 0.0]
         assert len(list(_footprints(both, reals, inst.rounds))) == len(reals)
+
+
+def test_gc_trace_matches_reference_loop_on_k44_and_disjoint_edges():
+    # the candidates read from the holds index and ranked by their whole
+    # weight, against the loop over every listed selection: K4,4 at p 0.3,
+    # and at p 0.5, where matchings of one size tie and the lexicographic
+    # rule decides; 16 disjoint edges of equal p list 2^16 selections
+    for p in (0.3, 0.5):
+        inst = gen_complete_bipartite(4, p, rounds=3)
+        tables = build_tables(inst)
+        tables.build_enumeration()
+        for i in range(60):
+            real = sample(inst, sub_seed(44, i)).mask
+            assert kernels.gc_trace(tables, real) == gc_trace_loop(tables, real), (p, i)
+    disjoint = make_instance([(2 * i, 2 * i + 1, 0.5) for i in range(16)], rounds=2)
+    tables = Tables(disjoint)
+    tables.build_enumeration()
+    for real in (0b1010110011110001, 0):
+        assert kernels.gc_trace(tables, real) == gc_trace_loop(tables, real) == [0xFFFF, real]
 
 
 def test_alternating_scan_matches_reference_loop():
