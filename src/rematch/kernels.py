@@ -1,9 +1,9 @@
 """Trace and value kernels on edge bitmasks.
 
-Every policy run and every DP solve goes through ``sm_trace``,
-``gc_trace`` and ``dp_solve``.  Their floating-point accumulation order
-is part of the contract: tables, traces and seeded outputs depend on it
-bit for bit.  ``gc_trace`` compares exact int sums instead.
+Policy runs (but the closed-form alternating scan) go through ``drive``
+and DP solves through ``dp_solve``.  Their floating-point accumulation
+order is part of the contract: tables, traces and seeded outputs depend
+on it bit for bit.  ``gc_trace`` compares exact int sums instead.
 
 Conventions shared by the kernels:
 
@@ -12,10 +12,12 @@ Conventions shared by the kernels:
 * bit scans run from the lowest set bit upward;
 * outcome submasks of a selection are enumerated descending via
   ``r = (r - 1) & u``;
-* a committing kernel (``sm_trace``, ``gc_trace``) whose round tries no
-  new edge leaves the committed and failed masks unchanged, so every
-  later round would repeat it: the kernel fills the remaining rounds
-  with that selection and stops.
+* a policy is a step ``step(t, s, f)`` on the successes ``s`` and
+  failures ``f`` it has revealed.  ``drive`` alone reads ``real``, on
+  each round's new edges ``sel & ~(s | f)`` only, which the exact pass's
+  footprint index relies on.  A stationary step (sm, gc) is a function
+  of (s, f) alone, so once a round tries no new edge ``drive`` fills the
+  horizon with it; the replay and the follower run every round.
 
 ``dp_solve`` memoizes two kinds of list.  At every state the solve or
 replay reaches, the known successes were drawn from edges of positive
@@ -120,38 +122,47 @@ def lex_less(a: int, b: int) -> bool:
     return (a >> d) == 0
 
 
+def drive(step, rounds: int, real: int, stationary: bool) -> list[int]:
+    """Selection masks of ``rounds`` rounds of ``step(t, s, f)`` against
+    ``real``, (s, f) being what the earlier rounds revealed (see the
+    module docstring on the early stop of a ``stationary`` step)."""
+    s = f = 0
+    sels = []
+    for t in range(1, rounds + 1):
+        sel = step(t, s, f)
+        sels.append(sel)
+        new = sel & ~(s | f)
+        if new:
+            s |= new & real
+            f |= new & ~real
+        elif stationary:
+            sels += [sel] * (rounds - t)
+            break
+    return sels
+
+
 def sm_trace(tables, real: int) -> list[int]:
     """Stable-matching process: greedy by descending probability, committing."""
-    rounds = len(tables.weights)
+    return drive(partial(_sm_step, tables), len(tables.weights), real, True)
+
+
+def _sm_step(tables, t: int, s: int, f: int) -> int:
     p = tables.p
-    order = tables.order
-    ev = tables.ev
     inc = tables.inc
     cap = tables.cap
-    committed = 0
-    failed = 0
-    sels = []
-    for _ in range(rounds):
-        new = 0
-        tried = committed | failed
-        for e in order:
-            if (tried >> e) & 1 or p[e] <= 0.0:
-                continue
-            base = committed | new
-            fits = True
-            for v in ev[e]:
-                if (base & inc[v]).bit_count() >= cap[v]:
-                    fits = False
-                    break
-            if fits:
-                new |= 1 << e
-        sels.append(committed | new)
-        if not new:
-            sels += sels[-1:] * (rounds - len(sels))
-            break
-        committed |= new & real
-        failed |= new & ~real
-    return sels
+    ev = tables.ev
+    new = 0
+    tried = s | f
+    for e in tables.order:
+        if (tried >> e) & 1 or p[e] <= 0.0:
+            continue
+        base = s | new
+        for v in ev[e]:
+            if (base & inc[v]).bit_count() >= cap[v]:
+                break
+        else:
+            new |= 1 << e
+    return s | new
 
 
 def gc_trace(tables, real: int) -> list[int]:
@@ -162,42 +173,33 @@ def gc_trace(tables, real: int) -> list[int]:
     every committed edge and no edge outside the pool or the committed set.
     They share the committed edges, so their exact weights (int sums on
     ``tables.pint``) rank them as the weights of their augmentations would."""
-    rounds = len(tables.weights)
+    return drive(partial(_gc_step, tables, _feas_weights(tables)), len(tables.weights),
+                 real, True)
+
+
+def _gc_step(tables, weight: list[int], t: int, s: int, f: int) -> int:
     feas = tables.feas
     holds = tables.holds
-    weight = _feas_weights(tables)
-    unusable = tables.all_mask & ~tables.posp_mask
-    every = (1 << len(feas)) - 1
-    committed = 0
-    failed = 0
-    sels = []
-    for _ in range(rounds):
-        keep = every
-        x = committed
-        while x:
-            low = x & -x
-            keep &= holds[low.bit_length() - 1]
-            x ^= low
-        drop = 0
-        x = unusable | failed  # every edge outside the pool and the committed set
-        while x:
-            low = x & -x
-            drop |= holds[low.bit_length() - 1]
-            x ^= low
-        best_w = -1
-        best_new = 0
-        for i in _survivors(keep & ~drop):
-            w = weight[i]
-            if w > best_w or (w == best_w and lex_less(feas[i] ^ committed, best_new)):
-                best_w = w
-                best_new = feas[i] ^ committed
-        sels.append(committed | best_new)
-        if not best_new:
-            sels += sels[-1:] * (rounds - len(sels))
-            break
-        committed |= best_new & real
-        failed |= best_new & ~real
-    return sels
+    keep = (1 << len(feas)) - 1
+    x = s
+    while x:
+        low = x & -x
+        keep &= holds[low.bit_length() - 1]
+        x ^= low
+    drop = 0
+    x = (tables.all_mask & ~tables.posp_mask) | f  # every edge outside the pool and s
+    while x:
+        low = x & -x
+        drop |= holds[low.bit_length() - 1]
+        x ^= low
+    best_w = -1
+    best_new = 0
+    for i in _survivors(keep & ~drop):
+        w = weight[i]
+        if w > best_w or (w == best_w and lex_less(feas[i] ^ s, best_new)):
+            best_w = w
+            best_new = feas[i] ^ s
+    return s | best_new
 
 
 @lru_cache(maxsize=1)

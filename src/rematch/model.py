@@ -283,12 +283,16 @@ class Instance:
 class SampleGraph:
     """One realization of every edge; nature's hidden draw.
 
-    ``mask`` is the stored form (bit e set iff edge e is realized);
-    ``realized`` is a per-edge tuple-of-bools view built on access.
+    ``mask`` is the stored form (bit e set iff edge e < ``num_edges`` is
+    realized); ``realized`` is a per-edge tuple-of-bools view built on access.
     """
 
     num_edges: int
     mask: int
+
+    def __post_init__(self):
+        if self.mask < 0 or self.mask >> self.num_edges:
+            raise ValidationError(f"sample mask {self.mask} is not a subset of {self.num_edges} edges")
 
     @property
     def realized(self) -> tuple[bool, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from . import kernels
@@ -76,32 +76,24 @@ def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
 def _gc_trace_large(instance: Instance, real: int) -> list[int]:
     # beyond the enumeration limit: per-round exact matching on the residual,
     # with the probabilities made exact ints once
-    committed: set[int] = set()
-    failed: set[int] = set()
     caps = {v.id: v.capacity for v in instance.vertices}
-    pints, _ = dyadic(e.p for e in instance.edges)
-    sides = _bipartite_sides(instance)
-    sels = []
-    for _ in range(instance.rounds):
-        residual = dict(caps)
-        for e in committed:
-            for v in instance.edges[e].endpoints:
-                residual[v] -= 1
-        weights = {e: w for e, w in enumerate(pints)
-                   if w and e not in committed and e not in failed}
-        picked = _max_weight(instance, weights, residual, sides)
-        sel = committed | set(picked)
-        sels.append(sum(1 << e for e in sel))
-        if not picked:
-            # nothing new tried: every later round repeats this one
-            sels += sels[-1:] * (instance.rounds - len(sels))
-            break
-        for e in picked:
-            if real >> e & 1:
-                committed.add(e)
-            else:
-                failed.add(e)
-    return sels
+    step = partial(_gc_large_step, instance, caps, dyadic(e.p for e in instance.edges)[0],
+                   _bipartite_sides(instance))
+    return kernels.drive(step, instance.rounds, real, True)
+
+
+def _gc_large_step(instance: Instance, caps: dict[int, int], pints: list[int], sides,
+                   t: int, s: int, f: int) -> int:
+    residual = dict(caps)
+    x = s
+    while x:
+        low = x & -x
+        for v in instance.edges[low.bit_length() - 1].endpoints:
+            residual[v] -= 1
+        x ^= low
+    tried = s | f
+    weights = {e: w for e, w in enumerate(pints) if w and not tried >> e & 1}
+    return s | sum(1 << e for e in _max_weight(instance, weights, residual, sides))
 
 
 # ---------------------------------------------------------------------
@@ -175,9 +167,8 @@ class DpValueTable:
         realization ``real`` (the mask of successful edges)."""
         m = self.tables.m
         actions = self._actions
-        s = f = 0
-        sels = []
-        for t in range(1, self.instance.rounds + 1):
+
+        def step(t: int, s: int, f: int) -> int:
             mask = actions.get((t << (2 * m)) | (s << m) | f)
             if mask is None:
                 try:
@@ -186,11 +177,9 @@ class DpValueTable:
                     raise ValidationError(
                         "sample graph reaches a state the table never evaluated "
                         "(inconsistent with an edge of probability 0 or 1)") from None
-            sels.append(mask)
-            unknown = mask & ~s
-            s |= unknown & real
-            f |= unknown & ~real
-        return sels
+            return mask
+        # not stationary: an idle round can precede one that explores
+        return kernels.drive(step, self.instance.rounds, real, False)
 
     def items(self):
         """Yield ((KnowledgeState, round), value) over all memoized states
@@ -277,30 +266,31 @@ def run_opt_follower(instance: Instance, sample: SampleGraph, opt_trace: Trace) 
 def follower_masks(tables: Tables, opt_sels: Sequence[int], real: int) -> list[int]:
     """Opt-follower selections on masks: each round the own successes so far
     plus the companion's newly selected edges vertex-disjoint from them."""
-    vmask = tables.vmask
-    committed = 0
-    committed_verts = 0
+    fresh = []
     seen = 0
-    sels = []
     for opt_sel in opt_sels:
-        fresh = opt_sel & ~seen
+        fresh.append(opt_sel & ~seen)
         seen |= opt_sel
-        add = 0
-        x = fresh
-        while x:
-            low = x & -x
-            if not (vmask[low.bit_length() - 1] & committed_verts):
-                add |= low
-            x ^= low
-        sels.append(committed | add)
-        won = add & real
-        committed |= won
-        y = won
-        while y:
-            low = y & -y
-            committed_verts |= vmask[low.bit_length() - 1]
-            y ^= low
-    return sels
+    return kernels.drive(partial(_follower_step, tables.vmask, fresh), len(fresh), real, False)
+
+
+def _follower_step(vmask: list[int], fresh: list[int], t: int, s: int, f: int) -> int:
+    add = fresh[t - 1]
+    if not add:  # most rounds: no vertex mask of s to build
+        return s
+    verts = 0
+    x = s
+    while x:
+        low = x & -x
+        verts |= vmask[low.bit_length() - 1]
+        x ^= low
+    x = add
+    while x:
+        low = x & -x
+        if vmask[low.bit_length() - 1] & verts:
+            add ^= low
+        x ^= low
+    return s | add
 
 
 # ---------------------------------------------------------------------

@@ -18,10 +18,11 @@ After it come the DP's fitting selections as first found, a scan of
 that whole list, which the per-edge index must reproduce in the same
 order, and the instance masks of ``model.Tables`` built one edge bit at
 a time, which the byte-buffer constructor must reproduce field for
-field.  The round loops are the committing kernels and the alternating
-scan as first written, recomputing every round from scratch, and serve
-as references for the versions that stop once a round can no longer
-change anything.  So is the expectimax DP after them, as first written, which rebuilds every action's candidate
+field.  The round loops are the committing kernels, the opt-follower,
+the DP replay and the alternating scan as first written, each keeping
+its own knowledge state and recomputing every round from scratch; they
+serve as references for the runs of ``kernels.drive`` and for the
+closed-form scan.  So is the expectimax DP after them, as first written, which rebuilds every action's candidate
 filters and outcome products at every state; the kernel must reproduce
 its tables exactly, insertion order included.  So is the Monte Carlo
 reduction, which keeps every trial's counts and computes each mean and
@@ -40,14 +41,14 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from rematch import coupling, kernels, model
+from rematch import coupling, model
 from rematch.errors import SolverError
 from rematch.kernels import lex_less
 from rematch.matching import WeightedSubproblem, max_weight_matching
-from rematch.model import (Hypergraph, Instance, ManyToOne, build_tables, dyadic,
-                           enumerate_samples, feasible, sample)
+from rematch.model import (Hypergraph, Instance, KnowledgeState, ManyToOne, build_tables,
+                           dyadic, enumerate_samples, feasible, sample)
 from rematch.montecarlo import RewardStats, make_runner
-from rematch.policies import PolicyId, build_dp, follower_masks
+from rematch.policies import PolicyId, build_dp
 from rematch.rng import sub_seed, uniform01
 
 
@@ -296,6 +297,39 @@ def gc_trace_large_loop(instance: Instance, real: int) -> list[int]:
     return sels
 
 
+def follower_loop(tables, opt_sels, real: int) -> list[int]:
+    committed = committed_verts = seen = 0
+    sels = []
+    for opt_sel in opt_sels:
+        fresh = opt_sel & ~seen
+        seen |= opt_sel
+        add = 0
+        for e in range(tables.m):
+            if fresh >> e & 1 and not tables.vmask[e] & committed_verts:
+                add |= 1 << e
+        sels.append(committed | add)
+        won = add & real
+        committed |= won
+        for e in range(tables.m):
+            if won >> e & 1:
+                committed_verts |= tables.vmask[e]
+    return sels
+
+
+def replay_loop(table, real: int) -> list[int]:
+    # the argmax action of every real state the realization reaches, read
+    # through the table's public accessor
+    s = f = 0
+    sels = []
+    for t in range(1, table.instance.rounds + 1):
+        mask = sum(1 << e for e in table.action(KnowledgeState(s, f), t))
+        sels.append(mask)
+        unknown = mask & ~s
+        s |= unknown & real
+        f |= unknown & ~real
+    return sels
+
+
 def alternating_scan_loop(layout, rounds: int, real: int) -> list[int]:
     n, _, left_ids, right_ids = layout
     pairs = list(zip(left_ids, right_ids))
@@ -523,13 +557,13 @@ def reference_coupling_expectations(instance: Instance) -> dict:
             continue
         prob = Fraction(prob)
         real = smp.mask
-        runs = {"sm": kernels.sm_trace(tables, real)}
+        runs = {"sm": sm_trace_loop(tables, real)}
         if "gc" in run_names:
-            runs["gc"] = kernels.gc_trace(tables, real)
-        opt_sels = table.replay(real)
-        optc_sels = table_c.replay(real)
+            runs["gc"] = gc_trace_loop(tables, real)
+        opt_sels = replay_loop(table, real)
+        optc_sels = replay_loop(table_c, real)
         if "opt_follower" in run_names:
-            runs["opt_follower"] = follower_masks(tables, opt_sels, real)
+            runs["opt_follower"] = follower_loop(tables, opt_sels, real)
         for name, sels in [*runs.items(), ("opt", opt_sels), ("opt_commit", optc_sels)]:
             out["e_reward"][name] += prob * reward(sels, real)
             out["commit_ok"] &= name == "opt" or coupling._commits(sels, real)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import expectation, reference_coupling_expectations
+from oracles import (expectation, follower_loop, gc_trace_loop, reference_coupling_expectations,
+                     replay_loop, sm_trace_loop)
 from rematch import cli, coupling, kernels, suites
 from rematch.coupling import (DOMINATION_VARIANTS, _footprints, coupling_expectations,
                               decompose, decompose_capacitated, lemma_rules, verify_charging,
@@ -21,7 +22,7 @@ from rematch.generators import (PROFILES, gen_complete_bipartite, gen_double_sta
                                 gen_random, gen_separation)
 from rematch.model import (Edge, Hypergraph, Instance, ManyToOne, SampleGraph, Trace,
                            Vertex, build_tables, enumerate_samples, sample)
-from rematch.policies import build_dp, follower_masks, run_opt, run_sm
+from rematch.policies import build_dp, run_opt, run_sm
 from rematch.rng import sub_seed
 
 # a path-plus-tail where the committing reference grabs the high-probability
@@ -296,21 +297,21 @@ def test_grouped_pass_rounds_the_exact_per_sample_sums():
 
 @lru_cache(maxsize=8)
 def _all_runs(inst):
-    """Every run of the exact pass on one sample, each policy run directly:
-    opt, opt-commit, sm, then gc and the opt-follower where the pass runs
-    them (gc not on hypergraphs, the follower at unit capacities only)."""
+    """Every run of the exact pass on one sample, each by its reference
+    loop: opt, opt-commit, sm, then gc and the opt-follower where the pass
+    runs them (gc not on hypergraphs, the follower at unit capacities only)."""
     tables = build_tables(inst)
     tables.build_enumeration()
     table, table_c = build_dp(inst, commit=False), build_dp(inst, commit=True)
     runs = lemma_rules(inst).runs
 
     def run_all(real):
-        opt_sels = table.replay(real)
-        sels = opt_sels + table_c.replay(real) + kernels.sm_trace(tables, real)
+        opt_sels = replay_loop(table, real)
+        sels = opt_sels + replay_loop(table_c, real) + sm_trace_loop(tables, real)
         if "gc" in runs:
-            sels += kernels.gc_trace(tables, real)
+            sels += gc_trace_loop(tables, real)
         if "opt_follower" in runs:
-            sels += follower_masks(tables, opt_sels, real)
+            sels += follower_loop(tables, opt_sels, real)
         return sels
     return run_all
 

@@ -67,6 +67,12 @@ def _cases() -> dict[str, list[str]]:
     cases["simulate-greedy-commit-k44"] = [
         "simulate", "--family", "complete-bipartite", "--n", "4", "--p", "0.5",
         "--rounds", "3", "--policy", "greedy-commit", "--trials", "200", "--seed", "11"]
+    # opt tries nothing new in round 2 and explores again in round 3 on
+    # some samples, so a replay must not stop at its first idle round
+    for policy in ("opt", "opt-follower"):
+        cases[f"simulate-{policy}-idle-round"] = [
+            "simulate", "--instance", str(GOLDEN / "idle-round-instance.json"),
+            "--policy", policy, "--trials", "300", "--seed", "11"]
     for variant in ("sm", "gc"):
         cases[f"lp-{variant}"] = ["lp", "--t", "6", "--variant", variant,
                                   "--solve", "--check-dual"]

@@ -106,6 +106,20 @@ def test_sample_at_edge_probabilities_and_seeds():
         assert sample(Instance([], [], 1), seed) == SampleGraph(0, 0)
 
 
+def test_sample_graph_refuses_a_mask_outside_its_edges():
+    # a bit at or above num_edges, or a negative mask, names no edge; an
+    # offline-max run on one ended in an IndexError
+    inst = gen_separation()
+    for mask in (1 << inst.num_edges | 1, -1, -(1 << inst.num_edges)):
+        with pytest.raises(ValidationError, match="not a subset of"):
+            SampleGraph(inst.num_edges, mask)
+    assert SampleGraph(3, 0b111).realized == (True, True, True)
+    assert SampleGraph(0, 0).realized == ()
+    # from_mask keeps dropping the bits above the edges
+    assert SampleGraph.from_mask(3, 0b11111) == SampleGraph(3, 0b111)
+    assert SampleGraph.from_mask(3, -1) == SampleGraph(3, 0b111)
+
+
 def _unmix64(z: int) -> int:
     """The inverse of ``rng.mix64``: each xor-shift undone by iteration, each
     multiply by the inverse of its odd factor mod 2^64."""

@@ -2,6 +2,7 @@ import gc
 import time
 import weakref
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import chain_instance, make_instance, path_instance
 from oracles import (alternating_scan_loop, brute_max_weight, brute_policy_value,
-                     expectation, gc_trace_large_loop, gc_trace_loop, reference_dp_solve,
-                     sm_trace_loop)
+                     expectation, follower_loop, gc_trace_large_loop, gc_trace_loop,
+                     reference_dp_solve, replay_loop, sm_trace_loop)
 from rematch import kernels
 from rematch.coupling import _footprints
 from rematch.errors import LimitExceededError, ValidationError
@@ -25,7 +26,7 @@ from rematch.policies import (DP_ROUNDS_LIMIT, DP_STATES_LIMIT, _gc_trace_large,
                               offline_max_matching, opt_value, run_alternating_scan,
                               run_greedy_commit, run_opt, run_opt_follower, run_sm)
 from rematch.rng import CounterRng, sub_seed
-from rematch.suites import _suite_instances
+from rematch.suites import SUITES, _suite_instances
 from test_model import _small_instances
 
 ONE_EDGE = make_instance([(0, 1, 1.0)], rounds=3)
@@ -735,26 +736,82 @@ def _samples(inst, seed, count=120):
     return [sample(inst, sub_seed(seed, i)) for i in range(count)]
 
 
-def test_committing_kernels_match_reference_loops():
-    # the kernels stop once a round tries nothing new; the loops never stop
-    instances = [gen_double_star(n, 0.1) for n in range(2, 7)]
-    instances += [gen_random(profile, sub_seed(900 + i, i))
-                  for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small")
-                  for i in range(8)]
-    instances.append(gen_complete_bipartite(3, 0.5, rounds=4))
+def test_drive_stops_early_only_for_a_stationary_step():
+    calls = []
+
+    def idle(t, s, f):
+        calls.append((t, s, f))
+        return 0
+    # a stationary step that tries nothing is called once, and its
+    # selection fills the horizon
+    assert kernels.drive(idle, 5, 0b101, True) == [0] * 5
+    assert calls == [(1, 0, 0)]
+    calls.clear()
+
+    def hold(t, s, f):
+        calls.append((t, s, f))
+        return s | 0b100
+    # so is one that reselects what it has tried, from the round it does
+    assert kernels.drive(hold, 5, 0b101, True) == [0b100] * 5
+    assert calls == [(1, 0, 0), (2, 0b100, 0)]
+    calls.clear()
+
+    def late(t, s, f):
+        calls.append((t, s, f))
+        return 0 if t == 1 else 0b11
+    # a step that is not stationary is called every round, and only the
+    # outcomes of the edges it tries for the first time are read
+    assert kernels.drive(late, 4, 0b01, False) == [0, 0b11, 0b11, 0b11]
+    assert calls == [(1, 0, 0), (2, 0, 0), (3, 0b01, 0b10), (4, 0b01, 0b10)]
+
+
+IDLE_ROUND = Instance.loads(
+    (Path(__file__).parent / "golden" / "idle-round-instance.json").read_text())
+
+
+def test_driven_runs_match_reference_loops():
+    # every run of kernels.drive against the loop that keeps its own
+    # knowledge state and never stops early: the four suites and more draws
+    # of their profiles, ds2-ds8, K3,3, the separation instance and the
+    # idle-round instance, where opt idles in round 2
+    suite = [inst for profile in SUITES for inst in _suite_instances(profile)]
+    instances = suite + [gen_random(profile, sub_seed(900 + i, i)) for profile in SUITES
+                         for i in range(8)]
+    instances += [gen_double_star(n, 0.1) for n in range(2, 9)]
+    instances += [gen_complete_bipartite(3, 0.5, rounds=4), gen_separation(), IDLE_ROUND]
+    idled = False
     for k, inst in enumerate(instances):
         tables = build_tables(inst)
         tables.build_enumeration()
         hyper = isinstance(inst.structure, Hypergraph)
+        table, table_c = _solved(inst)
         for smp in _samples(inst, k):
             real = smp.mask
-            want_sm = sm_trace_loop(tables, real)
-            want_gc = None if hyper else gc_trace_loop(tables, real)
-            assert kernels.sm_trace(tables, real) == want_sm
+            assert kernels.sm_trace(tables, real) == sm_trace_loop(tables, real), k
             if not hyper:
-                assert kernels.gc_trace(tables, real) == want_gc
-            if not hyper and inst.num_edges <= 8:
-                assert _gc_trace_large(inst, real) == gc_trace_large_loop(inst, real)
+                assert kernels.gc_trace(tables, real) == gc_trace_loop(tables, real), k
+            # the matching path on the suites: test_greedy_commit_kernels_agree
+            if not hyper and inst.num_edges <= 8 and k >= len(suite):
+                assert _gc_trace_large(inst, real) == gc_trace_large_loop(inst, real), k
+            opt_sels = replay_loop(table, real)
+            assert table.replay(real) == opt_sels, k
+            assert table_c.replay(real) == replay_loop(table_c, real), k
+            want = follower_loop(tables, opt_sels, real)
+            assert follower_masks(tables, opt_sels, real) == want, k
+            seen, new = 0, []
+            for sel in opt_sels:
+                new.append(sel & ~seen)
+                seen |= sel
+            idled |= any(not a and b for a, b in zip(new, new[1:]))
+    assert idled
+    # past the listing of samples and of the DP: sm and the matching path
+    for n, count in ((5, 20), (6, 8)):
+        inst = gen_complete_bipartite(n, 0.3, rounds=3)
+        tables = build_tables(inst)
+        for i in range(count):
+            real = sample(inst, sub_seed(55, i)).mask
+            assert kernels.sm_trace(tables, real) == sm_trace_loop(tables, real), (n, i)
+            assert _gc_trace_large(inst, real) == gc_trace_large_loop(inst, real), (n, i)
 
 
 def test_gc_trace_large_matches_reference_loop_on_k55():
