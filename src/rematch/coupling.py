@@ -13,9 +13,9 @@ the committing reference run:
   (``occupied``), and the ``remainder``; the many-to-one flavor blocks
   on any touched left endpoint or a half-occupied right endpoint.
 
-Charging bounds are combinatorial and checked per sample with zero
-tolerance; domination bounds are expectation-level claims and are only
-ever checked in expectation.  Both are checked exactly, over every
+Charging bounds are combinatorial and checked per sample; domination
+bounds are expectation-level claims and are only ever checked in
+expectation.  Both are checked exactly, with zero tolerance, over every
 sample graph of positive probability; no check estimates by sampling.
 
 The exact pass (``coupling_expectations``) groups the sample graphs of
@@ -27,13 +27,13 @@ class without tracing it; every run is traced once per class.  The
 decompositions, the checks and the counts read a sample only through
 its class, so they run once per class too, weighted by the class
 probability; each takes its donor and first-selection rounds once for
-all horizons.  Probabilities are floats, hence dyadic rationals, so
-every expectation is summed exactly as an integer over a power of two
-and rounded once, whatever the grouping or the enumeration order.  Each
-``e_*`` value is the correctly rounded expectation under the sample
-probabilities that ``enumerate_samples`` yields; each of those is a
-float product, rounded at every factor, so it may differ from the exact
-product of the edge probabilities, and they need not sum to exactly 1.
+all horizons.  Probabilities are floats, hence dyadic rationals, so the
+summary keeps every expectation as its exact int sum over 2^K, whatever
+the grouping or enumeration order; every verdict compares these ints,
+and ``verify`` prints each bound as int / 2^K, rounded once.  They are
+exact for the sample probabilities ``enumerate_samples`` yields: float
+products, rounded at every factor, so they may differ from the exact
+products of the edge probabilities and need not sum to exactly 1.
 
 This module is the one owner of the lemma rules: ``lemma_rules`` works
 out an instance's kind and returns every rule that depends on it, read
@@ -54,8 +54,6 @@ from .policies import build_dp, check_dp_limits, follower_masks
 # benchmarks/perf/selftest.py requires these two bindings to patch
 from .model import sample as draw_sample  # noqa: F401
 from .policies import run_opt  # noqa: F401
-
-EXACT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------
@@ -306,20 +304,23 @@ def decompose_capacitated(ref_trace: Trace, opt_trace: Trace, t: int) -> Decompo
 
 @dataclass
 class CouplingSummary:
-    """Exact (enumeration) expectations, each rounded once from an exact
-    sum over the enumerated sample probabilities, and per-sample check
-    results."""
+    """Exact (enumeration) expectations and per-sample check results.
+
+    Every expectation is the exact int sum over the enumerated sample
+    probabilities: int / 2^K, and ``reward`` int / 2^(K + Kw).
+    """
 
     instance: Instance
     horizons: list[int]
-    references: list[str]                       # unit-decomposition references
-    e_new: dict[str, list[float]]               # ref -> E[new successes in round i]
-    e_succ: dict[str, list[float]]              # ref -> E[successes in round-t selection]
-    e_opt_succ: list[float]
-    e_aug: dict[str, dict[tuple[int, int], float]]
-    e_adj: dict[str, dict[tuple[int, int, int], float]]
-    e_remainder: dict[tuple[int, int], float] | None
-    e_reward: dict[str, float]
+    references: list[str]                     # unit-decomposition references
+    K: int
+    Kw: int
+    new: dict[str, list[int]]                 # committing run -> E[new successes in round i]
+    succ: dict[str, list[int]]                # every run -> E[successes in round-t selection]
+    aug: dict[str, dict[tuple[int, int], int]]
+    adj: dict[str, dict[tuple[int, int, int], int]]
+    remainder: dict[tuple[int, int], int] | None
+    reward: dict[str, int]                    # run -> E[weighted reward]
     opt_value: float
     opt_commit_value: float
     charging_worst: dict[str, dict[tuple[int, int], tuple[float, float]]]
@@ -358,13 +359,12 @@ class LemmaRules:
     references: tuple[str, ...]            # runs the unit decomposition is taken against
     runs: tuple[str, ...]                  # committing runs the pass traces besides opt's
     charging: tuple[str, float]            # (lemma, factor) that verify_charging reports
-    charging_references: tuple[str, ...]   # runs verify_charging may charge against
     occupancy: tuple[str, float] | None    # (lemma, factor) of the occupied class vs sm
     lemmas: tuple[str, ...]                # what `rematch verify --lemma all` checks
-    domination: tuple[tuple[str, float], ...]  # (variant, factor) of the rows that apply
+    domination: tuple[tuple[str, int], ...]  # (variant, factor) of the rows that apply
     # criterion 4's (reference, factor): E[opt successes at t] <= factor *
     # E[reference successes at t]; a factor of None is the reference's LP u(t)
-    ratio_bounds: tuple[tuple[str, float | None], ...]
+    ratio_bounds: tuple[tuple[str, int | None], ...]
 
 
 def lemma_rules(instance: Instance) -> LemmaRules:
@@ -380,27 +380,25 @@ def kind_rules(st: Structure, unit: bool) -> LemmaRules:
     collapses them to 1): factor k against sm, its only committing run.
     """
     if isinstance(st, Hypergraph):
-        k = float(st.k)
         return LemmaRules(
-            references=("sm",), runs=("sm",), charging=("charging_hypergraph", k),
-            charging_references=("sm",), occupancy=None, lemmas=("charging", "hypergraph"),
-            domination=(("hypergraph", k),), ratio_bounds=(("sm", 2 * k),))
+            references=("sm",), runs=("sm",), charging=("charging_hypergraph", float(st.k)),
+            occupancy=None, lemmas=("charging", "hypergraph"),
+            domination=(("hypergraph", st.k),), ratio_bounds=(("sm", 2 * st.k),))
     if isinstance(st, ManyToOne):
-        occupancy, remainder, theorem = ("charging_many_to_one", 3.0), ("many_to_one", 4.0), 7.0
+        occupancy, remainder, theorem = ("charging_many_to_one", 3.0), ("many_to_one", 4), 7
     else:
-        occupancy, remainder, theorem = ("charging_capacitated", 4.0), ("capacitated", 6.0), 11.0
-    ratio_bounds = (("sm", theorem), ("gc", 3.0), ("sm", None), ("gc", None))
+        occupancy, remainder, theorem = ("charging_capacitated", 4.0), ("capacitated", 6), 11
+    ratio_bounds = (("sm", theorem), ("gc", 3), ("sm", None), ("gc", None))
     if unit:
-        rows = (("sm", 2.0), ("sm_refined", 2.0), ("gc", 1.0), ("gc_refined", 1.0))
+        rows = (("sm", 2), ("sm_refined", 2), ("gc", 1), ("gc_refined", 1))
         return LemmaRules(
             references=("sm", "gc"), runs=("sm", "gc", "opt_follower"),
-            charging=("charging", 2.0), charging_references=("sm", "gc"), occupancy=occupancy,
+            charging=("charging", 2.0), occupancy=occupancy,
             lemmas=("charging", *(v for v, _ in rows)), domination=(*rows, remainder),
             ratio_bounds=ratio_bounds)
     return LemmaRules(  # the occupancy rule charges against sm
-        references=(), runs=("sm", "gc"), charging=occupancy, charging_references=("sm",),
-        occupancy=occupancy, lemmas=("charging", remainder[0]), domination=(remainder,),
-        ratio_bounds=ratio_bounds)
+        references=(), runs=("sm", "gc"), charging=occupancy, occupancy=occupancy,
+        lemmas=("charging", remainder[0]), domination=(remainder,), ratio_bounds=ratio_bounds)
 
 
 # ---------------------------------------------------------------------
@@ -464,11 +462,12 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     probability.
 
     Each probability is a float, hence a dyadic rational: ``dyadic``
-    scales them, and the round weights of ``e_reward``, to integers over
-    a power of two, so every sum is exact and rounded once by int/int
-    division.  Every ``e_*`` value is therefore correctly rounded for the
-    probabilities that ``enumerate_samples`` yields, whatever the grouping
-    or the enumeration order.  Those are float products, rounded at every
+    scales them to integers over 2^K, and the round weights of ``reward``
+    over 2^Kw, so every sum is exact and the summary holds the sums: exact
+    expectations under the probabilities that ``enumerate_samples`` yields,
+    whatever the grouping or the enumeration order.  Every verdict compares
+    them with zero tolerance; a printed value is rounded once, by int/int
+    division.  Those probabilities are float products, rounded at every
     factor, not the exact products of the edge probabilities.
     """
     # the limits first, cheapest first, so a refused instance lists no sample
@@ -558,23 +557,13 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 _charge(occ_charging_worst, t, rules.occupancy[1], occ=occ,
                         s_le=sm_sels[t - 1] & real)
 
-    scale = 1 << K  # int / int true division rounds correctly
-
-    def rounded(sums: dict) -> dict:
-        return {key: total / scale for key, total in sums.items()}
-
     weights, Kw = dyadic(instance.weights)
-    e_reward = {name: sum(w * total for w, total in zip(weights, succ[name])) / (scale << Kw)
-                for name in ["sm", "opt", "opt_commit"] + run_names[1:]}
+    reward = {name: sum(w * total for w, total in zip(weights, succ[name]))
+              for name in ["sm", "opt", "opt_commit"] + run_names[1:]}
     return CouplingSummary(
-        instance=instance, horizons=horizons, references=refs,
-        e_new={name: [total / scale for total in new_sums[name]] for name in run_names},
-        e_succ={name: [total / scale for total in succ[name]] for name in run_names},
-        e_opt_succ=[total / scale for total in succ["opt"]],
-        e_aug={r: rounded(aug_sums[r]) for r in refs},
-        e_adj={r: rounded(adj_sums[r]) for r in refs},
-        e_remainder=None if rules.occupancy is None else rounded(rem_sums),
-        e_reward=e_reward,
+        instance=instance, horizons=horizons, references=refs, K=K, Kw=Kw,
+        new=new_sums, succ=succ, aug=aug_sums, adj=adj_sums,
+        remainder=None if rules.occupancy is None else rem_sums, reward=reward,
         opt_value=table.root_value, opt_commit_value=table_c.root_value,
         charging_worst=charging_worst, occ_charging_worst=occ_charging_worst,
         partition_ok=partition_ok, commit_ok=commit_ok)
@@ -603,7 +592,7 @@ class LemmaReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _domination_factor(instance: Instance, variant: str) -> float:
+def _domination_factor(instance: Instance, variant: str) -> int:
     """The factor of ``variant`` on ``instance``; reject a variant that does not apply."""
     if variant not in DOMINATION_VARIANTS:
         raise ValidationError(f"unknown domination variant {variant!r}")
@@ -613,32 +602,28 @@ def _domination_factor(instance: Instance, variant: str) -> float:
     return factor
 
 
-def _exact_pairs(summary: CouplingSummary, t: int, variant: str, factor: float):
+def _exact_pairs(summary: CouplingSummary, t: int, variant: str, factor: int):
     """Yield (index descriptor, lhs, rhs) per row of one domination variant
-    at horizon t, in expectation."""
+    at horizon t, in expectation: lhs and rhs are exact ints over 2^K."""
     ref, shape = DOMINATION_VARIANTS[variant]
-    new = summary.e_new[ref]
+    new = summary.new[ref]
     if shape == "tail":
-        aug, adj = summary.e_aug[ref], summary.e_adj[ref]
+        aug, adj = summary.aug[ref], summary.adj[ref]
         for i in range(1, t + 1):
-            base = aug.get((t, i), 0.0)
+            base = aug.get((t, i), 0)
             for j in range(1, t + 1):
-                # left to right from 0.0, then base: the bytes must not
-                # depend on how the builtin sum() adds floats
-                tail = 0.0
-                for q in range(j, t + 1):
-                    tail += adj.get((t, i, q), 0.0)
+                tail = sum(adj.get((t, i, q), 0) for q in range(j, t + 1))
                 yield {"t": t, "i": i, "j": j}, base + tail, factor * new[j - 1]
     else:
-        table = summary.e_remainder if shape == "remainder" else summary.e_aug[ref]
+        table = summary.remainder if shape == "remainder" else summary.aug[ref]
         for i in range(1, t + 1):
-            yield {"t": t, "i": i}, table.get((t, i), 0.0), factor * new[i - 1]
+            yield {"t": t, "i": i}, table.get((t, i), 0), factor * new[i - 1]
 
 
 def domination_violations(summary: CouplingSummary, variant: str) -> int:
-    """Rows of a domination variant violated beyond ``EXACT_TOL``, over all horizons."""
+    """Rows of a domination variant violated, exactly, over all horizons."""
     factor = _domination_factor(summary.instance, variant)
-    return sum(lhs > rhs + EXACT_TOL for t in summary.horizons
+    return sum(lhs > rhs for t in summary.horizons
                for _, lhs, rhs in _exact_pairs(summary, t, variant, factor))
 
 
@@ -651,17 +636,18 @@ def _check_mode(mode: str) -> None:
 def verify_domination(instance: Instance, t: int, variant: str, mode: str = "exact"
                       ) -> LemmaReport:
     """Expectation-level domination inequalities from the exact pass; never
-    asserted per sample."""
+    asserted per sample.  The verdict compares the exact sums; each lhs and
+    rhs is printed rounded once from them."""
     _check_mode(mode)
     factor = _domination_factor(instance, variant)
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
-    rows = list(_exact_pairs(coupling_expectations(instance), t, variant, factor))
-    lhs = [r[1] for r in rows]
-    rhs = [r[2] for r in rows]
-    verdict = all(a <= b + EXACT_TOL for a, b in zip(lhs, rhs))
+    summary = coupling_expectations(instance)
+    rows = list(_exact_pairs(summary, t, variant, factor))
+    scale = 1 << summary.K  # int / int true division rounds correctly
     return LemmaReport(f"domination_{variant}", "exact", [r[0] for r in rows],
-                       lhs, rhs, verdict)
+                       [r[1] / scale for r in rows], [r[2] / scale for r in rows],
+                       all(a <= b for _, a, b in rows))
 
 
 def verify_charging(instance: Instance, t: int, mode: str = "exact",
@@ -673,7 +659,7 @@ def verify_charging(instance: Instance, t: int, mode: str = "exact",
     if not (1 <= t <= instance.rounds):
         raise ValidationError(f"horizon {t} outside 1..{instance.rounds}")
     rules = lemma_rules(instance)
-    if reference not in rules.charging_references:
+    if reference not in (rules.references or ("sm",)):  # occupancy charges against sm
         raise ValidationError(f"no charging check against {reference!r} on this instance")
     summary = coupling_expectations(instance)
     if rules.references:

@@ -85,17 +85,30 @@ class FactorLp:
     def y(self, j: int) -> int:
         return self.horizon + self.horizon * self.horizon + j
 
-    def check_point(self, x, tol: float = 1e-9) -> list[str]:
-        """Row labels violated by x beyond tol (empty list = feasible)."""
-        bad = [f"row {r}" for r, (lhs, b) in enumerate(zip(_row_sums(self.rows, x), self.rhs))
-               if lhs > b + tol]
-        bad += [f"nonneg {i}" for i in range(self.num_vars) if x[i] < -tol]
-        return bad
+    def check_point(self, x) -> list[str]:
+        """Row labels violated by x, checked exactly in ints (empty list = feasible)."""
+        rows, rhs, _, _ = _scaled(self)
+        return _violations(rows, rhs, *_over_lcm(x))
 
 
-def _row_sums(rows, x) -> list:
-    """A x for sparse rows, in row order."""
-    return [sum(coef * x[var] for var, coef in row) for row in rows]
+def _scaled(lp: FactorLp) -> tuple[list, list[int], list[int], int]:
+    """``lp``'s rows, rhs and objective as ints over one 2^K, and K."""
+    entries = [coef for row in lp.rows for _, coef in row] + [*lp.rhs, *lp.objective]
+    if not all(map(math.isfinite, entries)):
+        raise SolverError("LP has a non-finite coefficient, rhs or objective entry")
+    scaled, K = dyadic(entries)
+    coefs = iter(scaled)
+    rows = [[(var, next(coefs)) for var, _ in row] for row in lp.rows]
+    rhs = [next(coefs) for _ in lp.rhs]
+    return rows, rhs, list(coefs), K
+
+
+def _violations(rows, rhs, X: list[int], den: int) -> list[str]:
+    """The labels of the scaled rows and signs that the point X / den
+    violates, both sides of a row scaled alike."""
+    bad = [f"row {r}" for r, (row, b) in enumerate(zip(rows, rhs))
+           if sum(coef * X[var] for var, coef in row) > b * den]
+    return bad + [f"nonneg {i}" for i, v in enumerate(X) if v < 0]
 
 
 def build_primal(t: int, variant: str = "sm") -> FactorLp:
@@ -165,18 +178,11 @@ def _certify(lp: FactorLp, x, y, u: Fraction) -> None:
         raise SolverError("LP variables do not match the horizon")
     if len(y) != len(lp.rows) or len(lp.rhs) != len(lp.rows):
         raise SolverError("LP rows do not match the horizon")
-    entries = [coef for row in lp.rows for _, coef in row] + [*lp.rhs, *lp.objective]
-    if not all(map(math.isfinite, entries)):
-        raise SolverError("LP has a non-finite coefficient, rhs or objective entry")
-    scaled, K = dyadic(entries)
-    coefs = iter(scaled)
-    rows = [[(var, next(coefs)) for var, _ in row] for row in lp.rows]
-    rhs = [next(coefs) for _ in lp.rhs]
-    objective = list(coefs)
+    rows, rhs, objective, K = _scaled(lp)
     X, den_x = _over_lcm(x)
-    Y, den_y = _over_lcm(y)
-    if min(X) < 0 or any(lhs > b * den_x for lhs, b in zip(_row_sums(rows, X), rhs)):
+    if _violations(rows, rhs, X, den_x):
         raise SolverError("closed-form primal point is infeasible")
+    Y, den_y = _over_lcm(y)
     reduced = [0] * lp.num_vars
     for row, y_r in zip(rows, Y):
         for var, coef in row:
@@ -205,13 +211,18 @@ def solve_lp(lp: FactorLp) -> float:
     return float(u)
 
 
-def u_value(t: int, variant: str = "sm") -> float:
-    """Closed-form LP optimum u = 2 t^t / (t^t - (t-a)^t), computed as one
-    int/int division, which Python rounds correctly at every t >= 1 (at gc
-    t = 1, (t-a)^t = -1 gives the optimum 1).  It skips :func:`_closed_form`'s
-    O(t) lists, because the acceptance criteria call it thousands of times."""
+def u_ratio(t: int, variant: str = "sm") -> tuple[int, int]:
+    """The closed-form LP optimum u = 2 t^t / (t^t - (t-a)^t) as (numerator,
+    denominator > 0) at every t >= 1 (gc t = 1 has optimum 1), without
+    :func:`_closed_form`'s O(t) lists: the criteria call it thousands of times."""
     a, _ = _params(variant, t)
-    return 2 * t ** t / (t ** t - (t - a) ** t)
+    return 2 * t ** t, t ** t - (t - a) ** t
+
+
+def u_value(t: int, variant: str = "sm") -> float:
+    """:func:`u_ratio` as one int/int division, which Python rounds correctly."""
+    num, den = u_ratio(t, variant)
+    return num / den
 
 
 def u_limit(variant: str = "sm") -> float:
@@ -295,22 +306,25 @@ def verify_dual_feasible(cert: DualCertificate) -> FeasibilityResult:
     return FeasibilityResult(not bad, tuple(bad))
 
 
-def primal_embedding(t: int, variant: str, e_aug, e_adj, e_new, e_succ_t: float
-                     ) -> tuple[list[float], float]:
-    """Normalized expectation vector for the horizon-t primal.
+def primal_embedding(t: int, variant: str, aug, adj, new, succ_t: int
+                     ) -> tuple[list[Fraction], Fraction]:
+    """Normalized expectation vector for the horizon-t primal, exactly.
 
-    e_aug maps (t, i) to E[augmenting first selected in round i], e_adj
-    maps (t, i, j), e_new is the per-round E[new successes] list; all
-    are divided by E[successes at horizon t].  Returns (x, objective).
+    aug maps (t, i) to E[augmenting first selected in round i], adj maps
+    (t, i, j), new is the per-round E[new successes] list; all are ints over
+    the exact pass's 2^K, which cancels in dividing them by E[successes at
+    horizon t], ``succ_t``.  Returns (x, objective).
     """
-    if e_succ_t <= 0:
+    if succ_t <= 0:
         raise ValidationError("embedding needs a positive success expectation")
     lp = build_primal(t, variant)
-    x = [0.0] * lp.num_vars
+    nums = [0] * lp.num_vars
     for i in range(t):
-        x[lp.x(i)] = e_aug.get((t, i + 1), 0.0) / e_succ_t
+        nums[lp.x(i)] = aug.get((t, i + 1), 0)
         for j in range(t):
-            x[lp.adj(i, j)] = e_adj.get((t, i + 1, j + 1), 0.0) / e_succ_t
+            nums[lp.adj(i, j)] = adj.get((t, i + 1, j + 1), 0)
     for j in range(t):
-        x[lp.y(j)] = e_new[j] / e_succ_t
-    return x, sum(c * x_v for c, x_v in zip(lp.objective, x))
+        nums[lp.y(j)] = new[j]
+    _, _, objective, K = _scaled(lp)
+    return ([Fraction(n, succ_t) for n in nums],
+            Fraction(sum(c * n for c, n in zip(objective, nums)), succ_t << K))

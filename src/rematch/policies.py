@@ -37,6 +37,13 @@ class PolicyId(str, Enum):
     OFFLINE_MAX = "offline_max"
 
 
+def _real(instance: Instance, sample: SampleGraph) -> int:
+    """``sample``'s mask, once it is known to realize ``instance``'s edges."""
+    if sample.num_edges != instance.num_edges:
+        raise ValidationError(f"sample graph has {sample.num_edges} edges, not {instance.num_edges}")
+    return sample.mask
+
+
 # ---------------------------------------------------------------------
 # committing heuristics
 
@@ -49,9 +56,9 @@ def run_sm(instance: Instance, sample: SampleGraph) -> Trace:
     descending probability, outcomes are observed, failures drop to
     probability zero and successes commit.
     """
-    tables = build_tables(instance)
-    sels = kernels.sm_trace(tables, sample.mask)
-    return Trace.from_selection_masks(instance, PolicyId.SM.value, sels, sample.mask)
+    real = _real(instance, sample)
+    sels = kernels.sm_trace(build_tables(instance), real)
+    return Trace.from_selection_masks(instance, PolicyId.SM.value, sels, real)
 
 
 def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
@@ -63,14 +70,14 @@ def run_greedy_commit(instance: Instance, sample: SampleGraph) -> Trace:
     probabilities made ints once.  Both pick the same augmentation."""
     if isinstance(instance.structure, Hypergraph):
         raise ValidationError("greedy-commit covers general/many-to-one structures")
+    real = _real(instance, sample)
     if 1 << instance.num_edges <= ENUMERATION_LIMIT:
         tables = build_tables(instance)
         tables.build_enumeration()
-        sels = kernels.gc_trace(tables, sample.mask)
+        sels = kernels.gc_trace(tables, real)
     else:
-        sels = _gc_trace_large(instance, sample.mask)
-    return Trace.from_selection_masks(
-        instance, PolicyId.GREEDY_COMMIT.value, sels, sample.mask)
+        sels = _gc_trace_large(instance, real)
+    return Trace.from_selection_masks(instance, PolicyId.GREEDY_COMMIT.value, sels, real)
 
 
 def _gc_trace_large(instance: Instance, real: int) -> list[int]:
@@ -237,7 +244,8 @@ def run_opt(instance: Instance, sample: SampleGraph, table: DpValueTable) -> Tra
     if table.instance != instance:
         raise ValidationError("value table was built for a different instance")
     name = PolicyId.OPT_COMMIT.value if table.commit else PolicyId.OPT.value
-    return Trace.from_selection_masks(instance, name, table.replay(sample.mask), sample.mask)
+    real = _real(instance, sample)
+    return Trace.from_selection_masks(instance, name, table.replay(real), real)
 
 
 # ---------------------------------------------------------------------
@@ -256,11 +264,11 @@ def run_opt_follower(instance: Instance, sample: SampleGraph, opt_trace: Trace) 
         raise ValidationError("opt-follower is defined for unit-capacity matching")
     if opt_trace.instance != instance:
         raise ValidationError("companion trace belongs to a different instance")
-    if opt_trace.sample_mask != sample.mask:
+    real = _real(instance, sample)
+    if opt_trace.sample_mask != real:
         raise ValidationError("companion trace was run on a different sample graph")
-    sels = follower_masks(build_tables(instance), opt_trace.selection_masks(), sample.mask)
-    return Trace.from_selection_masks(
-        instance, PolicyId.OPT_FOLLOWER.value, sels, sample.mask)
+    sels = follower_masks(build_tables(instance), opt_trace.selection_masks(), real)
+    return Trace.from_selection_masks(instance, PolicyId.OPT_FOLLOWER.value, sels, real)
 
 
 def follower_masks(tables: Tables, opt_sels: Sequence[int], real: int) -> list[int]:
@@ -305,7 +313,7 @@ def run_alternating_scan(instance: Instance, sample: SampleGraph) -> Trace:
     if layout is None:
         raise ValidationError("instance is not a double-star family member")
     n, _, left_ids, right_ids = layout
-    real = sample.mask
+    real = _real(instance, sample)
     pairs = [(1 << a) | (1 << b) for a, b in zip(left_ids, right_ids)]
     scan = n - 1
     sels = pairs[:instance.rounds]
@@ -335,7 +343,7 @@ def offline_max_matching(instance: Instance, sample: SampleGraph) -> int:
     """
     if isinstance(instance.structure, Hypergraph):
         raise ValidationError("offline benchmark covers general/many-to-one structures")
-    real = sample.mask
+    real = _real(instance, sample)
     if not real:
         return 0
     ends = _unit_bipartite_ends(instance)

@@ -15,17 +15,17 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .coupling import (EXACT_TOL, CouplingSummary, coupling_expectations,
-                       domination_violations, lemma_rules)
-from .factorlp import (build_primal, dual_certificate, solve_lp, u_limit,
-                       u_value, verify_dual_feasible, primal_embedding)
+from .coupling import CouplingSummary, coupling_expectations, domination_violations, lemma_rules
+from .factorlp import (build_primal, dual_certificate, primal_embedding, solve_lp, u_limit,
+                       u_ratio, u_value, verify_dual_feasible)
 from .generators import (RandomProfile, gen_complete_bipartite, gen_double_star, gen_random,
                          gen_separation)
 from .matching import (WeightedSubproblem, degree_halving_subgraph, greedy_matching,
                        greedy_hypergraph_matching, max_weight_matching)
-from .model import Instance, KnowledgeState, build_tables, enumerate_samples
+from .model import Instance, KnowledgeState, build_tables, dyadic, enumerate_samples
 from .montecarlo import monte_carlo
 from .policies import PolicyId, build_dp, run_sm
 from .rng import CounterRng, sub_seed
@@ -83,9 +83,9 @@ def criterion_1_lp_certificates() -> CriterionResult:
             cert = dual_certificate(t, variant)
             feas = verify_dual_feasible(cert)
             primal = solve_lp(build_primal(t, variant))
-            gap = abs(primal - cert.u)
+            gap = abs(primal - cert.u)  # both round the one rational u once
             factor = 1.0 / cert.u
-            row_ok = bool(feas) and gap <= 1e-6 and factor >= FACTOR_FLOOR[variant]
+            row_ok = bool(feas) and gap == 0.0 and factor >= FACTOR_FLOOR[variant]
             ok &= row_ok
             rows.append({"variant": variant, "t": t, "primal": primal, "u": cert.u,
                          "gap": gap, "factor": factor, "feasible": bool(feas),
@@ -165,18 +165,14 @@ def criterion_3_generalized() -> CriterionResult:
 
 def _ratio_violations(s: CouplingSummary) -> int:
     """Horizons and ``LemmaRules.ratio_bounds`` at which E[opt successes]
-    exceeds the bound times E[reference successes]."""
+    exceeds the bound times E[reference successes], exactly."""
     bad = 0
     bounds = lemma_rules(s.instance).ratio_bounds
     for t in s.horizons:
-        o = s.e_opt_succ[t - 1]
+        o = s.succ["opt"][t - 1]
         for ref, factor in bounds:
-            cap = u_value(t, ref) if factor is None else factor
-            denom = s.e_succ[ref][t - 1]
-            if denom <= EXACT_TOL:
-                bad += 0 if o <= EXACT_TOL else 1
-            elif o > cap * denom + EXACT_TOL:
-                bad += 1
+            num, den = u_ratio(t, ref) if factor is None else (factor, 1)
+            bad += o * den > num * s.succ[ref][t - 1]
     return bad
 
 
@@ -191,18 +187,13 @@ def criterion_4_ratio_bounds() -> CriterionResult:
     for s in unit:
         for ref in s.references:
             for t in s.horizons:
-                succ = s.e_succ[ref][t - 1]
-                if succ <= EXACT_TOL:
+                succ = s.succ[ref][t - 1]
+                if not succ:
                     continue
-                x, objective = primal_embedding(
-                    t, ref, s.e_aug[ref], s.e_adj[ref], s.e_new[ref], succ)
-                lp = build_primal(t, ref)
-                if lp.check_point(x, tol=EXACT_TOL):
-                    embed_bad += 1
-                if abs(objective - s.e_opt_succ[t - 1] / succ) > EXACT_TOL:
-                    embed_bad += 1
-                if objective > u_value(t, ref) + 1e-6:
-                    embed_bad += 1
+                x, objective = primal_embedding(t, ref, s.aug[ref], s.adj[ref], s.new[ref], succ)
+                embed_bad += (bool(build_primal(t, ref).check_point(x))
+                              + (objective != Fraction(s.succ["opt"][t - 1], succ))
+                              + (objective > Fraction(*u_ratio(t, ref))))
     ok = bad_unit == 0 and bad_gen == 0 and embed_bad == 0
     return CriterionResult(4, "ratio-bounds", ok, {
         "unit_violations": bad_unit, "generalized_violations": bad_gen,
@@ -225,32 +216,31 @@ def criterion_5_separation() -> CriterionResult:
     for s_mask, f_mask in ((0b0001, 0b1000), (0b1000, 0b0001)):
         ks = KnowledgeState(s_mask, f_mask)
         conds.append((table.value(ks, 2), table_c.value(ks, 2)))
-    cond_ok = all(abs(a - 1.4) <= 1e-12 and abs(b - 1.0) <= 1e-12 for a, b in conds)
+    cond_ok = all(a == 1.4 and b == 1.0 for a, b in conds)
 
     sandwich_bad = 0
     follower_bad = 0
     all_summaries = [s for profile in SUITES for s in _suite_summaries(profile)]
     sep_summary = coupling_expectations(sep)
     for s in all_summaries + [sep_summary]:
-        if s.opt_commit_value < 0.5 * s.opt_value - EXACT_TOL:
+        if s.opt_commit_value < 0.5 * s.opt_value:
             sandwich_bad += 1
     for s in list(unit) + [sep_summary]:
-        if "opt_follower" not in s.e_succ:
+        if "opt_follower" not in s.succ:
             continue
         for t in s.horizons:
-            if s.e_opt_succ[t - 1] > 2.0 * s.e_succ["opt_follower"][t - 1] + EXACT_TOL:
+            if s.succ["opt"][t - 1] > 2 * s.succ["opt_follower"][t - 1]:
                 follower_bad += 1
     # dominance of the adaptive optimum over every other policy, in expectation
     dominance_bad = 0
     for s in all_summaries + [sep_summary]:
-        for name, value in s.e_reward.items():
-            if name != "opt" and value > s.e_reward["opt"] + EXACT_TOL:
+        for name, value in s.reward.items():
+            if name != "opt" and value > s.reward["opt"]:
                 dominance_bad += 1
     # policy evaluation: the replayed argmax policies earn the DP root values
     evaluation_bad = sum(
-        abs(s.e_reward["opt"] - s.opt_value) > EVALUATION_RTOL * abs(s.opt_value)
-        or abs(s.e_reward["opt_commit"] - s.opt_commit_value)
-        > EVALUATION_RTOL * abs(s.opt_commit_value)
+        any(abs(s.reward[name] / (1 << (s.K + s.Kw)) - root) > EVALUATION_RTOL * abs(root)
+            for name, root in (("opt", s.opt_value), ("opt_commit", s.opt_commit_value)))
         for s in all_summaries + [sep_summary])
     ok = (gap > 0 and cond_ok and sandwich_bad == 0 and follower_bad == 0
           and dominance_bad == 0 and evaluation_bad == 0)
@@ -315,27 +305,29 @@ _MAX_SEED = (1 << 64) - 1  # each instance seed is the stream's next 64-bit word
 
 
 def criterion_8_kernels() -> CriterionResult:
+    # every bound compares the weights made exact ints over one 2^K by dyadic
     rng = CounterRng(KERNEL_SEED)
     greedy_bad = 0
     for k in range(1000):
         inst = gen_random(KERNEL_UNIT if k % 2 == 0 else KERNEL_CAP, rng.randint(0, _MAX_SEED))
         weights = {e.id: rng.uniform(0.0, 1.0) for e in inst.edges}
+        pint = dict(zip(weights, dyadic(weights.values())[0]))
         sub = WeightedSubproblem(inst, weights)
-        g = greedy_matching(sub).total_weight(weights)
-        opt = max_weight_matching(sub).total_weight(weights)
-        if g < 0.5 * opt - EXACT_TOL:
+        g = sum(pint[e] for e in greedy_matching(sub).chosen)
+        if 2 * g < sum(pint[e] for e in max_weight_matching(sub).chosen):
             greedy_bad += 1
     hyper_bad = 0
     for _ in range(500):
         inst = gen_random(KERNEL_HYPER, rng.randint(0, _MAX_SEED))
         weights = {e.id: rng.uniform(0.0, 1.0) for e in inst.edges}
-        g = greedy_hypergraph_matching(
-            WeightedSubproblem(inst, weights)).total_weight(weights)
+        pint = dict(zip(weights, dyadic(weights.values())[0]))
+        g = sum(pint[e] for e in greedy_hypergraph_matching(
+            WeightedSubproblem(inst, weights)).chosen)
         tables = build_tables(inst)
         tables.build_enumeration()
-        opt = max(sum(weights[e] for e in range(tables.m) if mask >> e & 1)
+        opt = max(sum(pint[e] for e in range(tables.m) if mask >> e & 1)
                   for mask in tables.feas)
-        if g < opt / inst.structure.k - EXACT_TOL:
+        if inst.structure.k * g < opt:
             hyper_bad += 1
     halving_bad = 0
     for _ in range(1000):
@@ -347,9 +339,8 @@ def criterion_8_kernels() -> CriterionResult:
             v = rng.randint(u + 1, nv - 1)
             edges.append((u, v, rng.uniform(0.0, 1.0)))
         chosen = degree_halving_subgraph(edges)
-        total = sum(w for _, _, w in edges)
-        kept = sum(edges[i][2] for i in chosen)
-        if kept < total / 3.0 - 1e-12:
+        wint = dyadic(w for _, _, w in edges)[0]
+        if 3 * sum(wint[i] for i in chosen) < sum(wint):
             halving_bad += 1
         deg = {}
         deg_s = {}

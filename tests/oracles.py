@@ -524,8 +524,8 @@ def cap_classes_loop(tables, s_le: int, opt_sels, o_mask: int):
 
 def reference_coupling_expectations(instance: Instance) -> dict:
     """The fields of ``coupling.coupling_expectations``, summed per sample
-    in ``Fraction``: every ``e_*`` value is exact (round it with
-    ``float``), the charging worst cases and checks are as computed."""
+    in ``Fraction``: every expectation is its exact value, not scaled by
+    2^K; the charging worst cases and checks are as computed."""
     tables = build_tables(instance)
     tables.build_enumeration()
     T = instance.rounds
@@ -537,12 +537,11 @@ def reference_coupling_expectations(instance: Instance) -> dict:
     table_c = build_dp(instance, commit=True)
     zero = Fraction(0)
     out = {
-        "e_new": {name: [zero] * T for name in run_names},
-        "e_succ": {name: [zero] * T for name in run_names},
-        "e_opt_succ": [zero] * T,
-        "e_aug": {r: {} for r in refs}, "e_adj": {r: {} for r in refs},
-        "e_remainder": None if rules.occupancy is None else {},
-        "e_reward": {name: zero for name in ["sm", "opt", "opt_commit"] + run_names[1:]},
+        "new": {name: [zero] * T for name in run_names},
+        "succ": {name: [zero] * T for name in ["opt", "opt_commit"] + run_names},
+        "aug": {r: {} for r in refs}, "adj": {r: {} for r in refs},
+        "remainder": None if rules.occupancy is None else {},
+        "reward": {name: zero for name in ["sm", "opt", "opt_commit"] + run_names[1:]},
         "charging_worst": {r: {} for r in refs},
         "occ_charging_worst": None if rules.occupancy is None else {},
         "partition_ok": True, "commit_ok": True,
@@ -565,17 +564,16 @@ def reference_coupling_expectations(instance: Instance) -> dict:
         if "opt_follower" in run_names:
             runs["opt_follower"] = follower_loop(tables, opt_sels, real)
         for name, sels in [*runs.items(), ("opt", opt_sels), ("opt_commit", optc_sels)]:
-            out["e_reward"][name] += prob * reward(sels, real)
+            out["reward"][name] += prob * reward(sels, real)
             out["commit_ok"] &= name == "opt" or coupling._commits(sels, real)
+            for t in horizons:
+                out["succ"][name][t - 1] += prob * (sels[t - 1] & real).bit_count()
         for name, sels in runs.items():
             new = coupling._new_masks(sels, real)
             for t in horizons:
-                out["e_new"][name][t - 1] += prob * new[t - 1].bit_count()
-                out["e_succ"][name][t - 1] += prob * (sels[t - 1] & real).bit_count()
-        for t in horizons:
-            out["e_opt_succ"][t - 1] += prob * (opt_sels[t - 1] & real).bit_count()
+                out["new"][name][t - 1] += prob * new[t - 1].bit_count()
         for name in refs:
-            aug_sums, adj_sums = out["e_aug"][name], out["e_adj"][name]
+            aug_sums, adj_sums = out["aug"][name], out["adj"][name]
             new = coupling._new_masks(runs[name], real)
             for t in horizons:
                 o_mask = opt_sels[t - 1] & real
@@ -589,7 +587,7 @@ def reference_coupling_expectations(instance: Instance) -> dict:
                 coupling._charge(out["charging_worst"][name], t, rules.charging[1], new,
                                  adj=adj)
         if rules.occupancy is not None:
-            rem_sums = out["e_remainder"]
+            rem_sums = out["remainder"]
             for t in horizons:
                 o_mask = opt_sels[t - 1] & real
                 s_le = runs["sm"][t - 1] & real

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import io
 import json
 import math
@@ -170,57 +171,62 @@ def test_verify_domination_exact_all_variants_hold():
 
 
 # one instance of each kind, with the rules of the paper written out by hand:
-# (references, runs, charging, charging references, occupancy, lemmas,
-#  domination rows, ratio bounds); a ratio factor of None is the LP's u(t)
-_UNIT = (("sm", 2.0), ("sm_refined", 2.0), ("gc", 1.0), ("gc_refined", 1.0))
+# (references, runs, charging, occupancy, lemmas, domination rows, ratio
+#  bounds), and the runs verify_charging may charge against; a ratio factor
+# of None is the LP's u(t)
+_UNIT = (("sm", 2), ("sm_refined", 2), ("gc", 1), ("gc_refined", 1))
 _RULE_KINDS = {
     "unit general": (
         make_instance([(0, 1, 0.6), (1, 2, 0.5), (2, 3, 0.4)], rounds=2),
-        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2.0), ("sm", "gc"),
+        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2.0),
          ("charging_capacitated", 4.0),
          ("charging", "sm", "sm_refined", "gc", "gc_refined"),
-         _UNIT + (("capacitated", 6.0),),
-         (("sm", 11.0), ("gc", 3.0), ("sm", None), ("gc", None)))),
+         _UNIT + (("capacitated", 6),),
+         (("sm", 11), ("gc", 3), ("sm", None), ("gc", None))), {"sm", "gc"}),
     "unit many-to-one": (
         make_instance([(0, 2, 0.6), (1, 2, 0.5), (1, 3, 0.4)], rounds=2,
                       structure=ManyToOne([0, 1])),
-        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2.0), ("sm", "gc"),
+        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2.0),
          ("charging_many_to_one", 3.0),
          ("charging", "sm", "sm_refined", "gc", "gc_refined"),
-         _UNIT + (("many_to_one", 4.0),),
-         (("sm", 7.0), ("gc", 3.0), ("sm", None), ("gc", None)))),
+         _UNIT + (("many_to_one", 4),),
+         (("sm", 7), ("gc", 3), ("sm", None), ("gc", None))), {"sm", "gc"}),
     "capacitated general": (
         make_instance([(0, 1, 0.6), (1, 2, 0.5), (2, 0, 0.4)], rounds=2, caps={1: 2}),
-        ((), ("sm", "gc"), ("charging_capacitated", 4.0), ("sm",),
+        ((), ("sm", "gc"), ("charging_capacitated", 4.0),
          ("charging_capacitated", 4.0), ("charging", "capacitated"),
-         (("capacitated", 6.0),),
-         (("sm", 11.0), ("gc", 3.0), ("sm", None), ("gc", None)))),
+         (("capacitated", 6),),
+         (("sm", 11), ("gc", 3), ("sm", None), ("gc", None))), {"sm"}),
     "capacitated many-to-one": (
         make_instance([(0, 2, 0.6), (1, 2, 0.5), (1, 3, 0.4)], rounds=2, caps={2: 2},
                       structure=ManyToOne([0, 1])),
-        ((), ("sm", "gc"), ("charging_many_to_one", 3.0), ("sm",),
+        ((), ("sm", "gc"), ("charging_many_to_one", 3.0),
          ("charging_many_to_one", 3.0), ("charging", "many_to_one"),
-         (("many_to_one", 4.0),),
-         (("sm", 7.0), ("gc", 3.0), ("sm", None), ("gc", None)))),
+         (("many_to_one", 4),),
+         (("sm", 7), ("gc", 3), ("sm", None), ("gc", None))), {"sm"}),
     # hypergraph selections are vertex-disjoint, so a capacity of 2 is unit
     "hypergraph, a capacity-2 vertex": (
         make_instance([(0, 1, 0.5), (0, 2, 0.6), (0, 1, 2, 0.4)], rounds=2, caps={0: 2},
                       structure=Hypergraph(3)),
-        (("sm",), ("sm",), ("charging_hypergraph", 3.0), ("sm",), None,
-         ("charging", "hypergraph"), (("hypergraph", 3.0),), (("sm", 6.0),))),
+        (("sm",), ("sm",), ("charging_hypergraph", 3.0), None,
+         ("charging", "hypergraph"), (("hypergraph", 3),), (("sm", 6),)), {"sm"}),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_RULE_KINDS))
 def test_lemma_rules_per_kind(kind):
-    inst, want = _RULE_KINDS[kind]
+    inst, want, charged = _RULE_KINDS[kind]
     rules = lemma_rules(inst)
-    assert (rules.references, rules.runs, rules.charging, rules.charging_references,
-            rules.occupancy, rules.lemmas, rules.domination, rules.ratio_bounds) == want
+    got = (rules.references, rules.runs, rules.charging, rules.occupancy, rules.lemmas,
+           rules.domination, rules.ratio_bounds)
+    assert got == want
+    # the factors of domination rows and ratio bounds are exact ints
+    assert all(type(f) is int for _, f in rules.domination)
+    assert all(f is None or type(f) is int for _, f in rules.ratio_bounds)
     t = inst.rounds
-    for reference in rules.charging_references:
+    for reference in charged:
         assert verify_charging(inst, t, reference=reference).lemma == rules.charging[0]
-    for reference in {"sm", "gc", "opt", "opt_follower"} - set(rules.charging_references):
+    for reference in {"sm", "gc", "opt", "opt_follower"} - charged:
         with pytest.raises(ValidationError):
             verify_charging(inst, t, reference=reference)
     applies = {variant for variant, _ in rules.domination}
@@ -233,8 +239,9 @@ def test_lemma_rules_per_kind(kind):
                 verify_domination(inst, t, variant)
     summary = coupling_expectations(inst)
     assert summary.references == list(rules.references)
-    assert set(summary.e_succ) == set(rules.runs)
-    assert (summary.e_remainder is None) == (rules.occupancy is None)
+    assert list(summary.succ) == ["opt", "opt_commit", *rules.runs]
+    assert list(summary.new) == list(rules.runs)
+    assert (summary.remainder is None) == (rules.occupancy is None)
     # every ratio bound's reference is a run the pass traces
     assert {ref for ref, _ in rules.ratio_bounds} <= set(rules.runs)
 
@@ -250,23 +257,22 @@ def test_summary_reward_expectations_match_direct_enumeration():
     inst = gen_random("unit-small", sub_seed(60, 4))
     s = coupling_expectations(inst)
     direct = expectation(inst, lambda smp: run_sm(inst, smp).total_weighted_reward)
-    assert s.e_reward["sm"] == pytest.approx(direct, abs=1e-12)
-    assert s.e_reward["opt"] == pytest.approx(s.opt_value, abs=1e-9)
-    assert s.e_reward["opt_commit"] == pytest.approx(s.opt_commit_value, abs=1e-9)
+    scale = 1 << (s.K + s.Kw)
+    assert s.reward["sm"] / scale == pytest.approx(direct, abs=1e-12)
+    assert s.reward["opt"] / scale == pytest.approx(s.opt_value, abs=1e-9)
+    assert s.reward["opt_commit"] / scale == pytest.approx(s.opt_commit_value, abs=1e-9)
 
 
-_E_FIELDS = ("e_new", "e_succ", "e_opt_succ", "e_aug", "e_adj", "e_remainder", "e_reward")
+_SUMS = ("new", "succ", "aug", "adj", "remainder")
 
 
-def _bits(x):
-    """Floats as their hex strings, exact values rounded once first."""
+def _exact(x, den: int):
+    """The summary's int sums as exact Fractions over ``den``."""
     if isinstance(x, dict):
-        return {k: _bits(v) for k, v in x.items()}
+        return {k: _exact(v, den) for k, v in x.items()}
     if isinstance(x, list):
-        return [_bits(v) for v in x]
-    if isinstance(x, Fraction):
-        x = float(x)
-    return None if x is None else x.hex()
+        return [_exact(v, den) for v in x]
+    return None if x is None else Fraction(x, den)
 
 
 def _oracle_instances():
@@ -281,18 +287,77 @@ def _oracle_instances():
     yield "weighted", Instance(base.vertices, base.edges, base.rounds, weights, base.structure)
 
 
+@lru_cache(maxsize=None)
+def _reference(inst):
+    return reference_coupling_expectations(inst)
+
+
 def test_grouped_pass_rounds_the_exact_per_sample_sums():
-    """Every expectation of the grouped pass is the correct rounding of the
-    per-sample sum, and the worst cases and checks are the per-sample ones."""
+    """Every int sum of the grouped pass is exactly the per-sample sum, and
+    the worst cases and checks are the per-sample ones."""
     for label, inst in _oracle_instances():
         got = coupling_expectations(inst)
-        want = reference_coupling_expectations(inst)
-        for name in _E_FIELDS:
-            assert _bits(getattr(got, name)) == _bits(want[name]), (label, name)
+        want = _reference(inst)
+        for name in _SUMS:
+            assert _exact(getattr(got, name), 1 << got.K) == want[name], (label, name)
+        assert _exact(got.reward, 1 << (got.K + got.Kw)) == want["reward"], label
         for name in ("charging_worst", "occ_charging_worst", "partition_ok", "commit_ok"):
             assert getattr(got, name) == want[name], (label, name)
         assert got.partition_ok and got.commit_ok, label
     assert any(w != 1.0 for w in inst.weights)
+
+
+def _oracle_rows(want: dict, t: int, variant: str, factor: int) -> list:
+    """(index, lhs, rhs) per row of one domination variant at horizon t, from
+    the oracle's exact Fractions, written out apart from the library's rows."""
+    ref, shape = DOMINATION_VARIANTS[variant]
+    new, zero = want["new"][ref], Fraction(0)
+    rounds = range(1, t + 1)
+    if shape == "tail":
+        aug, adj = want["aug"][ref], want["adj"][ref]
+        return [({"t": t, "i": i, "j": j},
+                 aug.get((t, i), zero) + sum((adj.get((t, i, q), zero) for q in range(j, t + 1)),
+                                             zero),
+                 factor * new[j - 1]) for i in rounds for j in rounds]
+    table = want["remainder"] if shape == "remainder" else want["aug"][ref]
+    return [({"t": t, "i": i}, table.get((t, i), zero), factor * new[i - 1]) for i in rounds]
+
+
+def test_verify_domination_prints_each_exact_row_rounded_once():
+    # a bound added up from rounded expectations is rounded twice: on
+    # hyper3-small sub_seed(7, 1) the rhs 3 * E[new] would print 3.0, but
+    # E[new] sums the enumerated probabilities to 1 + 8.3e-17
+    instances = [*_oracle_instances(),
+                 ("hyper3-small-7-1", gen_random("hyper3-small", sub_seed(7, 1)))]
+    for label, inst in instances:
+        want = _reference(inst)
+        for variant, factor in lemma_rules(inst).domination:
+            for t in range(1, inst.rounds + 1):
+                rows = _oracle_rows(want, t, variant, factor)
+                report = verify_domination(inst, t, variant)
+                assert report.indices == [r[0] for r in rows], (label, variant, t)
+                assert report.lhs == [float(r[1]) for r in rows], (label, variant, t)
+                assert report.rhs == [float(r[2]) for r in rows], (label, variant, t)
+                assert report.verdict == all(r[1] <= r[2] for r in rows), (label, variant, t)
+    assert verify_domination(instances[-1][1], 1, "hypergraph").rhs[0] == 3.0000000000000004
+
+
+def test_a_row_violated_by_one_part_in_2_to_the_k_fails(monkeypatch):
+    # unit-small draw 0's gc_refined row (t, i, j) = (1, 1, 1) is tight,
+    # E[opt round-1 successes] == E[gc round-1 new successes], exactly;
+    # raised by 1 / 2^56, far below the old 1e-9 tolerance, it is violated
+    inst = gen_random("unit-small", sub_seed(suites.UNIT_SEED, 0))
+    s = coupling_expectations(inst)
+    (_, lhs, rhs), = coupling._exact_pairs(s, 1, "gc_refined", 1)
+    assert lhs == rhs > 0 and s.K == 56
+    assert coupling.domination_violations(s, "gc_refined") == 0
+    aug = {**s.aug, "gc": {**s.aug["gc"], (1, 1): s.aug["gc"].get((1, 1), 0) + 1}}
+    bumped = dataclasses.replace(s, aug=aug)
+    assert coupling.domination_violations(bumped, "gc_refined") == 1
+    monkeypatch.setattr(coupling, "coupling_expectations", lambda instance: bumped)
+    report = verify_domination(inst, 1, "gc_refined")
+    assert not report.verdict
+    assert report.lhs == report.rhs  # the violation is below a float's resolution
 
 
 @lru_cache(maxsize=8)

@@ -11,7 +11,7 @@ from rematch.errors import DomainError, SolverError
 from rematch.factorlp import (SOLVE_LIMIT, DualCertificate, FactorLp, _certify,
                               _exact_certificate, approximation_factor, build_primal,
                               dual_certificate, limit_factor, primal_embedding, solve_lp,
-                              u_limit, u_value, verify_dual_feasible)
+                              u_limit, u_ratio, u_value, verify_dual_feasible)
 from rematch.generators import gen_random
 from rematch.rng import sub_seed
 
@@ -325,12 +325,36 @@ def test_embedding_is_feasible_with_ratio_objective():
     for variant in ("sm", "gc"):
         if variant not in s.references:
             continue
-        succ = s.e_succ[variant][t - 1]
-        if succ <= 1e-12:
+        succ = s.succ[variant][t - 1]
+        if not succ:
             continue
-        x, objective = primal_embedding(t, variant, s.e_aug[variant],
-                                        s.e_adj[variant], s.e_new[variant], succ)
+        x, objective = primal_embedding(t, variant, s.aug[variant],
+                                        s.adj[variant], s.new[variant], succ)
         lp = build_primal(t, variant)
-        assert lp.check_point(x, tol=1e-9) == []
-        assert objective == pytest.approx(s.e_opt_succ[t - 1] / succ, abs=1e-9)
-        assert objective <= u_value(t, variant) + 1e-6
+        assert lp.check_point(x) == []
+        assert objective == Fraction(s.succ["opt"][t - 1], succ)
+        assert objective <= Fraction(*u_ratio(t, variant))
+
+
+def test_check_point_is_exact():
+    # the closed-form optimum fills the budget row sum_j Y_j <= 1; a point
+    # past it, or below zero, by 2^-80 is infeasible
+    tiny = Fraction(1, 2 ** 80)
+    for variant, t in (("sm", 2), ("sm", 5), ("gc", 1), ("gc", 4)):
+        lp = build_primal(t, variant)
+        x, _, _ = _exact_certificate(t, variant)
+        assert lp.check_point(x) == []
+        over = list(x)
+        over[lp.y(0)] += tiny
+        assert f"row {len(lp.rows) - 1}" in lp.check_point(over), (variant, t)
+        below = list(x)
+        below[lp.x(0)] = -tiny
+        assert lp.check_point(below) == ["nonneg 0"], (variant, t)
+
+
+def test_u_ratio_is_the_closed_form_optimum():
+    for variant in ("sm", "gc"):
+        for t in range(1, 40):
+            num, den = u_ratio(t, variant)
+            assert den > 0 and Fraction(num, den) == _exact_certificate(t, variant)[2]
+            assert u_value(t, variant) == num / den

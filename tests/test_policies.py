@@ -616,6 +616,27 @@ def test_follower_rejects_mismatched_sample():
         run_opt_follower(sep, SampleGraph.from_mask(4, 0), trace)
 
 
+def test_runs_refuse_a_sample_graph_of_another_width():
+    # a sample of 8 edges for the 4-edge separation instance, and one of 2:
+    # offline-max used to end in an IndexError and sm to return a reward
+    sep = gen_separation()
+    table = build_dp(sep, commit=False)
+    companion = run_opt(sep, SampleGraph(4, 0b1001), table)
+    runs = {"sm": run_sm, "greedy-commit": run_greedy_commit,
+            "offline-max": offline_max_matching,
+            "opt": lambda inst, smp: run_opt(inst, smp, table),
+            "opt-follower": lambda inst, smp: run_opt_follower(inst, smp, companion)}
+    for smp in (SampleGraph(8, 0b10000001), SampleGraph(2, 0b11)):
+        for name, run in runs.items():
+            with pytest.raises(ValidationError, match="sample graph has"):
+                run(sep, smp)
+    ds = gen_double_star(3, 0.1)
+    for width in (ds.num_edges - 1, ds.num_edges + 1):
+        with pytest.raises(ValidationError, match="sample graph has"):
+            run_alternating_scan(ds, SampleGraph(width, 1))
+    assert run_sm(sep, SampleGraph(4, 0b1001)).sample_mask == 0b1001
+
+
 def test_alternating_scan_small_family():
     inst = gen_double_star(2, 0.1)  # 3 edges, T = 4, spokes p = 0.4
     # the scan holds the single spoke pair every round: E = 4 * 2 * 0.4
