@@ -2,21 +2,27 @@
 
 Two traces from the same sample graph are coupled by classifying the
 successful edges of the adaptive (opt) run at a horizon ``t`` against
-the committing reference run:
+the committing reference run.  Every class is an AND of whole masks:
+``_fresh`` gives the edges a run selects for the first time in each
+round (its new successes are ``fresh & real``), and ``kernels.near`` the
+edges that share a vertex with a mask.
 
 * unit capacities: ``augmenting`` edges are vertex-disjoint from every
-  reference success, the rest are ``adjacent`` to the reference's
-  round-j new successes; both are indexed by the round in which the opt
-  run first selected the edge.
+  reference success up to t, the rest are ``adjacent`` to the
+  reference's round-j new successes, j being the first round whose near
+  mask holds them; both are indexed by the round in which the opt run
+  first selected the edge.
 * capacitated: edges split into the overlap with the reference
   successes, edges blocked at a heavily occupied endpoint
   (``occupied``), and the ``remainder``; the many-to-one flavor blocks
-  on any touched left endpoint or a half-occupied right endpoint.
+  on any touched left endpoint or a half-occupied right endpoint, and
+  has no overlap class.
 
-Charging bounds are combinatorial and checked per sample; domination
-bounds are expectation-level claims and are only ever checked in
-expectation.  Both are checked exactly, with zero tolerance, over every
-sample graph of positive probability; no check estimates by sampling.
+Charging bounds are combinatorial and checked per sample, on int counts
+against int factors; domination bounds are expectation-level claims and
+are only ever checked in expectation.  Both are checked exactly, with
+zero tolerance, over every sample graph of positive probability; no
+check estimates by sampling.
 
 The exact pass (``coupling_expectations``) groups the sample graphs of
 positive probability into footprint classes: samples on which every run
@@ -26,8 +32,8 @@ an index of the revealed outcomes, round by round, finds a sample's
 class without tracing it; every run is traced once per class.  The
 decompositions, the checks and the counts read a sample only through
 its class, so they run once per class too, weighted by the class
-probability; each takes its donor and first-selection rounds once for
-all horizons.  Probabilities are floats, hence dyadic rationals, so the
+probability; each takes its donor masks and fresh masks once for all
+horizons.  Probabilities are floats, hence dyadic rationals, so the
 summary keeps every expectation as its exact int sum over 2^K, whatever
 the grouping or enumeration order; every verdict compares these ints,
 and ``verify`` prints each bound as int / 2^K, rounded once.  They are
@@ -48,7 +54,7 @@ from functools import lru_cache
 
 from . import kernels
 from .errors import ValidationError
-from .model import (Hypergraph, Instance, ManyToOne, Structure, Trace, build_tables,
+from .model import (Hypergraph, Instance, ManyToOne, Structure, Trace, _fresh, build_tables,
                     check_samples_limit, dyadic, enumerate_samples, mask_to_set)
 from .policies import build_dp, check_dp_limits, follower_masks
 # benchmarks/perf/selftest.py requires these two bindings to patch
@@ -99,117 +105,69 @@ class Decomposition:
         return union == set(self.opt_successes) and total == len(self.opt_successes)
 
 
-def _first_selection(sel_masks) -> dict[int, int]:
-    """Edge -> the 1-based round in which the run first selected it."""
-    first: dict[int, int] = {}
-    seen = 0
-    for r, sel in enumerate(sel_masks, 1):
-        x = sel & ~seen
-        seen |= sel
-        while x:
-            low = x & -x
-            first[low.bit_length() - 1] = r
-            x ^= low
-    return first
+def _unit_classes(tables, new: list[int], opt_fresh: list[int], opt_sels, real: int,
+                  horizons):
+    """Yield (t, opt success mask, aug, adj) per horizon t, against the
+    reference's new successes ``new``.
 
-
-def _new_masks(sels, real: int) -> list[int]:
-    """Per round, the successes the run selected for the first time."""
-    new = []
-    prev = 0
-    for sel in sels:
-        succ = sel & real
-        new.append(succ & ~prev)
-        prev |= succ
-    return new
-
-
-def _touched(vmask: list[int], mask: int) -> int:
-    """The vertex mask of the edges in ``mask``."""
-    vm = 0
-    while mask:
-        low = mask & -mask
-        vm |= vmask[low.bit_length() - 1]
-        mask ^= low
-    return vm
-
-
-def _decompositions(tables, unit: bool, ref_sels, opt_sels, real: int, horizons,
-                    new: list[int] | None = None):
-    """Yield (t, opt success mask, classes) per horizon.
-
-    ``classes`` is (aug, adj) when ``unit`` and (overlap, occupied,
-    remainder) otherwise.  The opt run's first-selection rounds and, for
-    the unit rule, each opt success's donor round (the first round whose
-    new reference successes ``new`` touch it) are found once per call;
-    horizon t calls an edge adjacent iff its donor round is at most t.
-    The capacitated rule blocks, per horizon, each vertex the reference
-    successes fill to half its capacity, and on many-to-one instances
-    each touched left vertex.
+    Round j's donor mask is ``near(new_j) & ~reach_{j-1}``, with
+    ``reach_t`` the union of the near masks of rounds <= t: the edges that
+    first share a vertex with a reference success in round j.  Both are
+    found once per call.  At horizon t, the opt successes ``o_t`` first
+    selected in round i (``opt_fresh``) split into ``aug[i] = o_t & fresh_i
+    & ~reach_t`` and ``adj[i, j] = o_t & fresh_i & donor_j``; empty
+    classes are left out.
     """
-    vmask = tables.vmask
-    first = _first_selection(opt_sels)
-    if unit:
-        if new is None:
-            new = _new_masks(ref_sels, real)
-        donor: dict[int, int] = {}
-        rest = 0
-        for sel in opt_sels:
-            rest |= sel & real
-        for j, mask in enumerate(new, 1):
-            vm = _touched(vmask, mask)
-            x = rest if vm else 0
-            while x:
-                low = x & -x
-                e = low.bit_length() - 1
-                x ^= low
-                if vmask[e] & vm:
-                    donor[e] = j
-                    rest ^= low
-    else:
-        inst = tables.instance
-        many_to_one = isinstance(inst.structure, ManyToOne)
-        left = sum(1 << v for v, vert in enumerate(inst.vertices)
-                   if vert.id in inst.structure.left) if many_to_one else 0
+    donors, reach = [], []
+    seen = 0
+    for mask in new:
+        donor = kernels.near(tables, mask) & ~seen if mask else 0
+        donors.append(donor)
+        seen |= donor
+        reach.append(seen)
     for t in horizons:
         o_mask = opt_sels[t - 1] & real
-        if unit:
-            aug: dict[int, int] = {}
-            adj: dict[tuple[int, int], int] = {}
-            x = o_mask
-            while x:
-                low = x & -x
-                e = low.bit_length() - 1
-                x ^= low
-                i, j = first[e], donor.get(e, t + 1)
-                if j > t:
-                    aug[i] = aug.get(i, 0) | low
-                else:
-                    adj[i, j] = adj.get((i, j), 0) | low
-            yield t, o_mask, (aug, adj)
-            continue
-        s_le = ref_sels[t - 1] & real
-        blocked = 0
-        touched = _touched(vmask, s_le)
-        while touched:
-            low = touched & -touched
-            v = low.bit_length() - 1
-            touched ^= low
-            if left & low or 2 * (s_le & tables.inc[v]).bit_count() >= tables.cap[v]:
-                blocked |= low
-        overlap = 0 if many_to_one else o_mask & s_le
-        occupied = 0
-        remainder: dict[int, int] = {}
-        x = o_mask & ~overlap
-        while x:
-            low = x & -x
-            e = low.bit_length() - 1
-            x ^= low
-            if vmask[e] & blocked:
-                occupied |= low
-            else:
-                remainder[first[e]] = remainder.get(first[e], 0) | low
-        yield t, o_mask, (overlap, occupied, remainder)
+        aug: dict[int, int] = {}
+        adj: dict[tuple[int, int], int] = {}
+        near_t = reach[t - 1]
+        for i, fresh in enumerate(opt_fresh[:t], 1):
+            x = o_mask & fresh
+            if x & ~near_t:
+                aug[i] = x & ~near_t
+            x &= near_t
+            for j, donor in enumerate(donors, 1):
+                if not x:
+                    break
+                if x & donor:
+                    adj[i, j] = x & donor
+                    x &= ~donor
+        yield t, o_mask, aug, adj
+
+
+def _occupancy_classes(tables, s_le: int, o_mask: int, opt_fresh: list[int]):
+    """(overlap, occupied, remainder) of the opt successes ``o_mask``
+    against the reference successes ``s_le``.
+
+    ``blocked`` is the near mask of every vertex that ``s_le`` fills to at
+    least half its capacity.  That covers every left vertex it touches on
+    a many-to-one instance, whose capacity is 1, so the one-sided rule
+    differs only in having no overlap class.  Of ``rest = o_mask &
+    ~overlap``, the edges in ``blocked`` are occupied, and the others
+    first selected in round i (``opt_fresh``) form ``remainder[i]``, left
+    out when empty.
+    """
+    inc, cap = tables.inc, tables.cap
+    blocked = 0
+    for v in kernels.endpoints(tables, s_le):
+        if 2 * (s_le & inc[v]).bit_count() >= cap[v]:
+            blocked |= inc[v]
+    overlap = 0 if isinstance(tables.instance.structure, ManyToOne) else o_mask & s_le
+    free = o_mask & ~overlap & ~blocked
+    remainder = {}
+    for i, fresh in enumerate(opt_fresh, 1):
+        if free & fresh:
+            remainder[i] = free & fresh
+    return overlap, o_mask & ~overlap & blocked, remainder
 
 
 def _is_partition(whole: int, classes) -> bool:
@@ -231,29 +189,11 @@ def _commits(sels, real: int) -> bool:
     return True
 
 
-def _charge(worst: dict, t: int, factor: float, new: list[int] | None = None,
-            adj: dict | None = None, occ: int = 0, s_le: int = 0) -> None:
-    """Fold one sample's horizon-t charging pairs (lhs, rhs) into ``worst``.
-
-    With ``adj`` (unit capacities) the opt edges adjacent to the
-    reference's round-j new successes ``new[j - 1]`` are charged against
-    ``factor`` times those, keyed (t, j); otherwise the occupied class
-    ``occ`` is charged against ``factor`` times the reference successes
-    ``s_le``, keyed t.  ``worst`` keeps the pair with the largest
-    lhs - rhs per key.
-    """
-    if adj is None:
-        pairs = [(t, float(occ.bit_count()), factor * s_le.bit_count())]
-    else:
-        per_donor: dict[int, int] = {}
-        for (_, j), mask in adj.items():
-            per_donor[j] = per_donor.get(j, 0) | mask
-        pairs = [((t, j), float(per_donor.get(j, 0).bit_count()),
-                  factor * new[j - 1].bit_count()) for j in range(1, t + 1)]
-    for key, lhs, rhs in pairs:
-        prev = worst.get(key)
-        if prev is None or lhs - rhs > prev[0] - prev[1]:
-            worst[key] = (lhs, rhs)
+def _keep_worst(worst: dict, key, lhs: int, rhs: int) -> None:
+    """Keep in ``worst`` the charging pair (lhs, rhs) with the largest lhs - rhs per key."""
+    prev = worst.get(key)
+    if prev is None or lhs - rhs > prev[0] - prev[1]:
+        worst[key] = (lhs, rhs)
 
 
 def _check_coupled(ref_trace: Trace, opt_trace: Trace, t: int) -> None:
@@ -273,9 +213,11 @@ def decompose(ref_trace: Trace, opt_trace: Trace, t: int) -> Decomposition:
     inst = ref_trace.instance
     if not inst.unit_capacities():
         raise ValidationError("unit decomposition needs unit capacities")
-    _, o_mask, (aug, adj) = next(_decompositions(
-        build_tables(inst), True, ref_trace.selection_masks(),
-        opt_trace.selection_masks(), ref_trace.sample_mask, (t,)))
+    real = ref_trace.sample_mask
+    new = [x & real for x in _fresh(ref_trace.selection_masks())]
+    opt_sels = opt_trace.selection_masks()
+    _, o_mask, aug, adj = next(_unit_classes(build_tables(inst), new, _fresh(opt_sels),
+                                             opt_sels, real, (t,)))
     return Decomposition(
         kind="unit", horizon=t, opt_successes=mask_to_set(o_mask),
         augmenting={i: mask_to_set(m) for i, m in aug.items()},
@@ -288,9 +230,11 @@ def decompose_capacitated(ref_trace: Trace, opt_trace: Trace, t: int) -> Decompo
     inst = ref_trace.instance
     if isinstance(inst.structure, Hypergraph):
         raise ValidationError("capacitated decomposition covers general/many-to-one")
-    _, o_mask, (overlap, occ, rem) = next(_decompositions(
-        build_tables(inst), False, ref_trace.selection_masks(),
-        opt_trace.selection_masks(), ref_trace.sample_mask, (t,)))
+    real = ref_trace.sample_mask
+    o_mask = opt_trace.selection_masks()[t - 1] & real
+    overlap, occ, rem = _occupancy_classes(
+        build_tables(inst), ref_trace.selection_masks()[t - 1] & real, o_mask,
+        _fresh(opt_trace.selection_masks()))
     kind = "many_to_one" if isinstance(inst.structure, ManyToOne) else "capacitated"
     return Decomposition(
         kind=kind, horizon=t, opt_successes=mask_to_set(o_mask),
@@ -323,8 +267,8 @@ class CouplingSummary:
     reward: dict[str, int]                    # run -> E[weighted reward]
     opt_value: float
     opt_commit_value: float
-    charging_worst: dict[str, dict[tuple[int, int], tuple[float, float]]]
-    occ_charging_worst: dict[int, tuple[float, float]] | None
+    charging_worst: dict[str, dict[tuple[int, int], tuple[int, int]]]  # (count, factor * count)
+    occ_charging_worst: dict[int, tuple[int, int]] | None
     partition_ok: bool
     commit_ok: bool
 
@@ -358,8 +302,8 @@ class LemmaRules:
 
     references: tuple[str, ...]            # runs the unit decomposition is taken against
     runs: tuple[str, ...]                  # committing runs the pass traces besides opt's
-    charging: tuple[str, float]            # (lemma, factor) that verify_charging reports
-    occupancy: tuple[str, float] | None    # (lemma, factor) of the occupied class vs sm
+    charging: tuple[str, int]              # (lemma, factor) that verify_charging reports
+    occupancy: tuple[str, int] | None      # (lemma, factor) of the occupied class vs sm
     lemmas: tuple[str, ...]                # what `rematch verify --lemma all` checks
     domination: tuple[tuple[str, int], ...]  # (variant, factor) of the rows that apply
     # criterion 4's (reference, factor): E[opt successes at t] <= factor *
@@ -381,19 +325,19 @@ def kind_rules(st: Structure, unit: bool) -> LemmaRules:
     """
     if isinstance(st, Hypergraph):
         return LemmaRules(
-            references=("sm",), runs=("sm",), charging=("charging_hypergraph", float(st.k)),
+            references=("sm",), runs=("sm",), charging=("charging_hypergraph", st.k),
             occupancy=None, lemmas=("charging", "hypergraph"),
             domination=(("hypergraph", st.k),), ratio_bounds=(("sm", 2 * st.k),))
     if isinstance(st, ManyToOne):
-        occupancy, remainder, theorem = ("charging_many_to_one", 3.0), ("many_to_one", 4), 7
+        occupancy, remainder, theorem = ("charging_many_to_one", 3), ("many_to_one", 4), 7
     else:
-        occupancy, remainder, theorem = ("charging_capacitated", 4.0), ("capacitated", 6), 11
+        occupancy, remainder, theorem = ("charging_capacitated", 4), ("capacitated", 6), 11
     ratio_bounds = (("sm", theorem), ("gc", 3), ("sm", None), ("gc", None))
     if unit:
         rows = (("sm", 2), ("sm_refined", 2), ("gc", 1), ("gc_refined", 1))
         return LemmaRules(
             references=("sm", "gc"), runs=("sm", "gc", "opt_follower"),
-            charging=("charging", 2.0), occupancy=occupancy,
+            charging=("charging", 2), occupancy=occupancy,
             lemmas=("charging", *(v for v, _ in rows)), domination=(*rows, remainder),
             ratio_bounds=ratio_bounds)
     return LemmaRules(  # the occupancy rule charges against sm
@@ -456,10 +400,12 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
     decompositions, checks and counts.
 
     *Evaluate.*  Once per class: decompositions at every horizon, each
-    from the donor and first-selection rounds computed once per run
-    pair, the partition and commit checks, the charging worst cases
-    (which need no weight) and the counts, weighted by the class
-    probability.
+    class an AND of the opt successes with fresh, donor, reach or
+    blocked masks computed once per run pair (``_unit_classes``,
+    ``_occupancy_classes``), the partition and commit checks, the
+    charging worst cases and the counts, weighted by the class
+    probability.  A charging pair needs no weight: it is the worst
+    sample's (count, factor * count), both ints.
 
     Each probability is a float, hence a dyadic rational: ``dyadic``
     scales them to integers over 2^K, and the round weights of ``reward``
@@ -527,7 +473,8 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                 c = (sels[t - 1] & real).bit_count()
                 if c:
                     row[t - 1] += w * c
-        news = {name: _new_masks(runs[name], real) for name in run_names}
+        opt_fresh = _fresh(opt_sels)
+        news = {name: [x & real for x in _fresh(runs[name])] for name in run_names}
         for name in run_names:
             row = new_sums[name]
             for t, mask in enumerate(news[name]):
@@ -535,27 +482,33 @@ def coupling_expectations(instance: Instance) -> CouplingSummary:
                     row[t] += w * mask.bit_count()
 
         for name in refs:
-            aug_w, adj_w = aug_sums[name], adj_sums[name]
-            for t, o_mask, (aug, adj) in _decompositions(
-                    tables, True, runs[name], opt_sels, real, horizons, news[name]):
+            aug_w, adj_w, worst = aug_sums[name], adj_sums[name], charging_worst[name]
+            new = news[name]
+            for t, o_mask, aug, adj in _unit_classes(tables, new, opt_fresh, opt_sels, real,
+                                                     horizons):
                 partition_ok &= _is_partition(o_mask, [*aug.values(), *adj.values()])
                 for i, mask in aug.items():
                     key = (t, i)
                     aug_w[key] = aug_w.get(key, 0) + w * mask.bit_count()
+                charged = [0] * t
                 for (i, j), mask in adj.items():
+                    c = mask.bit_count()
                     key3 = (t, i, j)
-                    adj_w[key3] = adj_w.get(key3, 0) + w * mask.bit_count()
-                _charge(charging_worst[name], t, rules.charging[1], news[name], adj=adj)
+                    adj_w[key3] = adj_w.get(key3, 0) + w * c
+                    charged[j - 1] += c
+                for j, c in enumerate(charged, 1):
+                    _keep_worst(worst, (t, j), c, rules.charging[1] * new[j - 1].bit_count())
         if rules.occupancy is not None:
-            sm_sels = runs["sm"]
-            for t, o_mask, (overlap, occ, rem) in _decompositions(
-                    tables, False, sm_sels, opt_sels, real, horizons):
+            for t in horizons:
+                o_mask = opt_sels[t - 1] & real
+                s_le = runs["sm"][t - 1] & real
+                overlap, occ, rem = _occupancy_classes(tables, s_le, o_mask, opt_fresh)
                 partition_ok &= _is_partition(o_mask, [overlap, occ, *rem.values()])
                 for i, mask in rem.items():
                     key = (t, i)
                     rem_sums[key] = rem_sums.get(key, 0) + w * mask.bit_count()
-                _charge(occ_charging_worst, t, rules.occupancy[1], occ=occ,
-                        s_le=sm_sels[t - 1] & real)
+                _keep_worst(occ_charging_worst, t, occ.bit_count(),
+                            rules.occupancy[1] * s_le.bit_count())
 
     weights, Kw = dyadic(instance.weights)
     reward = {name: sum(w * total for w, total in zip(weights, succ[name]))
@@ -665,11 +618,10 @@ def verify_charging(instance: Instance, t: int, mode: str = "exact",
     if rules.references:
         worst = summary.charging_worst[reference]
         indices = [{"t": t, "j": j} for j in range(1, t + 1)]
-        pairs = [worst.get((t, j), (0.0, 0.0)) for j in range(1, t + 1)]
+        pairs = [worst.get((t, j), (0, 0)) for j in range(1, t + 1)]
     else:
         indices = [{"t": t}]
-        pairs = [summary.occ_charging_worst.get(t, (0.0, 0.0))]
-    lhs = [p[0] for p in pairs]
-    rhs = [p[1] for p in pairs]
-    verdict = all(a <= b for a, b in zip(lhs, rhs))
-    return LemmaReport(rules.charging[0], "exact", indices, lhs, rhs, verdict)
+        pairs = [summary.occ_charging_worst.get(t, (0, 0))]
+    return LemmaReport(rules.charging[0], "exact", indices,
+                       [float(lhs) for lhs, _ in pairs], [float(rhs) for _, rhs in pairs],
+                       all(lhs <= rhs for lhs, rhs in pairs))

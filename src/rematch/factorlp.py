@@ -86,7 +86,11 @@ class FactorLp:
         return self.horizon + self.horizon * self.horizon + j
 
     def check_point(self, x) -> list[str]:
-        """Row labels violated by x, checked exactly in ints (empty list = feasible)."""
+        """Row labels violated by x, checked exactly in ints (empty list = feasible).
+
+        A nan or infinite entry has no exact ratio: ``ValidationError``."""
+        if any(v != v or abs(v) == math.inf for v in x):
+            raise ValidationError("point has a non-finite entry")
         rows, rhs, _, _ = _scaled(self)
         return _violations(rows, rhs, *_over_lcm(x))
 

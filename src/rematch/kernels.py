@@ -10,6 +10,8 @@ Conventions shared by the kernels:
 * an edge set is an integer bitmask over dense edge ids;
 * a DP state is packed as ``(round << 2m) | (success_mask << m) | fail_mask``;
 * bit scans run from the lowest set bit upward;
+* "shares a vertex" is one mask: ``near(tables, mask)`` holds every edge
+  with an endpoint among those of ``mask``;
 * outcome submasks of a selection are enumerated descending via
   ``r = (r - 1) & u``;
 * a policy is a step ``step(t, s, f)`` on the successes ``s`` and
@@ -120,6 +122,27 @@ def lex_less(a: int, b: int) -> bool:
     if (a >> d) & 1:
         return (b >> d) != 0
     return (a >> d) == 0
+
+
+def endpoints(tables, mask: int) -> set[int]:
+    """The vertex indices of the edges in ``mask``."""
+    ev = tables.ev
+    verts: set[int] = set()
+    while mask:
+        low = mask & -mask
+        verts.update(ev[low.bit_length() - 1])
+        mask ^= low
+    return verts
+
+
+def near(tables, mask: int) -> int:
+    """The edges that share a vertex with an edge of ``mask``, those of
+    ``mask`` included: the OR of ``tables.inc[v]`` over its endpoints."""
+    inc = tables.inc
+    out = 0
+    for v in endpoints(tables, mask):
+        out |= inc[v]
+    return out
 
 
 def drive(step, rounds: int, real: int, stationary: bool) -> list[int]:

@@ -349,6 +349,17 @@ def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _fresh(sels: Sequence[int]) -> list[int]:
+    """Per round, the edges of ``sels`` selected for the first time; a run's
+    new successes in round i are ``fresh[i - 1] & real``."""
+    fresh = []
+    seen = 0
+    for sel in sels:
+        fresh.append(sel & ~seen)
+        seen |= sel
+    return fresh
+
+
 @dataclass(frozen=True)
 class Trace:
     """Per-round record of one policy execution on one sample graph.
@@ -401,12 +412,7 @@ class Trace:
 
     @property
     def newly_successful(self) -> tuple[frozenset[int], ...]:
-        out = []
-        seen = 0
-        for sel in self.round_masks:
-            out.append(mask_to_set(sel & self.sample_mask & ~seen))
-            seen |= sel
-        return tuple(out)
+        return tuple(mask_to_set(x & self.sample_mask) for x in _fresh(self.round_masks))
 
     def to_json(self) -> dict:
         return {
@@ -527,10 +533,13 @@ class Tables:
     """Dense-index mask tables for one instance (internal).
 
     Kernel code sees only plain ints, floats and lists, built once per
-    instance and shared by every trace and DP solve.  ``cap`` holds the
-    effective capacity: hypergraph selections are vertex-disjoint, so
-    capacities collapse to 1 there.  ``pint`` holds the probabilities as
-    exact ints over one power of two (:func:`dyadic`).
+    instance and shared by every trace and DP solve.  ``ev[e]`` holds the
+    vertex indices of edge e and ``inc[v]`` the mask of the edges at
+    vertex v; every vertex test reads these two (``kernels.near``), so no
+    per-edge vertex mask is kept.  ``cap`` holds the effective capacity:
+    hypergraph selections are vertex-disjoint, so capacities collapse to 1
+    there.  ``pint`` holds the probabilities as exact ints over one power
+    of two (:func:`dyadic`).
 
     ``classes`` holds the interchangeable edge classes: groups of two or
     more edges with equal p, the same shared endpoints (vertices of
@@ -552,8 +561,8 @@ class Tables:
     combining rows (``kernels.gc_trace``).
     """
 
-    __slots__ = ("instance", "m", "n", "p", "pint", "all_mask", "posp_mask", "vmask",
-                 "ev", "cap", "inc", "order", "feas", "holds", "extends", "weights", "classes")
+    __slots__ = ("instance", "m", "n", "p", "pint", "all_mask", "posp_mask", "ev", "cap",
+                 "inc", "order", "feas", "holds", "extends", "weights", "classes")
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -566,19 +575,12 @@ class Tables:
         self.all_mask = (1 << self.m) - 1
         self.posp_mask = self.all_mask ^ _mask_of([e for e, p in enumerate(self.p) if p == 0.0])
         self.ev = [tuple(map(vindex.__getitem__, e.endpoints)) for e in instance.edges]
-        self.vmask = [sum(1 << v for v in ev) for ev in self.ev]
         self.cap = [1 if hyper else v.capacity for v in instance.vertices]
-        if self.m < 512:  # narrow masks: setting bits in place costs least
-            self.inc = [0] * self.n
-            for e, ev in enumerate(self.ev):
-                for v in ev:
-                    self.inc[v] |= 1 << e
-        else:  # wide masks: each set in one byte buffer, linear in m
-            incident: list[list[int]] = [[] for _ in range(self.n)]
-            for e, ev in enumerate(self.ev):
-                for v in ev:
-                    incident[v].append(e)
-            self.inc = [_mask_of(edges) for edges in incident]
+        incident: list[list[int]] = [[] for _ in range(self.n)]
+        for e, ev in enumerate(self.ev):
+            for v in ev:
+                incident[v].append(e)
+        self.inc = [_mask_of(edges) for edges in incident]  # each linear in m
         # descending p; the sort is stable, so ties stay in ascending id order
         self.order = sorted(range(self.m), key=self.p.__getitem__, reverse=True)
         self.weights = list(instance.weights)

@@ -20,7 +20,7 @@ from .errors import LimitExceededError, ValidationError
 from .generators import double_star_layout
 from .matching import WeightedSubproblem, _bipartite_sides, _max_weight, max_weight_matching
 from .model import (ENUMERATION_LIMIT, Hypergraph, Instance, KnowledgeState,
-                    SampleGraph, Tables, Trace, build_tables, dyadic, mask_to_set)
+                    SampleGraph, Tables, Trace, _fresh, build_tables, dyadic, mask_to_set)
 
 DP_STATES_LIMIT = 2**21  # admits ds11, bounded by 1,581,228 states; it solves in 121 MB
 # the solve recurses one frame per round
@@ -274,31 +274,15 @@ def run_opt_follower(instance: Instance, sample: SampleGraph, opt_trace: Trace) 
 def follower_masks(tables: Tables, opt_sels: Sequence[int], real: int) -> list[int]:
     """Opt-follower selections on masks: each round the own successes so far
     plus the companion's newly selected edges vertex-disjoint from them."""
-    fresh = []
-    seen = 0
-    for opt_sel in opt_sels:
-        fresh.append(opt_sel & ~seen)
-        seen |= opt_sel
-    return kernels.drive(partial(_follower_step, tables.vmask, fresh), len(fresh), real, False)
+    return kernels.drive(partial(_follower_step, tables, _fresh(opt_sels)), len(opt_sels),
+                         real, False)
 
 
-def _follower_step(vmask: list[int], fresh: list[int], t: int, s: int, f: int) -> int:
+def _follower_step(tables: Tables, fresh: list[int], t: int, s: int, f: int) -> int:
     add = fresh[t - 1]
-    if not add:  # most rounds: no vertex mask of s to build
+    if not add:  # most rounds: no near mask of s to build
         return s
-    verts = 0
-    x = s
-    while x:
-        low = x & -x
-        verts |= vmask[low.bit_length() - 1]
-        x ^= low
-    x = add
-    while x:
-        low = x & -x
-        if vmask[low.bit_length() - 1] & verts:
-            add ^= low
-        x ^= low
-    return s | add
+    return s | (add & ~kernels.near(tables, s))
 
 
 # ---------------------------------------------------------------------

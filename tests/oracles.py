@@ -18,8 +18,10 @@ After it come the DP's fitting selections as first found, a scan of
 that whole list, which the per-edge index must reproduce in the same
 order, and the instance masks of ``model.Tables`` built one edge bit at
 a time, which the byte-buffer constructor must reproduce field for
-field.  The round loops are the committing kernels, the opt-follower,
-the DP replay and the alternating scan as first written, each keeping
+field, and the edges sharing a vertex with a mask, found edge by edge,
+which ``kernels.near`` must reproduce.  The round loops are the
+committing kernels, the opt-follower, the DP replay and the alternating
+scan as first written, each keeping
 its own knowledge state and recomputing every round from scratch; they
 serve as references for the runs of ``kernels.drive`` and for the
 closed-form scan.  So is the expectimax DP after them, as first written, which rebuilds every action's candidate
@@ -29,10 +31,12 @@ reduction, which keeps every trial's counts and computes each mean and
 variance in ``Fraction``; the streamed integer sums must round to the
 same floats, bit for bit.  So, last, is the
 exact coupling pass as first written, one sample at a time with no
-grouping, here summing in ``Fraction``: every expectation of the grouped
-pass must be its correct rounding.  And the dual-feasibility check as
-first written, which re-sums every cover row's prefix; the running
-prefixes must report the same violations, digit for digit.  And the
+grouping, here summing in ``Fraction`` and with its own per-edge loops
+for new successes, classes, charging, partition and commit checks: every
+expectation of the grouped pass must be its correct rounding.  And the
+dual-feasibility check as first written, which re-sums every cover
+row's prefix; the running prefixes must report the same violations,
+digit for digit.  And the
 LP certificate as first written, every row checked in ``Fraction``; the
 integer check must accept and refuse the same LPs, with the same message.
 """
@@ -227,9 +231,15 @@ def tables_loop(inst: Instance) -> dict:
             classes.append(tuple(prefix))
     return {"m": m, "n": n, "p": p, "pint": dyadic(p)[0], "all_mask": (1 << m) - 1,
             "posp_mask": sum(1 << e.id for e in inst.edges if e.p > 0.0), "ev": ev,
-            "vmask": [sum(1 << v for v in vs) for vs in ev], "cap": cap, "inc": inc,
+            "cap": cap, "inc": inc,
             "order": sorted(range(m), key=lambda e: (-p[e], e)),
             "weights": list(inst.weights), "classes": tuple(classes)}
+
+
+def near_loop(inst: Instance, mask: int) -> int:
+    """The edges sharing an endpoint with an edge of ``mask``, edge by edge."""
+    ends = {u for e in inst.edges if mask >> e.id & 1 for u in e.endpoints}
+    return sum(1 << e.id for e in inst.edges if ends & set(e.endpoints))
 
 
 # ---------------------------------------------------------------------
@@ -298,21 +308,22 @@ def gc_trace_large_loop(instance: Instance, real: int) -> list[int]:
 
 
 def follower_loop(tables, opt_sels, real: int) -> list[int]:
-    committed = committed_verts = seen = 0
+    committed = seen = 0
+    committed_verts: set[int] = set()
     sels = []
     for opt_sel in opt_sels:
         fresh = opt_sel & ~seen
         seen |= opt_sel
         add = 0
         for e in range(tables.m):
-            if fresh >> e & 1 and not tables.vmask[e] & committed_verts:
+            if fresh >> e & 1 and not committed_verts & set(tables.ev[e]):
                 add |= 1 << e
         sels.append(committed | add)
         won = add & real
         committed |= won
         for e in range(tables.m):
             if won >> e & 1:
-                committed_verts |= tables.vmask[e]
+                committed_verts.update(tables.ev[e])
     return sels
 
 
@@ -522,10 +533,41 @@ def cap_classes_loop(tables, s_le: int, opt_sels, o_mask: int):
     return overlap, occupied, remainder
 
 
+def new_successes_loop(sels, real: int) -> list[int]:
+    """Per round, the successful edges of ``sels`` that no earlier round selected."""
+    new = []
+    for t, sel in enumerate(sels):
+        new.append(sum(1 << e for e in range(sel.bit_length())
+                       if sel >> e & 1 and real >> e & 1
+                       and not any(prev >> e & 1 for prev in sels[:t])))
+    return new
+
+
+def commits_loop(sels, real: int) -> bool:
+    """Every success is selected again in every later round."""
+    return all(sels[later] >> e & 1
+               for t, sel in enumerate(sels) for e in range(sel.bit_length())
+               if sel >> e & 1 and real >> e & 1 for later in range(t + 1, len(sels)))
+
+
+def partition_loop(whole: int, classes) -> bool:
+    """Each edge of ``whole`` in exactly one class, and no class edge outside it."""
+    members = [e for mask in classes for e in range(mask.bit_length()) if mask >> e & 1]
+    return sorted(members) == [e for e in range(whole.bit_length()) if whole >> e & 1]
+
+
+def keep_worst_loop(worst: dict, key, lhs: int, rhs: int) -> None:
+    """The first pair of largest lhs - rhs per key, in sample order."""
+    if key not in worst or lhs - rhs > worst[key][0] - worst[key][1]:
+        worst[key] = (lhs, rhs)
+
+
 def reference_coupling_expectations(instance: Instance) -> dict:
     """The fields of ``coupling.coupling_expectations``, summed per sample
     in ``Fraction``: every expectation is its exact value, not scaled by
-    2^K; the charging worst cases and checks are as computed."""
+    2^K.  The charging worst cases are the int pairs (count, factor *
+    count) of the first worst sample in mask order, the same pair the
+    grouped pass keeps, as every sample of a class has the same counts."""
     tables = build_tables(instance)
     tables.build_enumeration()
     T = instance.rounds
@@ -537,6 +579,8 @@ def reference_coupling_expectations(instance: Instance) -> dict:
     table_c = build_dp(instance, commit=True)
     zero = Fraction(0)
     out = {
+        "horizons": list(horizons), "references": list(refs),
+        "opt_value": table.root_value, "opt_commit_value": table_c.root_value,
         "new": {name: [zero] * T for name in run_names},
         "succ": {name: [zero] * T for name in ["opt", "opt_commit"] + run_names},
         "aug": {r: {} for r in refs}, "adj": {r: {} for r in refs},
@@ -565,39 +609,39 @@ def reference_coupling_expectations(instance: Instance) -> dict:
             runs["opt_follower"] = follower_loop(tables, opt_sels, real)
         for name, sels in [*runs.items(), ("opt", opt_sels), ("opt_commit", optc_sels)]:
             out["reward"][name] += prob * reward(sels, real)
-            out["commit_ok"] &= name == "opt" or coupling._commits(sels, real)
+            out["commit_ok"] &= name == "opt" or commits_loop(sels, real)
             for t in horizons:
                 out["succ"][name][t - 1] += prob * (sels[t - 1] & real).bit_count()
-        for name, sels in runs.items():
-            new = coupling._new_masks(sels, real)
+        news = {name: new_successes_loop(sels, real) for name, sels in runs.items()}
+        for name, new in news.items():
             for t in horizons:
                 out["new"][name][t - 1] += prob * new[t - 1].bit_count()
         for name in refs:
             aug_sums, adj_sums = out["aug"][name], out["adj"][name]
-            new = coupling._new_masks(runs[name], real)
+            new = news[name]
             for t in horizons:
                 o_mask = opt_sels[t - 1] & real
                 aug, adj = unit_classes_loop(tables, new, opt_sels, o_mask, t)
-                out["partition_ok"] &= coupling._is_partition(
-                    o_mask, [*aug.values(), *adj.values()])
+                out["partition_ok"] &= partition_loop(o_mask, [*aug.values(), *adj.values()])
                 for i, mask in aug.items():
                     aug_sums[t, i] = aug_sums.get((t, i), zero) + prob * mask.bit_count()
                 for (i, j), mask in adj.items():
                     adj_sums[t, i, j] = adj_sums.get((t, i, j), zero) + prob * mask.bit_count()
-                coupling._charge(out["charging_worst"][name], t, rules.charging[1], new,
-                                 adj=adj)
+                for j in range(1, t + 1):
+                    charged = sum(mask.bit_count() for (_, d), mask in adj.items() if d == j)
+                    keep_worst_loop(out["charging_worst"][name], (t, j), charged,
+                                    rules.charging[1] * new[j - 1].bit_count())
         if rules.occupancy is not None:
             rem_sums = out["remainder"]
             for t in horizons:
                 o_mask = opt_sels[t - 1] & real
                 s_le = runs["sm"][t - 1] & real
                 overlap, occ, rem = cap_classes_loop(tables, s_le, opt_sels, o_mask)
-                out["partition_ok"] &= coupling._is_partition(
-                    o_mask, [overlap, occ, *rem.values()])
+                out["partition_ok"] &= partition_loop(o_mask, [overlap, occ, *rem.values()])
                 for i, mask in rem.items():
                     rem_sums[t, i] = rem_sums.get((t, i), zero) + prob * mask.bit_count()
-                coupling._charge(out["occ_charging_worst"], t, rules.occupancy[1], occ=occ,
-                                 s_le=s_le)
+                keep_worst_loop(out["occ_charging_worst"], t, occ.bit_count(),
+                                rules.occupancy[1] * s_le.bit_count())
     return out
 
 

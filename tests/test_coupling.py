@@ -178,37 +178,37 @@ _UNIT = (("sm", 2), ("sm_refined", 2), ("gc", 1), ("gc_refined", 1))
 _RULE_KINDS = {
     "unit general": (
         make_instance([(0, 1, 0.6), (1, 2, 0.5), (2, 3, 0.4)], rounds=2),
-        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2.0),
-         ("charging_capacitated", 4.0),
+        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2),
+         ("charging_capacitated", 4),
          ("charging", "sm", "sm_refined", "gc", "gc_refined"),
          _UNIT + (("capacitated", 6),),
          (("sm", 11), ("gc", 3), ("sm", None), ("gc", None))), {"sm", "gc"}),
     "unit many-to-one": (
         make_instance([(0, 2, 0.6), (1, 2, 0.5), (1, 3, 0.4)], rounds=2,
                       structure=ManyToOne([0, 1])),
-        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2.0),
-         ("charging_many_to_one", 3.0),
+        (("sm", "gc"), ("sm", "gc", "opt_follower"), ("charging", 2),
+         ("charging_many_to_one", 3),
          ("charging", "sm", "sm_refined", "gc", "gc_refined"),
          _UNIT + (("many_to_one", 4),),
          (("sm", 7), ("gc", 3), ("sm", None), ("gc", None))), {"sm", "gc"}),
     "capacitated general": (
         make_instance([(0, 1, 0.6), (1, 2, 0.5), (2, 0, 0.4)], rounds=2, caps={1: 2}),
-        ((), ("sm", "gc"), ("charging_capacitated", 4.0),
-         ("charging_capacitated", 4.0), ("charging", "capacitated"),
+        ((), ("sm", "gc"), ("charging_capacitated", 4),
+         ("charging_capacitated", 4), ("charging", "capacitated"),
          (("capacitated", 6),),
          (("sm", 11), ("gc", 3), ("sm", None), ("gc", None))), {"sm"}),
     "capacitated many-to-one": (
         make_instance([(0, 2, 0.6), (1, 2, 0.5), (1, 3, 0.4)], rounds=2, caps={2: 2},
                       structure=ManyToOne([0, 1])),
-        ((), ("sm", "gc"), ("charging_many_to_one", 3.0),
-         ("charging_many_to_one", 3.0), ("charging", "many_to_one"),
+        ((), ("sm", "gc"), ("charging_many_to_one", 3),
+         ("charging_many_to_one", 3), ("charging", "many_to_one"),
          (("many_to_one", 4),),
          (("sm", 7), ("gc", 3), ("sm", None), ("gc", None))), {"sm"}),
     # hypergraph selections are vertex-disjoint, so a capacity of 2 is unit
     "hypergraph, a capacity-2 vertex": (
         make_instance([(0, 1, 0.5), (0, 2, 0.6), (0, 1, 2, 0.4)], rounds=2, caps={0: 2},
                       structure=Hypergraph(3)),
-        (("sm",), ("sm",), ("charging_hypergraph", 3.0), None,
+        (("sm",), ("sm",), ("charging_hypergraph", 3), None,
          ("charging", "hypergraph"), (("hypergraph", 3),), (("sm", 6),)), {"sm"}),
 }
 
@@ -220,7 +220,9 @@ def test_lemma_rules_per_kind(kind):
     got = (rules.references, rules.runs, rules.charging, rules.occupancy, rules.lemmas,
            rules.domination, rules.ratio_bounds)
     assert got == want
-    # the factors of domination rows and ratio bounds are exact ints
+    # the factors of charging, domination rows and ratio bounds are exact ints
+    assert type(rules.charging[1]) is int
+    assert rules.occupancy is None or type(rules.occupancy[1]) is int
     assert all(type(f) is int for _, f in rules.domination)
     assert all(f is None or type(f) is int for _, f in rules.ratio_bounds)
     t = inst.rounds
@@ -279,8 +281,9 @@ def _oracle_instances():
     for profile in ("unit-small", "cap-small", "mto-small", "hyper3-small"):
         for i in range(10):
             yield f"{profile}-{i}", gen_random(profile, sub_seed(61, i))
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         yield f"ds{n}", gen_double_star(n, 0.1)
+    yield "separation", gen_separation()
     yield "k33", gen_complete_bipartite(3, 0.5, rounds=2)
     base = gen_random("cap-small", sub_seed(62, 0))
     weights = [0.7, 1.3, 0.1, 2.5, 1.1][:base.rounds]
@@ -293,18 +296,27 @@ def _reference(inst):
 
 
 def test_grouped_pass_rounds_the_exact_per_sample_sums():
-    """Every int sum of the grouped pass is exactly the per-sample sum, and
-    the worst cases and checks are the per-sample ones."""
+    """Every field of the grouped pass equals the per-sample oracle's: each
+    int sum is exactly the per-sample sum, and the worst cases, with int
+    charging pairs, and the checks are the per-sample ones."""
+    scaled = {**{name: "K" for name in _SUMS}, "reward": "K+Kw"}
     for label, inst in _oracle_instances():
         got = coupling_expectations(inst)
         want = _reference(inst)
-        for name in _SUMS:
-            assert _exact(getattr(got, name), 1 << got.K) == want[name], (label, name)
-        assert _exact(got.reward, 1 << (got.K + got.Kw)) == want["reward"], label
-        for name in ("charging_worst", "occ_charging_worst", "partition_ok", "commit_ok"):
-            assert getattr(got, name) == want[name], (label, name)
+        for field in dataclasses.fields(got):
+            name, value = field.name, getattr(got, field.name)
+            if name in scaled:
+                den = 1 << (got.K + got.Kw if scaled[name] == "K+Kw" else got.K)
+                assert _exact(value, den) == want[name], (label, name)
+            elif name in want:
+                assert value == want[name], (label, name)
+            else:  # the instance and the scales of the sums
+                assert name in ("instance", "K", "Kw"), (label, name)
+        pairs = [pair for per_ref in got.charging_worst.values() for pair in per_ref.values()]
+        pairs += (got.occ_charging_worst or {}).values()
+        assert pairs and all(type(x) is int for pair in pairs for x in pair), label
         assert got.partition_ok and got.commit_ok, label
-    assert any(w != 1.0 for w in inst.weights)
+    assert got.instance == inst and any(w != 1.0 for w in inst.weights)
 
 
 def _oracle_rows(want: dict, t: int, variant: str, factor: int) -> list:

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from oracles import certify_fraction, dual_violations_loop
 from rematch.coupling import coupling_expectations
-from rematch.errors import DomainError, SolverError
+from rematch.errors import DomainError, SolverError, ValidationError
 from rematch.factorlp import (SOLVE_LIMIT, DualCertificate, FactorLp, _certify,
                               _exact_certificate, approximation_factor, build_primal,
                               dual_certificate, limit_factor, primal_embedding, solve_lp,
@@ -350,6 +350,13 @@ def test_check_point_is_exact():
         below = list(x)
         below[lp.x(0)] = -tiny
         assert lp.check_point(below) == ["nonneg 0"], (variant, t)
+
+
+def test_check_point_refuses_a_non_finite_entry():
+    lp = build_primal(2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            lp.check_point([bad] + [0.0] * (lp.num_vars - 1))
 
 
 def test_u_ratio_is_the_closed_form_optimum():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from oracles import (expectation, ext_of, feasible_selections_scan, fitting_scan, sample_loop,
-                     sample_probabilities_loop, tables_loop)
+from oracles import (expectation, ext_of, feasible_selections_scan, fitting_scan, near_loop,
+                     sample_loop, sample_probabilities_loop, tables_loop)
 from rematch import kernels, suites
 from rematch.errors import LimitExceededError, UnknownEdgeError, ValidationError
 from rematch.generators import (PROFILES, RandomProfile, double_star_layout,
@@ -301,6 +301,20 @@ def test_tables_match_the_constructor_loop():
         want = tables_loop(inst)
         tables = Tables(inst)
         assert {name: getattr(tables, name) for name in want} == want, k
+
+
+def test_near_matches_the_per_edge_loop():
+    # every single edge, no edge, every edge and 20 drawn masks per instance
+    rng = CounterRng(31)
+    instances = [inst for profile in suites.SUITES for inst in suites._suite_instances(profile)]
+    instances += [gen_double_star(n, 0.1) for n in range(2, 9)]
+    for k, inst in enumerate(instances):
+        tables = Tables(inst)
+        m = inst.num_edges
+        masks = [0, tables.all_mask, *(1 << e for e in range(m)),
+                 *(rng.randint(0, (1 << m) - 1) for _ in range(20))]
+        for mask in masks:
+            assert kernels.near(tables, mask) == near_loop(inst, mask), (k, mask)
 
 
 @settings(max_examples=200, deadline=None)
